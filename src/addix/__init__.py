@@ -6,14 +6,13 @@ from .analysis import (InvolutionReport, PPCertificate, TranslatorSpec,
                        is_linear_translator, is_permutation,
                        quotient_pp_criterion, translation_pp, translator_pp,
                        value_set_bounds, value_set_size)
-from .charsum import (CharSumReport, MultChar, bound_report, char_eval,
-                      char_sum, char_sum_affine)
+from .charsum import (CharSumReport, MultChar, bound_report, char_sum,
+                      char_sum_affine)
 from .decompose import (AdditiveDecomposition, PartialDecomposition,
                         additive_index, additive_kernel, decompose_with,
                         maximal_decomposition, multiplicative_index)
 from .errors import InvariantViolation, ParseError, PreconditionError
-from .field import (Elt, Field, discrete_log, make_field, parse_field_spec,
-                    size_cap)
+from .field import Elt, Field, parse_field_spec, size_cap
 from .linearized import (CosetDecomposition, LinearizedPoly, Subspace,
                          all_subspaces, complement, compose_quotient,
                          coset_reps, expand_in_base, is_linearized, kernel,

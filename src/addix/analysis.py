@@ -16,7 +16,8 @@ from .decompose import (AdditiveDecomposition, maximal_decomposition,
 from .errors import InvariantViolation, PreconditionError
 from .field import Elt, Field
 from .linearized import (LinearizedPoly, Subspace, compose_quotient,
-                         coset_reps, linearized_interpolate, subspace_image,
+                         coset_reps, image_elements, linearized_interpolate,
+                         require_splitting_monic, subspace_image,
                          vanishing_poly)
 from .poly import Poly, lagrange_interpolate, poly_gcd
 
@@ -27,6 +28,12 @@ from .poly import Poly, lagrange_interpolate, poly_gcd
 
 def _image_subspace(dec: AdditiveDecomposition) -> Subspace:
     return subspace_image(dec.linear_part, dec.kernel)
+
+
+def _coset_count(dec: AdditiveDecomposition, w: Subspace) -> int:
+    """Number of cosets of W that poly's image meets, read off its values at
+    the kernel's canonical coset representatives."""
+    return len({w.coset_key(dec.poly.eval(z)) for z in coset_reps(dec.kernel).reps})
 
 
 def value_set_size(poly: Poly, method: str = "theorem") -> tuple[int, int]:
@@ -41,9 +48,7 @@ def value_set_size(poly: Poly, method: str = "theorem") -> tuple[int, int]:
     dec = maximal_decomposition(poly)
     w = _image_subspace(dec)
     if method == "theorem":
-        reps = coset_reps(dec.kernel).reps
-        classes = {w.coset_key(dec.poly.eval(z)) for z in reps}
-        c = len(classes)
+        c = _coset_count(dec, w)
         return c * poly.field.p ** w.dim, c
     if method == "brute":
         image = {dec.poly.eval(y).code for y in poly.field.elements()}
@@ -114,10 +119,9 @@ def _pp_conditions(dec: AdditiveDecomposition) -> tuple[int, bool]:
     field = dec.poly.field
     g = poly_gcd(dec.subspace_poly.to_poly(), dec.linear_part.to_poly())
     w = _image_subspace(dec)
-    reps = coset_reps(dec.kernel).reps
-    keys = {w.coset_key(dec.poly.eval(z)) for z in reps}
-    bijective = (len(keys) == len(reps)
-                 and field.q == len(reps) * field.p ** w.dim)
+    kernel_cosets = field.q // field.p ** dec.kernel.dim
+    bijective = (_coset_count(dec, w) == kernel_cosets
+                 and field.q == kernel_cosets * field.p ** w.dim)
     return g.degree, bijective
 
 
@@ -162,8 +166,7 @@ def quotient_pp_criterion(outer: Poly, base: LinearizedPoly,
     y -> base(outer(y)) + N(y) is injective on base's image, where
     N o base = base o linear_part.
     """
-    field = outer.field
-    _require_splitting_monic(base)
+    require_splitting_monic(base)
     try:
         quotient_map = compose_quotient(base.compose(linear_part), base)
     except PreconditionError:
@@ -172,19 +175,9 @@ def quotient_pp_criterion(outer: Poly, base: LinearizedPoly,
     g = poly_gcd(base.to_poly(), linear_part.to_poly())
     if g.degree != 1:
         return False
-    image = {base.eval(y).code for y in field.elements()}
-    mapped = {(base.eval(outer.eval(field.from_code(s)))
-               + quotient_map.eval(field.from_code(s))).code for s in image}
+    image = image_elements(base)
+    mapped = {(base.eval(outer.eval(s)) + quotient_map.eval(s)).code for s in image}
     return len(mapped) == len(image)
-
-
-def _require_splitting_monic(base: LinearizedPoly):
-    if not base.is_monic():
-        raise PreconditionError("base must be monic")
-    field = base.field
-    count = sum(1 for a in field.elements() if base.eval(a).code == 0)
-    if count != base.degree:
-        raise PreconditionError("base does not divide x^q - x")
 
 
 # ---------------------------------------------------------------------------
@@ -261,11 +254,10 @@ def translation_pp(base: LinearizedPoly, outer: Poly) -> tuple[Poly, Counter]:
     image-set roots of outer, and all other cycles have length p.
     """
     field = outer.field
-    _require_splitting_monic(base)
-    image = sorted({base.eval(y).code for y in field.elements()})
+    require_splitting_monic(base)
     roots = 0
-    for code in image:
-        value = outer.eval(field.from_code(code))
+    for s in image_elements(base):
+        value = outer.eval(s)
         if base.eval(value).code != 0:
             raise PreconditionError(
                 "hypothesis fails: base o outer does not vanish on the image set")
@@ -312,7 +304,7 @@ def construct_prescribed_cycles(field: Field, fixed_count: int) -> Poly:
             target = Subspace(field, list(target.basis) + [cand])
         code += 1
     base = vanishing_poly(target)
-    image = sorted({base.eval(y) for y in field.elements()}, key=lambda e: e.code)
+    image = image_elements(base)
     filler = target.elements()[1] if len(image) > u else None
     points = [(s, field.zero if i < u else filler) for i, s in enumerate(image)]
     outer = lagrange_interpolate(field, points)
@@ -411,9 +403,12 @@ def is_linear_translator(spec: TranslatorSpec) -> bool:
 
 
 def translator_pp(spec: TranslatorSpec, adjust: Poly) -> tuple[bool, bool]:
-    """Verdict for x + adjust(g(x)) as a permutation, decided on the subspace
-    side (u -> u + M(adjust(u)) bijective) and cross-checked against the full
-    field; also reports whether the permutation is a complete mapping.
+    """(is_pp, is_complete) for P(x) = x + adjust(g(x)).
+
+    is_pp is decided on the subspace side (u -> u + M(adjust(u)) bijective)
+    and cross-checked against the full field.  is_complete reports whether
+    x -> 2x + adjust(g(x)) = P(x) + x permutes the field; it means "P is a
+    complete mapping" only when is_pp is True.
 
     Requires g onto the subspace, adjust mapping the subspace into itself,
     and the spec to pass is_linear_translator.

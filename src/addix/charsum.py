@@ -52,10 +52,6 @@ class MultChar:
         return f"MultChar({self.field!r}, {self.index})"
 
 
-def char_eval(chi: MultChar, a: Elt) -> complex:
-    return chi(a)
-
-
 def char_sum(poly: Poly, chi: MultChar, values=None) -> complex:
     """sum over the field of chi(poly(x)); values may carry precomputed
     poly evaluations in code order."""
@@ -108,18 +104,12 @@ class CharSumReport:
 
 def _power_coset_flag(field: Field, values) -> bool:
     """Conservative scaled-perfect-power test: true when every nonzero value
-    sits in a single coset of the r-th powers for some r | q-1, r > 1."""
+    sits in a single coset of the r-th powers for some r | q-1, r > 1, i.e.
+    when q-1 and all log gaps to the first value share a factor above 1."""
     logs = [field.dlog(v) for v in values if v.code]
     if not logs:
         return True
-    qm1 = field.q - 1
-    for r in range(2, qm1 + 1):
-        if qm1 % r:
-            continue
-        residue = logs[0] % r
-        if all(lg % r == residue for lg in logs):
-            return True
-    return False
+    return int_gcd(field.q - 1, *(lg - logs[0] for lg in logs)) > 1
 
 
 def bound_report(poly: Poly, chi: MultChar, *, decomposition=None,

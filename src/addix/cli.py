@@ -22,7 +22,7 @@ from .decompose import decompose_with, maximal_decomposition
 from .errors import InvariantViolation, ParseError, PreconditionError
 from .field import Field, parse_field_spec
 from .linearized import LinearizedPoly, Subspace
-from .poly import Poly, parse_poly, poly_to_str
+from .poly import parse_poly, poly_to_str
 from .verify import ALL_SUITES, run_suites
 
 
@@ -36,15 +36,6 @@ def _codes_arg(text: str) -> list[int]:
         return [int(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
         raise ParseError(f"expected comma-separated integers, got {text!r}") from None
-
-
-def _lin_from_codes(field: Field, codes) -> LinearizedPoly:
-    return LinearizedPoly.from_codes(field, codes)
-
-
-def _lin_record(lin: LinearizedPoly) -> dict:
-    return {"str": poly_to_str(lin.to_poly()),
-            "lin_coeffs": [c.code for c in lin.lin_coeffs]}
 
 
 def _emit(record: dict, fmt: str):
@@ -83,7 +74,7 @@ def _cmd_decompose(args):
     field = parse_field_spec(args.field)
     poly = parse_poly(args.poly, field)
     if args.base is not None:
-        base = _lin_from_codes(field, _codes_arg(args.base))
+        base = LinearizedPoly.from_codes(field, _codes_arg(args.base))
         result = decompose_with(poly, base)
         record = {"ok": result.ok}
         if result.ok:
@@ -187,7 +178,7 @@ def _cmd_translator(args):
     field = parse_field_spec(args.field)
     g = parse_poly(args.g, field)
     sub = Subspace(field, [field.from_code(c) for c in _codes_arg(args.subspace)])
-    translate = _lin_from_codes(field, _codes_arg(args.m_lin))
+    translate = LinearizedPoly.from_codes(field, _codes_arg(args.m_lin))
     gamma = field.from_code(args.gamma) if args.gamma is not None else None
     scale = field.from_code(args.b) if args.b is not None else None
     spec = TranslatorSpec(g=g, subspace=sub, translate=translate,
@@ -255,7 +246,7 @@ def _cmd_verify(args):
     if unknown:
         raise ParseError(f"unknown suites: {', '.join(unknown)} "
                          f"(choose from {', '.join(ALL_SUITES)})")
-    return run_suites(names, seed=args.seed, max_q=args.max_q, threads=args.threads)
+    return run_suites(names, seed=args.seed, max_q=args.max_q)
 
 
 def _build_parser() -> _Arg:
@@ -303,8 +294,8 @@ def _build_parser() -> _Arg:
     sp.add_argument("--suite", default="all",
                     help="'all' or comma-separated names: " + ", ".join(ALL_SUITES))
     sp.add_argument("--max-q", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--threads", type=int, default=1)
+    sp.add_argument("--seed", type=int, default=None,
+                    help="seed for every suite (default: each suite's own seed)")
     return parser
 
 

@@ -14,7 +14,8 @@ from math import gcd as int_gcd
 
 from .errors import InvariantViolation, PreconditionError
 from .linearized import (LinearizedPoly, Subspace, expand_in_base,
-                         is_linearized, vanishing_poly)
+                         is_linearized, require_splitting_monic,
+                         vanishing_poly)
 from .poly import (Poly, gcd_with_xq_minus_x, poly_gcd, reduce_mod_xq_minus_x,
                    shift_expand)
 
@@ -101,6 +102,24 @@ def additive_index(poly: Poly) -> int:
     return poly.field.n - additive_kernel(poly).dim
 
 
+def _split(poly: Poly, base_poly: Poly) -> tuple[Poly, LinearizedPoly]:
+    """(outer, linear_part) with poly == outer(base_poly) + linear_part, read
+    off the Euclidean digits of poly - poly(0); base_poly must divide the
+    maximal subspace polynomial."""
+    field = poly.field
+    const = poly.constant_term()
+    digits = expand_in_base(poly - Poly.constant(field, const), base_poly)
+    linear_part = is_linearized(digits[0])
+    if linear_part is None:
+        raise InvariantViolation("zeroth digit of the expansion is not linearized")
+    outer = [const]
+    for d in digits[1:]:
+        if d.degree > 0:
+            raise InvariantViolation("higher digit of the expansion is not constant")
+        outer.append(d.constant_term())
+    return Poly(field, outer), linear_part
+
+
 def maximal_decomposition(poly: Poly) -> AdditiveDecomposition:
     """Decompose against the largest admissible subspace polynomial.
 
@@ -115,19 +134,10 @@ def maximal_decomposition(poly: Poly) -> AdditiveDecomposition:
     field = poly.field
     ker = _kernel_of_reduced(poly, "gcd")
     sub_poly = vanishing_poly(ker)
-    const = poly.constant_term()
-    digits = expand_in_base(poly - Poly.constant(field, const), sub_poly.to_poly())
-    linear_part = is_linearized(digits[0])
-    if linear_part is None:
-        raise InvariantViolation("zeroth digit of the maximal expansion is not linearized")
-    outer = [const]
-    for d in digits[1:]:
-        if d.degree > 0:
-            raise InvariantViolation("higher digit of the maximal expansion is not constant")
-        outer.append(d.constant_term())
+    outer, linear_part = _split(poly, sub_poly.to_poly())
     return AdditiveDecomposition(
         poly=poly,
-        outer=Poly(field, outer),
+        outer=outer,
         subspace_poly=sub_poly,
         linear_part=linear_part,
         index=field.n - ker.dim,
@@ -141,29 +151,15 @@ def decompose_with(poly: Poly, base: LinearizedPoly) -> PartialDecomposition:
     polynomial."""
     if poly.degree < 1:
         raise PreconditionError("decomposition needs degree >= 1")
-    field = poly.field
-    if not base.is_monic():
-        raise PreconditionError("base must be monic")
+    require_splitting_monic(base)
     base_poly = base.to_poly()
-    if sum(1 for a in field.elements() if base.eval(a).code == 0) != base.degree:
-        raise PreconditionError("base does not divide x^q - x")
     poly = _canonical_input(poly)
     maximal = vanishing_poly(_kernel_of_reduced(poly, "gcd"))
     remainder = maximal.to_poly() % base_poly
     if not remainder.is_zero():
         return PartialDecomposition(False, None, None, remainder)
-    const = poly.constant_term()
-    digits = expand_in_base(poly - Poly.constant(field, const), base_poly)
-    linear_part = is_linearized(digits[0])
-    if linear_part is None:
-        raise InvariantViolation("zeroth digit not linearized despite divisibility")
-    outer = [const]
-    for d in digits[1:]:
-        if d.degree > 0:
-            raise InvariantViolation("higher digit not constant despite divisibility")
-        outer.append(d.constant_term())
-    return PartialDecomposition(True, Poly(field, outer), linear_part,
-                                Poly.zero(field))
+    outer, linear_part = _split(poly, base_poly)
+    return PartialDecomposition(True, outer, linear_part, Poly.zero(poly.field))
 
 
 def multiplicative_index(poly: Poly) -> int:

@@ -393,12 +393,7 @@ class Field:
         if not 0 <= code < self.q:
             raise PreconditionError(f"element code {code} out of range [0, {self.q})")
         if self.q <= _ELT_CACHE_MAX:
-            with self._lock:
-                if self._elts is None:
-                    p, n = self.p, self.n
-                    self._elts = tuple(Elt(self, _digits(c, p, n), c)
-                                       for c in range(self.q))
-            return self._elts[code]
+            return self.elements()[code]
         return Elt(self, _digits(code, self.p, self.n), code)
 
     def _from_coeffs_fast(self, cs):
@@ -455,15 +450,6 @@ class Field:
         if self.n == 1:
             return f"GF({self.p})"
         return f"GF({self.p}^{self.n})"
-
-
-def make_field(p: int, n: int, modulus=None) -> Field:
-    """Build GF(p^n); without a modulus, the canonical smallest one is used."""
-    return Field(p, n, modulus)
-
-
-def discrete_log(field: Field, a: Elt) -> int:
-    return field.dlog(a)
 
 
 def parse_field_spec(text: str) -> Field:

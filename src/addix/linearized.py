@@ -178,6 +178,17 @@ def is_linearized(poly: Poly) -> LinearizedPoly | None:
 # F_p-subspaces, canonical reduced-echelon bases.
 
 
+def _reduce(vec: list[int], rows, pivots, p: int) -> list[int]:
+    """Clear vec's entries at the pivots of echelon rows whose pivot entries
+    are 1, in place; vec is returned for chaining."""
+    for row, piv in zip(rows, pivots):
+        k = vec[piv]
+        if k:
+            for j, r in enumerate(row):
+                vec[j] = (vec[j] - k * r) % p
+    return vec
+
+
 class Subspace:
     """F_p-subspace of the field, held as a reduced echelon basis.
 
@@ -194,12 +205,7 @@ class Subspace:
         p = field.p
         dependent = False
         for g in generators:
-            vec = list(g.coeffs)
-            for row, piv in zip(rows, pivots):
-                if vec[piv]:
-                    k = vec[piv]
-                    for j in range(field.n):
-                        vec[j] = (vec[j] - k * row[j]) % p
+            vec = _reduce(list(g.coeffs), rows, pivots, p)
             piv = next((j for j, v in enumerate(vec) if v), None)
             if piv is None:
                 dependent = True
@@ -207,10 +213,7 @@ class Subspace:
             inv = pow(vec[piv], p - 2, p)
             vec = [(v * inv) % p for v in vec]
             for row in rows:
-                if row[piv]:
-                    k = row[piv]
-                    for j in range(field.n):
-                        row[j] = (row[j] - k * vec[j]) % p
+                _reduce(row, (vec,), (piv,), p)
             rows.append(vec)
             pivots.append(piv)
         if strict and dependent:
@@ -220,10 +223,6 @@ class Subspace:
         self._rows = tuple(tuple(rows[i]) for i in order)
         self._pivots = tuple(pivots[i] for i in order)
         self.basis = tuple(field.from_coeffs(r) for r in self._rows)
-
-    @classmethod
-    def span(cls, field, generators):
-        return cls(field, generators)
 
     @classmethod
     def full(cls, field):
@@ -239,13 +238,7 @@ class Subspace:
 
     def reduce(self, v: Elt) -> Elt:
         """Canonical representative of v + self (pivot coordinates cleared)."""
-        p = self.field.p
-        vec = list(v.coeffs)
-        for row, piv in zip(self._rows, self._pivots):
-            if vec[piv]:
-                k = vec[piv]
-                for j in range(self.field.n):
-                    vec[j] = (vec[j] - k * row[j]) % p
+        vec = _reduce(list(v.coeffs), self._rows, self._pivots, self.field.p)
         return self.field.from_coeffs(vec)
 
     def coset_key(self, v: Elt) -> int:
@@ -276,12 +269,7 @@ class Subspace:
         code = 1
         while len(rows) < field.n:
             v = field.from_code(code)
-            vec = list(v.coeffs)
-            for row, piv in zip(rows, pivots):
-                if vec[piv]:
-                    k = vec[piv]
-                    for j in range(field.n):
-                        vec[j] = (vec[j] - k * row[j]) % p
+            vec = _reduce(list(v.coeffs), rows, pivots, p)
             piv = next((j for j, c in enumerate(vec) if c), None)
             if piv is not None:
                 inv = pow(vec[piv], p - 2, p)
@@ -326,6 +314,15 @@ def kernel(linpoly: LinearizedPoly) -> Subspace:
     field = linpoly.field
     zeros = [a for a in field.elements() if linpoly.eval(a).code == 0]
     return Subspace(field, zeros)
+
+
+def require_splitting_monic(base: LinearizedPoly):
+    """Raise PreconditionError unless base is monic and splits into distinct
+    roots inside the field, i.e. divides x^q - x."""
+    if not base.is_monic():
+        raise PreconditionError("base must be monic")
+    if base.field.p ** kernel(base).dim != base.degree:
+        raise PreconditionError("base does not divide x^q - x")
 
 
 def vanishing_poly(subspace: Subspace) -> LinearizedPoly:
@@ -442,6 +439,12 @@ def linearized_interpolate(field: Field, pairs, bound: int) -> LinearizedPoly:
 def subspace_image(linmap: LinearizedPoly, subspace: Subspace) -> Subspace:
     """Image of the subspace under the linear map."""
     return Subspace(subspace.field, [linmap.eval(b) for b in subspace.basis])
+
+
+def image_elements(linmap: LinearizedPoly) -> list[Elt]:
+    """Every value of the linear map on the field, ascending code order: the
+    span of its values on a basis, so no full-field scan is needed."""
+    return subspace_image(linmap, Subspace.full(linmap.field)).elements()
 
 
 def subfield(field: Field, k: int) -> Subspace:

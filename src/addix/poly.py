@@ -10,7 +10,6 @@ text grammar shared with the CLI.
 from __future__ import annotations
 
 import re
-from functools import reduce
 
 from .errors import ParseError, PreconditionError
 from .field import Elt, Field
@@ -53,11 +52,6 @@ class Poly:
     @classmethod
     def from_codes(cls, field, codes):
         return cls(field, tuple(field.from_code(c) for c in codes))
-
-    @classmethod
-    def from_ints(cls, field, ints):
-        """Coefficients as prime-subfield integers (reduced mod p)."""
-        return cls(field, tuple(field.from_int(k) for k in ints))
 
     # -- structure
 
@@ -195,10 +189,6 @@ class Poly:
         for c in reversed(self.coeffs[:-1]):
             acc = acc * inner + c
         return acc
-
-    def derivative(self) -> "Poly":
-        return Poly(self.field,
-                    tuple(c * i for i, c in enumerate(self.coeffs) if i))
 
     def shift_arg(self, offset: Elt) -> "Poly":
         """self(x + offset), by Horner in (x + offset)."""
@@ -483,7 +473,7 @@ def parse_poly(text: str, field: Field) -> Poly:
     return result
 
 
-def _coeff_str(c: Elt, with_var: bool) -> str:
+def _coeff_str(c: Elt) -> str:
     if c.code < c.field.p:
         return str(c.code)
     return f"[{c.code}]"
@@ -499,11 +489,11 @@ def poly_to_str(poly: Poly) -> str:
         if c.code == 0:
             continue
         if e == 0:
-            terms.append(_coeff_str(c, False))
+            terms.append(_coeff_str(c))
             continue
         var = "x" if e == 1 else f"x^{e}"
         if c.code == 1:
             terms.append(var)
         else:
-            terms.append(f"{_coeff_str(c, True)}*{var}")
+            terms.append(f"{_coeff_str(c)}*{var}")
     return " + ".join(terms)

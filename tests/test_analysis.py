@@ -11,16 +11,16 @@ from addix.analysis import (TranslatorSpec, agw_check,
                             value_set_size)
 from addix.decompose import additive_index
 from addix.errors import PreconditionError
-from addix.field import make_field
+from addix.field import Field
 from addix.linearized import (LinearizedPoly, Subspace, complement,
                               is_linearized, subfield, vanishing_poly)
 from addix.poly import Poly, lagrange_interpolate, parse_poly
 
-F4 = make_field(2, 2)
-F5 = make_field(5, 1)
-F8 = make_field(2, 3)
-F9 = make_field(3, 2)
-F16 = make_field(2, 4)
+F4 = Field(2, 2)
+F5 = Field(5, 1)
+F8 = Field(2, 3)
+F9 = Field(3, 2)
+F16 = Field(2, 4)
 
 
 def rand_poly(rng, field, max_deg):
@@ -55,7 +55,7 @@ def test_value_set_methods_agree_random():
 def test_value_set_methods_agree_remaining_fields():
     # GF(4) and GF(25) are not in the acceptance sweep; cover them here
     rng = random.Random(42)
-    f25 = make_field(5, 2)
+    f25 = Field(5, 2)
     for field in (F4, f25):
         for _ in range(500):
             poly = rand_poly(rng, field, 10)

@@ -4,17 +4,17 @@ import random
 
 import pytest
 
-from addix.charsum import (MultChar, bound_report, char_eval, char_sum,
-                           char_sum_affine)
+from addix.charsum import (MultChar, _power_coset_flag, bound_report,
+                           char_sum, char_sum_affine)
 from addix.errors import PreconditionError
-from addix.field import make_field
+from addix.field import Field
 from addix.linearized import Subspace, vanishing_poly
 from addix.poly import Poly, parse_poly
 
-F4 = make_field(2, 2)
-F5 = make_field(5, 1)
-F9 = make_field(3, 2)
-F16 = make_field(2, 4)
+F4 = Field(2, 2)
+F5 = Field(5, 1)
+F9 = Field(3, 2)
+F16 = Field(2, 4)
 
 TOL = 1e-9
 
@@ -30,7 +30,7 @@ def test_char_eval_examples():
     square = F9.from_code(5) ** 2
     assert abs(quad(square) - 1) < TOL
     chi = MultChar(F4, 1)
-    assert abs(char_eval(chi, F4.primitive) - cmath.exp(2j * math.pi / 3)) < TOL
+    assert abs(chi(F4.primitive) - cmath.exp(2j * math.pi / 3)) < TOL
 
 
 def test_char_multiplicativity_sampled():
@@ -108,7 +108,7 @@ def test_bound_report_decomposed_boundary():
 
 
 def test_bound_report_sharper_than_weil_instance():
-    f64 = make_field(2, 6)
+    f64 = Field(2, 6)
     sub = Subspace(f64, [f64.from_code(c) for c in (1, 2, 4, 8)])
     base = vanishing_poly(sub)
     outer = parse_poly("x^3+[3]*x", f64)  # x^2 would be linearized here
@@ -126,3 +126,34 @@ def test_power_flag_blocks_weil():
     # x^2 over F_9 is a perfect square, so Weil is flagged inapplicable
     report = bound_report(parse_poly("x^2", F9), MultChar(F9, 1))
     assert not report.weil_applicable
+
+
+def _power_coset_flag_by_divisors(field, values):
+    """Reference: look for a divisor r > 1 of q-1 whose r-th-power cosets
+    hold every nonzero value."""
+    logs = [field.dlog(v) for v in values if v.code]
+    if not logs:
+        return True
+    qm1 = field.q - 1
+    for r in range(2, qm1 + 1):
+        if qm1 % r == 0 and all(lg % r == logs[0] % r for lg in logs):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("p,n", [(2, 4), (3, 3)])
+def test_power_coset_flag_matches_divisor_loop(p, n):
+    field = Field(p, n)
+    rng = random.Random(11)
+    polys = [Poly.constant(field, field.from_code(c)) for c in range(field.q)]
+    polys += [Poly.monomial(field, field.from_code(c), e)
+              for c in range(1, field.q) for e in range(1, field.q)]
+    polys += [Poly.from_codes(field, [rng.randrange(field.q) for _ in range(rng.randint(2, 8))])
+              for _ in range(300)]
+    seen = set()
+    for poly in polys:
+        values = [poly.eval(a) for a in field.elements()]
+        expected = _power_coset_flag_by_divisors(field, values)
+        assert _power_coset_flag(field, values) == expected, poly
+        seen.add(expected)
+    assert seen == {True, False}

@@ -3,6 +3,7 @@ import json
 from addix.cli import main
 from addix.field import parse_field_spec
 from addix.poly import parse_poly
+from addix.verify import suite_involution_translator
 
 
 def run(capsys, *argv):
@@ -125,6 +126,17 @@ def test_verify_single_suite(capsys):
     code, out = run(capsys, "verify", "--suite", "fixed-regressions")
     assert code == 0
     assert out.startswith("PASS fixed-regressions")
+
+
+def test_verify_defaults_to_each_suites_own_seed(capsys):
+    # without --seed, verify must check the sample the suite checks at its
+    # own default seed, as the pytest acceptance criteria do
+    expected = suite_involution_translator(max_q=9)
+    assert "p odd 8" in expected.detail
+    code, out = run(capsys, "verify", "--suite", "involution-translator",
+                    "--max-q", "9")
+    assert code == 3
+    assert out.splitlines()[0] == f"FAIL involution-translator: {expected.detail}"
 
 
 def test_output_deterministic(capsys):

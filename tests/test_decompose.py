@@ -5,16 +5,16 @@ import pytest
 from addix.decompose import (additive_index, additive_kernel, decompose_with,
                              maximal_decomposition, multiplicative_index)
 from addix.errors import PreconditionError
-from addix.field import make_field
+from addix.field import Field
 from addix.linearized import (LinearizedPoly, Subspace, is_linearized,
                               vanishing_poly, xq_minus_x_linearized)
 from addix.poly import Poly, parse_poly
 
-F4 = make_field(2, 2)
-F8 = make_field(2, 3)
-F9 = make_field(3, 2)
-F16 = make_field(2, 4)
-F27 = make_field(3, 3)
+F4 = Field(2, 2)
+F8 = Field(2, 3)
+F9 = Field(3, 2)
+F16 = Field(2, 4)
+F27 = Field(3, 3)
 
 
 def rand_poly(rng, field, max_deg):

@@ -1,8 +1,7 @@
 import pytest
 
 from addix.errors import ParseError, PreconditionError
-from addix.field import (discrete_log, make_field, parse_field_spec,
-                         prime_factors)
+from addix.field import Field, parse_field_spec, prime_factors
 
 
 def naive_irreducible(coeffs, p):
@@ -38,17 +37,17 @@ def naive_irreducible(coeffs, p):
 
 
 def test_f4_modulus_is_the_unique_quadratic():
-    assert make_field(2, 2).modulus == (1, 1, 1)
+    assert Field(2, 2).modulus == (1, 1, 1)
 
 
 def test_f3_degree_one_convention():
-    f3 = make_field(3, 1)
+    f3 = Field(3, 1)
     assert f3.modulus == (0, 1)
     assert f3.primitive.code == 2
 
 
 def test_f8_modulus_first_in_code_order():
-    f8 = make_field(2, 3)
+    f8 = Field(2, 3)
     assert f8.modulus == (1, 1, 0, 1)
     # oracle: every earlier candidate in code order is reducible
     assert naive_irreducible([1, 1, 0, 1], 2)
@@ -58,35 +57,35 @@ def test_f8_modulus_first_in_code_order():
 
 
 def test_supplied_modulus_checked():
-    make_field(2, 2, [1, 1, 1])
+    Field(2, 2, [1, 1, 1])
     with pytest.raises(PreconditionError):
-        make_field(2, 2, [1, 0, 1])  # (x+1)^2
+        Field(2, 2, [1, 0, 1])  # (x+1)^2
     with pytest.raises(PreconditionError):
-        make_field(2, 2, [1, 1])     # wrong degree
+        Field(2, 2, [1, 1])     # wrong degree
     with pytest.raises(PreconditionError):
-        make_field(4, 2)             # not prime
+        Field(4, 2)             # not prime
     with pytest.raises(PreconditionError):
-        make_field(2, 21)            # over the cap
+        Field(2, 21)            # over the cap
 
 
 def test_size_cap_env(monkeypatch):
     monkeypatch.setenv("ADDIX_MAX_Q", "100")
     with pytest.raises(PreconditionError):
-        make_field(2, 7)
-    make_field(2, 6)
+        Field(2, 7)
+    Field(2, 6)
     monkeypatch.setenv("ADDIX_MAX_Q", "99999999")  # can only lower the cap
     with pytest.raises(PreconditionError):
-        make_field(2, 21)
+        Field(2, 21)
 
 
 def test_f4_multiplication_example():
-    f4 = make_field(2, 2)
+    f4 = Field(2, 2)
     x = f4.from_code(2)
     assert (x * x).code == 3
 
 
 def test_inverse_and_frobenius():
-    f9 = make_field(3, 2)
+    f9 = Field(3, 2)
     assert f9.one.inv() == f9.one
     for code in range(1, 9):
         a = f9.from_code(code)
@@ -99,33 +98,33 @@ def test_inverse_and_frobenius():
 
 
 def test_mixed_field_operands_rejected():
-    f4 = make_field(2, 2)
-    f8 = make_field(2, 3)
+    f4 = Field(2, 2)
+    f8 = Field(2, 3)
     with pytest.raises(PreconditionError):
         f4.one + f8.one
 
 
 def test_enumeration_order():
-    f2 = make_field(2, 1)
+    f2 = Field(2, 1)
     assert [a.code for a in f2.elements()] == [0, 1]
-    f4 = make_field(2, 2)
+    f4 = Field(2, 2)
     assert [a.code for a in f4.elements()] == [0, 1, 2, 3]
     assert [a.coeffs for a in f4.elements()] == [(0, 0), (1, 0), (0, 1), (1, 1)]
-    assert len(make_field(2, 3).elements()) == 8
+    assert len(Field(2, 3).elements()) == 8
 
 
 def test_discrete_log_examples():
-    f4 = make_field(2, 2)
-    assert discrete_log(f4, f4.one) == 0
-    assert discrete_log(f4, f4.primitive) == 1
-    assert discrete_log(f4, f4.from_code(3)) == 2
+    f4 = Field(2, 2)
+    assert f4.dlog(f4.one) == 0
+    assert f4.dlog(f4.primitive) == 1
+    assert f4.dlog(f4.from_code(3)) == 2
     with pytest.raises(PreconditionError):
-        discrete_log(f4, f4.zero)
+        f4.dlog(f4.zero)
 
 
 @pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (2, 3), (5, 2), (3, 3), (2, 10)])
 def test_field_axioms_exhaustive(p, n):
-    field = make_field(p, n)
+    field = Field(p, n)
     q = field.q
     for a in field.elements():
         assert a ** q == a
@@ -157,8 +156,8 @@ def test_parse_field_spec():
 
 
 def test_field_equality_and_element_hashing():
-    a = make_field(2, 2)
-    b = make_field(2, 2)
+    a = Field(2, 2)
+    b = Field(2, 2)
     assert a == b
     assert a.from_code(3) == b.from_code(3)
     assert len({a.from_code(1), b.from_code(1), a.from_code(2)}) == 2
@@ -167,7 +166,7 @@ def test_field_equality_and_element_hashing():
 def test_lazy_tables_race_free():
     # the log/exp table must build once even under concurrent first use
     import threading
-    field = make_field(2, 8)
+    field = Field(2, 8)
     results = []
 
     def worker(seed):

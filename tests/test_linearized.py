@@ -4,21 +4,22 @@ import random
 import pytest
 
 from addix.errors import PreconditionError
-from addix.field import make_field
+from addix.field import Field
 from addix.linearized import (LinearizedPoly, Subspace, all_subspaces,
                               complement, compose_quotient, coset_reps,
-                              expand_in_base, is_linearized, kernel,
-                              linearized_interpolate, subfield,
+                              expand_in_base, image_elements, is_linearized,
+                              kernel, linearized_interpolate,
+                              require_splitting_monic, subfield,
                               subspace_image, vanishing_poly,
                               xq_minus_x_linearized)
 from addix.poly import Poly, parse_poly, poly_gcd, xq_minus_x
 
-F4 = make_field(2, 2)
-F8 = make_field(2, 3)
-F9 = make_field(3, 2)
-F16 = make_field(2, 4)
-F25 = make_field(5, 2)
-F27 = make_field(3, 3)
+F4 = Field(2, 2)
+F8 = Field(2, 3)
+F9 = Field(3, 2)
+F16 = Field(2, 4)
+F25 = Field(5, 2)
+F27 = Field(3, 3)
 
 
 def test_is_linearized_examples():
@@ -180,6 +181,33 @@ def test_subspace_image_examples():
         img = subspace_image(m, sub)
         inter = [u for u in sub.elements() if m.eval(u).code == 0]
         assert (2 ** img.dim) * len(inter) == 2 ** sub.dim
+
+
+@pytest.mark.parametrize("field", [F16, F27])
+def test_image_and_splitting_match_dense_scans(field):
+    rng = random.Random(8)
+    verdicts = set()
+    for sub in all_subspaces(field):
+        for _ in range(3):
+            inner = LinearizedPoly(field, ())
+            while inner.is_zero():
+                codes = [rng.randrange(field.q) for _ in range(rng.randint(1, field.n))]
+                if rng.random() < 0.5:
+                    codes[-1] = 1
+                inner = LinearizedPoly.from_codes(field, codes)
+            lin = vanishing_poly(sub).compose(inner)
+            dense = lin.to_poly()
+            values = [dense.eval(a).code for a in field.elements()]
+            assert [e.code for e in image_elements(lin)] == sorted(set(values))
+            splits = lin.is_monic() and values.count(0) == lin.degree
+            try:
+                require_splitting_monic(lin)
+                accepted = True
+            except PreconditionError:
+                accepted = False
+            assert accepted == splits, lin
+            verdicts.add((lin.is_monic(), accepted))
+    assert verdicts == {(True, True), (True, False), (False, False)}
 
 
 def test_gcd_degree_counts_common_kernel():

@@ -3,15 +3,15 @@ import random
 import pytest
 
 from addix.errors import ParseError, PreconditionError
-from addix.field import make_field
+from addix.field import Field
 from addix.poly import (Poly, lagrange_interpolate, parse_poly, poly_gcd,
                         poly_to_str, pow_x_mod, reduce_mod_xq_minus_x,
                         shift_expand, xq_minus_x)
 
-F5 = make_field(5, 1)
-F8 = make_field(2, 3)
-F9 = make_field(3, 2)
-F16 = make_field(2, 4)
+F5 = Field(5, 1)
+F8 = Field(2, 3)
+F9 = Field(3, 2)
+F16 = Field(2, 4)
 
 
 def rand_poly(rng, field, max_deg):
@@ -26,7 +26,7 @@ def test_gcd_examples():
 
 
 def test_divrem_examples():
-    f2 = make_field(2, 1)
+    f2 = Field(2, 1)
     q, r = divmod(parse_poly("x^3+x", f2), parse_poly("x", f2))
     assert q == parse_poly("x^2+1", f2) and r.is_zero()
     with pytest.raises(ZeroDivisionError):
