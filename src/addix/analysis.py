@@ -77,17 +77,16 @@ def value_set_bounds(poly: Poly) -> ValueSetBounds:
     field = poly.field
     q = field.q
     dec = maximal_decomposition(poly)
-    g = poly_gcd(dec.subspace_poly.to_poly(), dec.linear_part.to_poly())
     size = len({dec.poly.eval(y).code for y in field.elements()})
     threshold = q - dec.subspace_poly.degree
     is_pp = size == q
-    implication_holds = is_pp or g.degree != 1 or size <= threshold
+    implication_holds = is_pp or dec.gcd_degree != 1 or size <= threshold
     # the classical comparison bounds read off the polynomial as written
     d = poly.degree
     ell = multiplicative_index(poly)
     return ValueSetBounds(
         size=size,
-        gcd_degree=g.degree,
+        gcd_degree=dec.gcd_degree,
         threshold=threshold,
         is_pp=is_pp,
         implication_holds=implication_holds,
@@ -117,12 +116,11 @@ class PPCertificate:
 
 def _pp_conditions(dec: AdditiveDecomposition) -> tuple[int, bool]:
     field = dec.poly.field
-    g = poly_gcd(dec.subspace_poly.to_poly(), dec.linear_part.to_poly())
     w = _image_subspace(dec)
     kernel_cosets = field.q // field.p ** dec.kernel.dim
     bijective = (_coset_count(dec, w) == kernel_cosets
                  and field.q == kernel_cosets * field.p ** w.dim)
-    return g.degree, bijective
+    return dec.gcd_degree, bijective
 
 
 def _collision_witness(poly: Poly):

@@ -17,7 +17,7 @@ from .decompose import maximal_decomposition
 from .errors import InvariantViolation, PreconditionError
 from .field import Elt, Field
 from .linearized import Subspace
-from .poly import Poly, poly_gcd
+from .poly import Poly
 
 _TOL = 1e-6
 
@@ -127,8 +127,7 @@ def bound_report(poly: Poly, chi: MultChar, *, decomposition=None,
     dec = decomposition if decomposition is not None else maximal_decomposition(poly)
     if values is None:
         values = [dec.poly.eval(a) for a in field.elements()]
-    g = poly_gcd(dec.subspace_poly.to_poly(), dec.linear_part.to_poly())
-    gd = g.degree  # both share the root 0, so gd >= 1 and is a p-power
+    gd = dec.gcd_degree  # both share the root 0, so gd >= 1 and is a p-power
     m = 0
     t = gd
     while t > 1:

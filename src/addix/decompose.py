@@ -9,7 +9,7 @@ classical multiplicative index used for bound comparisons.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from math import gcd as int_gcd
 
 from .errors import InvariantViolation, PreconditionError
@@ -39,6 +39,12 @@ class AdditiveDecomposition:
     def compose(self) -> Poly:
         """Reassemble outer(subspace_poly(x)) + linear_part(x)."""
         return self.outer.compose(self.subspace_poly.to_poly()) + self.linear_part.to_poly()
+
+    @cached_property
+    def gcd_degree(self) -> int:
+        """deg gcd(subspace_poly, linear_part); both vanish at 0, so it is
+        at least 1, and 1 is the permutation certificate's first condition."""
+        return poly_gcd(self.subspace_poly.to_poly(), self.linear_part.to_poly()).degree
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,15 @@
 """Exact arithmetic in GF(p) and GF(p^n).
 
 A field is fixed by a prime p, an extension degree n and a monic irreducible
-modulus of degree n over F_p.  Residue classes are encoded by the integer
-code sum(c_i * p**i) of their coefficient vector (c_0, ..., c_{n-1}); code 0
-is the additive identity and code 1 the multiplicative identity.  Elements
-are immutable values; multiplicative structure is served by lazily built
-exp/log tables keyed to a canonical primitive element.
+modulus of degree n over F_p.  An element is its integer code
+sum(c_i * p**i) over the coefficient vector (c_0, ..., c_{n-1}) of its
+residue class; code 0 is the additive identity and code 1 the multiplicative
+identity.  Arithmetic runs on codes through tables built once per field
+beside a canonical primitive element g: exp/log serve mul, pow and inv, and
+the Zech logarithm Z, defined by 1 + g^m = g^Z[m], turns addition into
+g^a + g^b = g^(a + Z[b - a]) with one rule for every p.  The _fp_* helpers
+on plain coefficient lists are the one F_p[x] arithmetic: they validate and
+select the modulus, find the primitive element and build the exp table.
 """
 
 from __future__ import annotations
@@ -71,8 +75,8 @@ def _digits(code: int, p: int, n: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# F_p[x] on plain int lists (ascending coefficients).  Used only to validate
-# and select the modulus, before any Field machinery exists.
+# F_p[x] on plain int lists (ascending coefficients): the one F_p[x]/(m)
+# arithmetic, behind the modulus, the primitive element and the exp table.
 
 def _fp_trim(a: list[int]) -> list[int]:
     while a and a[-1] == 0:
@@ -148,14 +152,19 @@ def _fp_is_irreducible(modulus, p):
 
 
 class Elt:
-    """Immutable element of a Field: coefficient vector plus integer code."""
+    """Immutable element of a Field, held as its integer code."""
 
-    __slots__ = ("field", "coeffs", "code")
+    __slots__ = ("field", "code")
 
-    def __init__(self, field: "Field", coeffs: tuple[int, ...], code: int):
+    def __init__(self, field: "Field", code: int):
         self.field = field
-        self.coeffs = coeffs
         self.code = code
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        """Coefficient vector (c_0, ..., c_{n-1}) of the code."""
+        f = self.field
+        return _digits(self.code, f.p, f.n)
 
     def _coerce(self, other):
         if isinstance(other, Elt):
@@ -170,10 +179,19 @@ class Elt:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        a, b = self.code, other.code
+        if a == 0:
+            return other
+        if b == 0:
+            return self
         f = self.field
-        p = f.p
-        cs = tuple((x + y) % p for x, y in zip(self.coeffs, other.coeffs))
-        return f._from_coeffs_fast(cs)
+        f._ensure_tables()
+        log = f._log
+        la = log[a]
+        z = f._zech[(log[b] - la) % (f.q - 1)]
+        if z < 0:
+            return f.zero
+        return f.from_code(f._exp[(la + z) % (f.q - 1)])
 
     __radd__ = __add__
 
@@ -181,10 +199,7 @@ class Elt:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        f = self.field
-        p = f.p
-        cs = tuple((x - y) % p for x, y in zip(self.coeffs, other.coeffs))
-        return f._from_coeffs_fast(cs)
+        return self + (-other)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -193,9 +208,7 @@ class Elt:
         return other - self
 
     def __neg__(self):
-        f = self.field
-        p = f.p
-        return f._from_coeffs_fast(tuple((-x) % p for x in self.coeffs))
+        return self * (self.field.p - 1)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -262,8 +275,8 @@ class Elt:
 class Field:
     """GF(p^n) realized as F_p[x]/(modulus), with canonical element codes."""
 
-    __slots__ = ("p", "n", "q", "modulus", "primitive", "_red_rows",
-                 "_elts", "_exp", "_log", "_lock", "_zero", "_one")
+    __slots__ = ("p", "n", "q", "modulus", "primitive",
+                 "_elts", "_exp", "_log", "_zech", "_lock", "_zero", "_one")
 
     def __init__(self, p: int, n: int, modulus=None):
         if not isinstance(p, int) or not is_prime(p):
@@ -290,26 +303,13 @@ class Field:
                 raise PreconditionError("supplied modulus is reducible")
             self.modulus = mod
 
-        # x^{n+i} mod modulus for i = 0..n-2, used to fold products.
-        rows = []
-        if n > 1:
-            row = [(-c) % p for c in self.modulus[:n]]
-            rows.append(tuple(row))
-            for _ in range(n - 2):
-                over = row[-1]
-                row = [0] + row[:-1]
-                if over:
-                    for j in range(n):
-                        row[j] = (row[j] + over * rows[0][j]) % p
-                rows.append(tuple(row))
-        self._red_rows = tuple(rows)
-
         self._elts = None
         self._exp = None
         self._log = None
+        self._zech = None
         self._lock = threading.Lock()
-        self._zero = Elt(self, (0,) * n, 0)
-        self._one = Elt(self, (1,) + (0,) * (n - 1), 1)
+        self._zero = Elt(self, 0)
+        self._one = Elt(self, 1)
         self.primitive = self.from_code(self._scan_primitive())
 
     @staticmethod
@@ -322,92 +322,64 @@ class Field:
         raise PreconditionError("no irreducible modulus found")  # unreachable
 
     def _scan_primitive(self) -> int:
-        q = self.q
-        radicals = prime_factors(q - 1)
-        one = self._one.coeffs
+        q, p, n = self.q, self.p, self.n
+        mod = list(self.modulus)
+        cofactors = [(q - 1) // r for r in prime_factors(q - 1)]
         for code in range(1, q):
-            a = _digits(code, self.p, self.n)
-            if all(self._pow_coeffs(a, (q - 1) // r) != one for r in radicals):
+            a = _fp_trim(list(_digits(code, p, n)))
+            if all(_fp_powmod(a, e, mod, p) != [1] for e in cofactors):
                 return code
         raise PreconditionError("no primitive element found")  # unreachable
 
-    # -- structural (table-free) coefficient arithmetic, used for bootstrap
-
-    def _mul_coeffs(self, a, b):
-        p, n = self.p, self.n
-        if n == 1:
-            return ((a[0] * b[0]) % p,)
-        prod = [0] * (2 * n - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] += ai * bj
-        out = [c % p for c in prod[:n]]
-        rows = self._red_rows
-        for t in range(n, 2 * n - 1):
-            c = prod[t] % p
-            if c:
-                row = rows[t - n]
-                for j in range(n):
-                    out[j] = (out[j] + c * row[j]) % p
-        return tuple(out)
-
-    def _pow_coeffs(self, a, e):
-        result = self._one.coeffs
-        base = a
-        while e:
-            if e & 1:
-                result = self._mul_coeffs(result, base)
-            base = self._mul_coeffs(base, base)
-            e >>= 1
-        return result
-
     def _ensure_tables(self):
+        """Build exp, log and Zech tables on first use.  _exp is assigned
+        last: readers test it without the lock."""
         if self._exp is not None:
             return
         with self._lock:
             if self._exp is not None:
                 return
             q, p = self.q, self.p
+            mod = list(self.modulus)
+            g = _fp_trim(list(self.primitive.coeffs))
             exp = [0] * (q - 1)
             log = [0] * q
             log[0] = -1
-            acc = self._one.coeffs
-            g = self.primitive.coeffs
+            acc = [1]
             for m in range(q - 1):
                 code = 0
                 for c in reversed(acc):
                     code = code * p + c
                 exp[m] = code
                 log[code] = m
-                acc = self._mul_coeffs(acc, g)
+                acc = _fp_mod(_fp_mul(acc, g, p), mod, p)
+            # 1 + g^m adds 1 to the constant digit; log[0] = -1 marks 1 + g^m = 0
+            zech = [log[c - c % p + (c + 1) % p] for c in exp]
             self._log = log
+            self._zech = zech
             self._exp = exp
 
     # -- element construction
 
     def from_code(self, code: int) -> Elt:
+        if not 0 <= code < self.q:
+            raise PreconditionError(f"element code {code} out of range [0, {self.q})")
         cache = self._elts
         if cache is not None:
             return cache[code]
-        if not 0 <= code < self.q:
-            raise PreconditionError(f"element code {code} out of range [0, {self.q})")
         if self.q <= _ELT_CACHE_MAX:
             return self.elements()[code]
-        return Elt(self, _digits(code, self.p, self.n), code)
-
-    def _from_coeffs_fast(self, cs):
-        code = 0
-        for c in reversed(cs):
-            code = code * self.p + c
-        return self.from_code(code)
+        return Elt(self, code)
 
     def from_coeffs(self, coeffs) -> Elt:
-        cs = [int(c) % self.p for c in coeffs]
+        p = self.p
+        cs = [int(c) % p for c in coeffs]
         if len(cs) > self.n:
             raise PreconditionError("coefficient vector longer than extension degree")
-        cs += [0] * (self.n - len(cs))
-        return self._from_coeffs_fast(tuple(cs))
+        code = 0
+        for c in reversed(cs):
+            code = code * p + c
+        return self.from_code(code)
 
     def from_int(self, k: int) -> Elt:
         """Prime-subfield scalar k mod p."""
@@ -424,11 +396,9 @@ class Field:
     def elements(self) -> tuple[Elt, ...]:
         """All q elements in ascending code order; index 0 is zero."""
         if self._elts is None:
-            p, n = self.p, self.n
             with self._lock:
                 if self._elts is None:
-                    self._elts = tuple(Elt(self, _digits(c, p, n), c)
-                                       for c in range(self.q))
+                    self._elts = tuple(Elt(self, c) for c in range(self.q))
         return self._elts
 
     def dlog(self, a: Elt) -> int:

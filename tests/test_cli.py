@@ -122,6 +122,15 @@ def test_exit_codes(capsys):
     assert code == 1
 
 
+def test_out_of_range_codes_refused(capsys):
+    code, out = run(capsys, "translator", "--field", "3^2", "--g", "x",
+                    "--subspace", "99", "--m-lin", "1")
+    assert code == 2 and json.loads(out)["error"]["type"] == "precondition"
+    code, out = run(capsys, "decompose", "--field", "3^2",
+                    "--poly", "(x^3-x)^2+x", "--base=-8")
+    assert code == 2 and json.loads(out)["error"]["type"] == "precondition"
+
+
 def test_verify_single_suite(capsys):
     code, out = run(capsys, "verify", "--suite", "fixed-regressions")
     assert code == 0

@@ -1,7 +1,12 @@
+import random
+import sys
+import threading
+
 import pytest
 
 from addix.errors import ParseError, PreconditionError
-from addix.field import Field, parse_field_spec, prime_factors
+from addix.field import Field, is_prime, parse_field_spec, prime_factors
+from addix.poly import Poly
 
 
 def naive_irreducible(coeffs, p):
@@ -34,6 +39,35 @@ def naive_irreducible(coeffs, p):
             if not r:
                 return False
     return True
+
+
+def schoolbook_mulmod(a, b, modulus, p):
+    """a * b mod the monic modulus, on ascending coefficient lists of
+    length n, by schoolbook multiplication and top-down reduction."""
+    n = len(modulus) - 1
+    out = [0] * (2 * n - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = (out[i + j] + ai * bj) % p
+    for t in range(2 * n - 2, n - 1, -1):
+        f = out[t]
+        if f:
+            for j, mj in enumerate(modulus):
+                out[t - n + j] = (out[t - n + j] - f * mj) % p
+    return out[:n]
+
+
+def code_of(vec, p):
+    return sum(c * p ** i for i, c in enumerate(vec))
+
+
+def digit_vector(code, p, n):
+    return [(code // p ** i) % p for i in range(n)]
+
+
+def field_specs_up_to(q_max):
+    return [(p, n) for p in range(2, q_max + 1) if is_prime(p)
+            for n in range(1, 20) if p ** n <= q_max]
 
 
 def test_f4_modulus_is_the_unique_quadratic():
@@ -140,6 +174,65 @@ def test_field_axioms_exhaustive(p, n):
         assert b == a
 
 
+@pytest.mark.parametrize("p,n", field_specs_up_to(256) + [(2, 10)])
+def test_tables_match_schoolbook_arithmetic(p, n):
+    field = Field(p, n)
+    q, mod = field.q, list(field.modulus)
+    one = digit_vector(1, p, n)
+
+    def order(vec):
+        acc, k = vec, 1
+        while acc != one:
+            acc = schoolbook_mulmod(acc, vec, mod, p)
+            k += 1
+        return k
+
+    smallest = next(c for c in range(1, q) if order(digit_vector(c, p, n)) == q - 1)
+    assert field.primitive.code == smallest
+    field._ensure_tables()
+    g = digit_vector(smallest, p, n)
+    acc = one
+    for m in range(q - 1):
+        assert field._exp[m] == code_of(acc, p)
+        assert field._log[field._exp[m]] == m
+        acc = schoolbook_mulmod(acc, g, mod, p)
+
+
+def _check_additive_ops(field, pairs):
+    p, n = field.p, field.n
+    for a, b in pairs:
+        va, vb = digit_vector(a.code, p, n), digit_vector(b.code, p, n)
+        assert (a + b).code == code_of([(x + y) % p for x, y in zip(va, vb)], p)
+        assert (a - b).code == code_of([(x - y) % p for x, y in zip(va, vb)], p)
+        assert (-a).code == code_of([(-x) % p for x in va], p)
+
+
+@pytest.mark.parametrize("p,n", field_specs_up_to(49))
+def test_add_sub_neg_match_digit_vectors_exhaustive(p, n):
+    field = Field(p, n)
+    els = field.elements()
+    _check_additive_ops(field, [(a, b) for a in els for b in els])
+
+
+@pytest.mark.parametrize("p,n", [(2, 8), (3, 5), (2, 12)])
+def test_add_sub_neg_match_digit_vectors_sampled(p, n):
+    field = Field(p, n)
+    rng = random.Random(p * 100 + n)
+    pairs = [(field.from_code(rng.randrange(field.q)), field.from_code(rng.randrange(field.q)))
+             for _ in range(2000)]
+    _check_additive_ops(field, pairs)
+
+
+def test_out_of_range_codes_refused():
+    f8 = Field(2, 3)
+    f8.elements()
+    for code in (-1, 8, 99):
+        with pytest.raises(PreconditionError):
+            f8.from_code(code)
+    with pytest.raises(PreconditionError):
+        Poly.from_codes(f8, [3, -1])
+
+
 def test_parse_field_spec():
     f = parse_field_spec("3^2/1,0,1")
     assert f.p == 3 and f.n == 2 and f.modulus == (1, 0, 1)
@@ -164,26 +257,27 @@ def test_field_equality_and_element_hashing():
 
 
 def test_lazy_tables_race_free():
-    # the log/exp table must build once even under concurrent first use
-    import threading
+    # the tables must build once even under concurrent first use by + and *
     field = Field(2, 8)
     results = []
 
-    def worker(seed):
+    def walk(seed):
         acc = field.from_code(seed)
         for code in range(1, field.q):
-            acc = acc * field.from_code(code)
-        results.append(acc.code)
+            a = field.from_code(code)
+            acc = acc * a + a
+        return acc.code
 
-    threads = [threading.Thread(target=worker, args=(s,)) for s in (2, 3, 5, 7)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    expected = []
-    for seed in (2, 3, 5, 7):
-        acc = field.from_code(seed)
-        for code in range(1, field.q):
-            acc = acc * field.from_code(code)
-        expected.append(acc.code)
-    assert sorted(results) == sorted(expected)
+    seeds = (2, 3, 5, 7)
+    threads = [threading.Thread(target=lambda s=s: results.append(walk(s))) for s in seeds]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(results) == sorted(walk(s) for s in seeds)
