@@ -102,11 +102,11 @@ class CharSumReport:
     nontrivial_regime: bool
 
 
-def _power_coset_flag(field: Field, values) -> bool:
-    """Conservative scaled-perfect-power test: true when every nonzero value
-    sits in a single coset of the r-th powers for some r | q-1, r > 1, i.e.
-    when q-1 and all log gaps to the first value share a factor above 1."""
-    logs = [field.dlog(v) for v in values if v.code]
+def _power_coset_flag(field: Field, logs) -> bool:
+    """Conservative scaled-perfect-power test on the discrete logs of the
+    nonzero values: true when every one sits in a single coset of the r-th
+    powers for some r | q-1, r > 1, i.e. when q-1 and all log gaps to the
+    first value share a factor above 1."""
     if not logs:
         return True
     return int_gcd(field.q - 1, *(lg - logs[0] for lg in logs)) > 1
@@ -127,6 +127,7 @@ def bound_report(poly: Poly, chi: MultChar, *, decomposition=None,
     dec = decomposition if decomposition is not None else maximal_decomposition(poly)
     if values is None:
         values = [dec.poly.eval(a) for a in field.elements()]
+    logs = [field.dlog(v) for v in values if v.code]
     gd = dec.gcd_degree  # both share the root 0, so gd >= 1 and is a p-power
     m = 0
     t = gd
@@ -140,11 +141,14 @@ def bound_report(poly: Poly, chi: MultChar, *, decomposition=None,
     s = dec.outer.degree
     if s >= 1:
         weil_bound = (s * p ** (n - dec.index) - 1) * p ** (n / 2)
-        weil_applicable = not _power_coset_flag(field, values)
+        weil_applicable = not _power_coset_flag(field, logs)
     else:
         weil_bound = None
         weil_applicable = False
-    total = char_sum(dec.poly, chi, values=values)
+    roots = chi._root_table()
+    total = 0j
+    for m in logs:
+        total += roots[m]
     magnitude = abs(total)
     if magnitude > additive_bound + _TOL:
         raise InvariantViolation(

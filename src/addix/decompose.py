@@ -14,8 +14,8 @@ from math import gcd as int_gcd
 
 from .errors import InvariantViolation, PreconditionError
 from .linearized import (LinearizedPoly, Subspace, expand_in_base,
-                         is_linearized, require_splitting_monic,
-                         vanishing_poly)
+                         is_linearized, kernel, require_splitting_monic,
+                         xq_minus_x_linearized)
 from .poly import (Poly, gcd_with_xq_minus_x, poly_gcd, reduce_mod_xq_minus_x,
                    shift_expand)
 
@@ -68,39 +68,49 @@ def _canonical_input(poly: Poly) -> Poly:
     return poly
 
 
-def _kernel_of_reduced(poly: Poly, method: str) -> Subspace:
-    """Kernel for an input already folded below degree q.  A constant
+def _maximal_subspace_poly(poly: Poly) -> tuple[LinearizedPoly, Subspace]:
+    """Subspace polynomial and kernel for an input already folded below
+    degree q.  g = gcd(bands, x^q - x) is monic, squarefree and divides
+    x^q - x, so it is linearized and is the subspace polynomial of its own
+    roots; the kernel is read off it by F_p-linear algebra.  A constant
     residue satisfies the defining identity everywhere, so its kernel is the
     whole field."""
     field = poly.field
-    if method == "gcd":
-        bands = [f for f in shift_expand(poly) if not f.is_zero()]
-        if not bands:
-            return Subspace.full(field)
-        g = reduce(poly_gcd, bands)
-        g = gcd_with_xq_minus_x(g)
-        roots = [a for a in field.elements() if g.eval(a).code == 0]
-        return Subspace(field, roots)
-    if method == "brute":
-        base = poly - Poly.constant(field, poly.constant_term())
-        good = []
-        for y in field.elements():
-            shifted = base.shift_arg(y)
-            if shifted == base + Poly.constant(field, base.eval(y)):
-                good.append(y)
-        return Subspace(field, good)
-    raise PreconditionError(f"unknown method {method!r}")
+    bands = [f for f in shift_expand(poly) if not f.is_zero()]
+    if not bands:
+        return xq_minus_x_linearized(field), Subspace.full(field)
+    g = gcd_with_xq_minus_x(reduce(poly_gcd, bands))
+    sub_poly = is_linearized(g)
+    if sub_poly is None:
+        raise InvariantViolation("gcd of the bands with x^q - x is not linearized")
+    ker = kernel(sub_poly)
+    if field.p ** ker.dim != g.degree:
+        raise InvariantViolation("gcd of the bands with x^q - x does not split into distinct roots")
+    return sub_poly, ker
 
 
 def additive_kernel(poly: Poly, method: str = "gcd") -> Subspace:
     """Elements y for which P0(x+y) = P0(x) + P0(y) holds identically.
 
-    The gcd method intersects the shift-expansion bands with x^q - x; brute
-    tests the polynomial identity for every y.  Both yield the same subspace.
+    The gcd method intersects the shift-expansion bands with x^q - x and
+    reads the kernel off that gcd by F_p-linear algebra; brute tests the
+    polynomial identity for every y.  Both yield the same subspace.
     """
     if poly.degree < 1:
         raise PreconditionError("additive kernel needs degree >= 1")
-    return _kernel_of_reduced(_canonical_input(poly), method)
+    poly = _canonical_input(poly)
+    if method == "gcd":
+        return _maximal_subspace_poly(poly)[1]
+    if method != "brute":
+        raise PreconditionError(f"unknown method {method!r}")
+    field = poly.field
+    base = poly - Poly.constant(field, poly.constant_term())
+    good = []
+    for y in field.elements():
+        shifted = base.shift_arg(y)
+        if shifted == base + Poly.constant(field, base.eval(y)):
+            good.append(y)
+    return Subspace(field, good)
 
 
 def additive_index(poly: Poly) -> int:
@@ -138,8 +148,7 @@ def maximal_decomposition(poly: Poly) -> AdditiveDecomposition:
         raise PreconditionError("decomposition needs degree >= 1")
     poly = _canonical_input(poly)
     field = poly.field
-    ker = _kernel_of_reduced(poly, "gcd")
-    sub_poly = vanishing_poly(ker)
+    sub_poly, ker = _maximal_subspace_poly(poly)
     outer, linear_part = _split(poly, sub_poly.to_poly())
     return AdditiveDecomposition(
         poly=poly,
@@ -160,7 +169,7 @@ def decompose_with(poly: Poly, base: LinearizedPoly) -> PartialDecomposition:
     require_splitting_monic(base)
     base_poly = base.to_poly()
     poly = _canonical_input(poly)
-    maximal = vanishing_poly(_kernel_of_reduced(poly, "gcd"))
+    maximal, _ = _maximal_subspace_poly(poly)
     remainder = maximal.to_poly() % base_poly
     if not remainder.is_zero():
         return PartialDecomposition(False, None, None, remainder)

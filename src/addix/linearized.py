@@ -189,6 +189,20 @@ def _reduce(vec: list[int], rows, pivots, p: int) -> list[int]:
     return vec
 
 
+def _insert(vec: list[int], rows, pivots, p: int, width: int) -> bool:
+    """Reduce vec in place against the echelon rows; unless its first
+    `width` entries then vanish, append it as a new row with its pivot entry
+    scaled to 1.  Returns whether a row was added."""
+    _reduce(vec, rows, pivots, p)
+    piv = next((j for j in range(width) if vec[j]), None)
+    if piv is None:
+        return False
+    inv = pow(vec[piv], p - 2, p)
+    rows.append([(v * inv) % p for v in vec])
+    pivots.append(piv)
+    return True
+
+
 class Subspace:
     """F_p-subspace of the field, held as a reduced echelon basis.
 
@@ -205,17 +219,11 @@ class Subspace:
         p = field.p
         dependent = False
         for g in generators:
-            vec = _reduce(list(g.coeffs), rows, pivots, p)
-            piv = next((j for j, v in enumerate(vec) if v), None)
-            if piv is None:
+            if not _insert(list(g.coeffs), rows, pivots, p, field.n):
                 dependent = True
                 continue
-            inv = pow(vec[piv], p - 2, p)
-            vec = [(v * inv) % p for v in vec]
-            for row in rows:
-                _reduce(row, (vec,), (piv,), p)
-            rows.append(vec)
-            pivots.append(piv)
+            for row in rows[:-1]:
+                _reduce(row, rows[-1:], pivots[-1:], p)
         if strict and dependent:
             raise PreconditionError("generators are linearly dependent over F_p")
         order = sorted(range(len(rows)), key=lambda i: pivots[i])
@@ -269,12 +277,7 @@ class Subspace:
         code = 1
         while len(rows) < field.n:
             v = field.from_code(code)
-            vec = _reduce(list(v.coeffs), rows, pivots, p)
-            piv = next((j for j, c in enumerate(vec) if c), None)
-            if piv is not None:
-                inv = pow(vec[piv], p - 2, p)
-                rows.append([(c * inv) % p for c in vec])
-                pivots.append(piv)
+            if _insert(list(v.coeffs), rows, pivots, p, field.n):
                 out.append(v)
             code += 1
         return out
@@ -308,11 +311,25 @@ def coset_reps(subspace: Subspace) -> CosetDecomposition:
 
 
 def kernel(linpoly: LinearizedPoly) -> Subspace:
-    """Roots of a nonzero linearized polynomial inside the field."""
+    """Roots of a nonzero linearized polynomial inside the field: the
+    F_p-nullspace of its matrix on the coordinate basis e_i = p^i.
+
+    The rows [digits of L(e_i) | e_i] are eliminated on their left halves;
+    the right halves of the rows whose left halves vanish span the kernel.
+    That costs n evaluations and O(n^2) digit operations, not q evaluations.
+    """
     if linpoly.is_zero():
         raise PreconditionError("kernel of the zero map is everything")
     field = linpoly.field
-    zeros = [a for a in field.elements() if linpoly.eval(a).code == 0]
+    n, p = field.n, field.p
+    rows: list[list[int]] = []
+    pivots: list[int] = []
+    zeros = []
+    for i in range(n):
+        vec = list(linpoly.eval(field.from_code(p ** i)).coeffs) + [0] * n
+        vec[n + i] = 1
+        if not _insert(vec, rows, pivots, p, n):
+            zeros.append(field.from_coeffs(vec[n:]))
     return Subspace(field, zeros)
 
 
@@ -448,10 +465,15 @@ def image_elements(linmap: LinearizedPoly) -> list[Elt]:
 
 
 def subfield(field: Field, k: int) -> Subspace:
-    """Fixed points of the k-fold Frobenius: the subfield GF(p^gcd(k, n))."""
-    pk = field.p ** k
-    fixed = [a for a in field.elements() if a ** pk == a]
-    return Subspace(field, fixed)
+    """Fixed points of the k-fold Frobenius: the subfield GF(p^gcd(k, n)),
+    read as the kernel of x^{p^k} - x."""
+    k %= field.n
+    if k == 0:
+        return Subspace.full(field)
+    coeffs = [field.zero] * (k + 1)
+    coeffs[0] = -field.one
+    coeffs[k] = field.one
+    return kernel(LinearizedPoly(field, coeffs))
 
 
 def all_subspaces(field: Field):

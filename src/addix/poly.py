@@ -154,9 +154,10 @@ class Poly:
             shift = len(rem) - 1 - db
             factor = rem[-1] * inv_lead
             quo[shift] = factor
+            neg = -factor
             for j, bj in enumerate(bc):
                 if bj.code:
-                    rem[shift + j] = rem[shift + j] - factor * bj
+                    rem[shift + j] = rem[shift + j] + neg * bj
             while rem and rem[-1].code == 0:
                 rem.pop()
         return Poly(self.field, quo), Poly(self.field, rem)

@@ -23,7 +23,8 @@ from .errors import InvariantViolation, PreconditionError
 from .field import Field
 from .linearized import (LinearizedPoly, Subspace, all_subspaces, complement,
                          compose_quotient, coset_reps, image_elements,
-                         is_linearized, vanishing_poly, xq_minus_x_linearized)
+                         is_linearized, subfield, vanishing_poly,
+                         xq_minus_x_linearized)
 from .poly import Poly, lagrange_interpolate, parse_poly
 
 
@@ -503,9 +504,8 @@ def _random_translator_instance(rng: random.Random, field: Field):
     span = field.n // k
     trace = LinearizedPoly(field, tuple(
         field.one if i % k == 0 else field.zero for i in range(field.n)))
-    subfield_members = [a for a in field.elements() if a ** (field.p ** k) == a]
-    scale = rng.choice([a for a in subfield_members if a.code])
-    sub = Subspace(field, subfield_members)
+    sub = subfield(field, k)
+    scale = rng.choice([a for a in sub.elements() if a.code])
     # g(x+u) = g(x) + scale*(n/k)*u on the subfield
     translate = LinearizedPoly(field, (scale * field.from_int(span),))
     g_poly = trace.scale(scale).to_poly()

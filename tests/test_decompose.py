@@ -6,7 +6,8 @@ from addix.decompose import (additive_index, additive_kernel, decompose_with,
                              maximal_decomposition, multiplicative_index)
 from addix.errors import PreconditionError
 from addix.field import Field
-from addix.linearized import (LinearizedPoly, Subspace, is_linearized,
+from addix.linearized import (LinearizedPoly, Subspace, is_linearized, kernel,
+                              require_splitting_monic, subfield,
                               vanishing_poly, xq_minus_x_linearized)
 from addix.poly import Poly, parse_poly
 
@@ -75,6 +76,7 @@ def test_decomposition_random_contract():
             assert dec.linear_part.degree < dec.subspace_poly.degree
             assert dec.subspace_poly.degree == field.p ** (field.n - dec.index)
             assert additive_kernel(poly, "brute") == dec.kernel
+            assert dec.subspace_poly == vanishing_poly(dec.kernel)
 
 
 def test_coset_shift_identity():
@@ -161,3 +163,32 @@ def test_kernel_method_agreement_sample():
         for _ in range(50):
             poly = rand_poly(rng, field, 12)
             assert additive_kernel(poly, "gcd") == additive_kernel(poly, "brute")
+
+
+def test_structural_routes_scan_no_field(monkeypatch):
+    """Kernels are read by linear algebra: with the q-element scan disabled,
+    every structural kernel route still finishes over GF(2^12)."""
+    field = Field(2, 12)
+    field.elements()  # the element cache that from_code reads
+    rng = random.Random(41)
+    sub = Subspace(field, [field.from_code(rng.randrange(1, field.q)) for _ in range(3)],
+                   strict=False)
+    base = vanishing_poly(sub)
+    outer = Poly.from_codes(field, [rng.randrange(field.q) for _ in range(2)] + [1])
+    linear = LinearizedPoly.from_codes(field, [rng.randrange(field.q) for _ in range(3)])
+    structured = outer.compose(base.to_poly()) + linear.to_poly()
+    dense = rand_poly(rng, field, 24)
+
+    def scan(self):
+        raise AssertionError("scan over every field element")
+
+    monkeypatch.setattr(Field, "elements", scan)
+    for poly in (structured, dense):
+        dec = maximal_decomposition(poly)
+        assert dec.compose() == dec.poly
+        assert additive_kernel(poly, "gcd") == dec.kernel
+        assert kernel(dec.subspace_poly) == dec.kernel
+        require_splitting_monic(dec.subspace_poly)
+        assert decompose_with(poly, dec.subspace_poly).ok
+    assert decompose_with(structured, base).ok
+    assert subfield(field, 4).dim == 4 and subfield(field, 12).is_full()

@@ -20,6 +20,7 @@ F9 = Field(3, 2)
 F16 = Field(2, 4)
 F25 = Field(5, 2)
 F27 = Field(3, 3)
+F49 = Field(7, 2)
 
 
 def test_is_linearized_examples():
@@ -43,6 +44,66 @@ def test_kernel_examples():
     assert k == subfield(F16, 2)
     with pytest.raises(PreconditionError):
         kernel(LinearizedPoly(F9, ()))
+
+
+def _root_scan(lin):
+    """Reference kernel: the roots of the dense polynomial among all q
+    elements, found by Horner at every point."""
+    dense = lin.to_poly()
+    field = lin.field
+    return Subspace(field, [a for a in field.elements() if dense.eval(a).code == 0])
+
+
+def _random_map(rng, field, length, *, monic=False, x_coeff=True):
+    """Nonzero linearized map with `length` p-power coefficients."""
+    codes = [rng.randrange(field.q) for _ in range(length)]
+    codes[-1] = 1 if monic else rng.randrange(2, field.q)
+    if not x_coeff and length > 1:
+        codes[0] = 0
+    return LinearizedPoly.from_codes(field, codes)
+
+
+@pytest.mark.parametrize("field", [F16, F27, F25, F49], ids=str)
+def test_kernel_matches_dense_root_scan(field):
+    rng = random.Random(12)
+    kinds = set()
+    for sub in all_subspaces(field):
+        vanish = vanishing_poly(sub)
+        for monic, x_coeff in itertools.product((True, False), repeat=2):
+            inner = _random_map(rng, field, rng.randint(1, field.n),
+                                monic=monic, x_coeff=x_coeff)
+            for lin in (vanish.compose(inner), inner.compose(vanish)):
+                ker = kernel(lin)
+                assert ker == _root_scan(lin), lin
+                assert sub.dim <= ker.dim
+                kinds.add((lin.is_monic(), lin.is_separable()))
+    assert kinds == set(itertools.product((True, False), repeat=2))
+
+
+@pytest.mark.parametrize("p,n", [(2, 10), (3, 5)])
+def test_kernel_matches_dense_root_scan_random_large(p, n):
+    field = Field(p, n)
+    rng = random.Random(13)
+    dims = set()
+    for _ in range(12):
+        lin = _random_map(rng, field, rng.randint(1, 3),
+                          monic=rng.random() < 0.5, x_coeff=rng.random() < 0.7)
+        if rng.random() < 0.5:
+            sub = Subspace(field, [field.from_code(rng.randrange(1, field.q))
+                                   for _ in range(rng.randint(1, 3))], strict=False)
+            lin = vanishing_poly(sub).compose(lin)
+        ker = kernel(lin)
+        assert ker == _root_scan(lin), lin
+        dims.add(ker.dim)
+    assert len(dims) > 2
+
+
+def test_subfield_matches_frobenius_fixed_points():
+    for field in (F16, F27, Field(2, 6)):
+        for k in range(-1, 2 * field.n + 1):
+            pk = field.p ** (k % field.n)
+            fixed = [a for a in field.elements() if a ** pk == a]
+            assert subfield(field, k) == Subspace(field, fixed), (field, k)
 
 
 def test_vanishing_poly_examples():
