@@ -365,9 +365,10 @@ class TranslatorSpec:
     frob_power: int = 0
 
 
-def is_linear_translator(spec: TranslatorSpec) -> bool:
-    """Exhaustive check of the translator identity over field x subspace,
-    plus the closed-form shape for the named kinds."""
+def _translator_values(spec: TranslatorSpec) -> list[Elt] | None:
+    """g's values in code order when spec passes the exhaustive translator
+    check over field x subspace (plus the closed-form shape for the named
+    kinds), else None."""
     field = spec.g.field
     members = spec.subspace.elements()
     values = [spec.g.eval(a) for a in field.elements()]
@@ -375,20 +376,20 @@ def is_linear_translator(spec: TranslatorSpec) -> bool:
         # the definition asks for a map into the subspace, so straying
         # values already disqualify g
         if any(not spec.subspace.contains(v) for v in values):
-            return False
+            return None
     if spec.kind == "b_linear":
         if spec.gamma is None or spec.scale is None:
             raise PreconditionError("b_linear kind needs gamma and scale")
         ginv = spec.gamma.inv()
         if any(spec.translate.eval(u) != ginv * spec.scale * u for u in members):
-            return False
+            return None
     elif spec.kind == "frobenius":
         if spec.gamma is None or spec.scale is None:
             raise PreconditionError("frobenius kind needs gamma and scale")
         pi = field.p ** spec.frob_power
         gfac = (spec.gamma ** pi).inv()
         if any(spec.translate.eval(u) != gfac * spec.scale * u ** pi for u in members):
-            return False
+            return None
     elif spec.kind != "general":
         raise PreconditionError(f"unknown translator kind {spec.kind!r}")
     shifts = [spec.translate.eval(u) for u in members]
@@ -396,8 +397,14 @@ def is_linear_translator(spec: TranslatorSpec) -> bool:
         ga = values[a.code]
         for u, mu in zip(members, shifts):
             if values[(a + u).code] != ga + mu:
-                return False
-    return True
+                return None
+    return values
+
+
+def is_linear_translator(spec: TranslatorSpec) -> bool:
+    """Exhaustive check of the translator identity over field x subspace,
+    plus the closed-form shape for the named kinds."""
+    return _translator_values(spec) is not None
 
 
 def translator_pp(spec: TranslatorSpec, adjust: Poly) -> tuple[bool, bool]:
@@ -414,9 +421,9 @@ def translator_pp(spec: TranslatorSpec, adjust: Poly) -> tuple[bool, bool]:
     field = spec.g.field
     members = spec.subspace.elements()
     member_codes = {m.code for m in members}
-    if not is_linear_translator(spec):
+    g_values = _translator_values(spec)
+    if g_values is None:
         raise PreconditionError("spec is not a linear translator")
-    g_values = [spec.g.eval(a) for a in field.elements()]
     if {v.code for v in g_values} != member_codes:
         raise PreconditionError("g must map onto the subspace")
     adjusted = {u.code: adjust.eval(u) for u in members}

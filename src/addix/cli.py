@@ -50,10 +50,10 @@ def _decomposition_record(dec) -> dict:
     return {
         "index": dec.index,
         "L": poly_to_str(dec.subspace_poly.to_poly()),
-        "L_lin_coeffs": [c.code for c in dec.subspace_poly.lin_coeffs],
+        "L_lin_coeffs": list(dec.subspace_poly.codes),
         "f": poly_to_str(dec.outer),
         "M": poly_to_str(dec.linear_part.to_poly()),
-        "M_lin_coeffs": [c.code for c in dec.linear_part.lin_coeffs],
+        "M_lin_coeffs": list(dec.linear_part.codes),
         "kernel_basis": [b.code for b in dec.kernel.basis],
     }
 

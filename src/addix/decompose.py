@@ -121,19 +121,23 @@ def additive_index(poly: Poly) -> int:
 def _split(poly: Poly, base_poly: Poly) -> tuple[Poly, LinearizedPoly]:
     """(outer, linear_part) with poly == outer(base_poly) + linear_part, read
     off the Euclidean digits of poly - poly(0); base_poly must divide the
-    maximal subspace polynomial."""
+    maximal subspace polynomial.  Against the base x (trivial kernel) the
+    digits are the coefficients themselves, so outer is poly and the linear
+    part vanishes."""
     field = poly.field
+    if base_poly.degree == 1:
+        return poly, LinearizedPoly(field, ())
     const = poly.constant_term()
     digits = expand_in_base(poly - Poly.constant(field, const), base_poly)
     linear_part = is_linearized(digits[0])
     if linear_part is None:
         raise InvariantViolation("zeroth digit of the expansion is not linearized")
-    outer = [const]
+    outer = [const.code]
     for d in digits[1:]:
         if d.degree > 0:
             raise InvariantViolation("higher digit of the expansion is not constant")
-        outer.append(d.constant_term())
-    return Poly(field, outer), linear_part
+        outer.extend(d.codes or (0,))
+    return Poly._new(field, outer), linear_part
 
 
 def maximal_decomposition(poly: Poly) -> AdditiveDecomposition:
@@ -183,8 +187,7 @@ def multiplicative_index(poly: Poly) -> int:
     if poly.degree < 1:
         raise PreconditionError("multiplicative index needs degree >= 1")
     field = poly.field
-    base = poly - Poly.constant(field, poly.constant_term())
-    exps = [e for e, c in enumerate(base.coeffs) if c.code]
+    exps = [e for e, c in enumerate(poly.codes) if c and e]
     low = exps[0]
     if len(exps) == 1:
         return 1

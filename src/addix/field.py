@@ -4,12 +4,14 @@ A field is fixed by a prime p, an extension degree n and a monic irreducible
 modulus of degree n over F_p.  An element is its integer code
 sum(c_i * p**i) over the coefficient vector (c_0, ..., c_{n-1}) of its
 residue class; code 0 is the additive identity and code 1 the multiplicative
-identity.  Arithmetic runs on codes through tables built once per field
-beside a canonical primitive element g: exp/log serve mul, pow and inv, and
-the Zech logarithm Z, defined by 1 + g^m = g^Z[m], turns addition into
-g^a + g^b = g^(a + Z[b - a]) with one rule for every p.  The _fp_* helpers
-on plain coefficient lists are the one F_p[x] arithmetic: they validate and
-select the modulus, find the primitive element and build the exp table.
+identity.  Field.add/neg/mul/inv/pow are the one arithmetic on codes,
+through tables built lazily once per field beside a canonical primitive
+element g: exp/log serve mul, pow and inv, and the Zech logarithm Z,
+defined by 1 + g^m = g^Z[m], turns addition into g^a + g^b = g^(a + Z[b - a])
+with one rule for every p.  Polynomials hold codes; Elt is the API
+boundary and its operators delegate here.  The _fp_* helpers on plain
+coefficient lists are the one F_p[x] arithmetic: they validate and select
+the modulus, find the primitive element and build the exp table.
 """
 
 from __future__ import annotations
@@ -179,19 +181,8 @@ class Elt:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self.code, other.code
-        if a == 0:
-            return other
-        if b == 0:
-            return self
         f = self.field
-        f._ensure_tables()
-        log = f._log
-        la = log[a]
-        z = f._zech[(log[b] - la) % (f.q - 1)]
-        if z < 0:
-            return f.zero
-        return f.from_code(f._exp[(la + z) % (f.q - 1)])
+        return f.from_code(f.add(self.code, other.code))
 
     __radd__ = __add__
 
@@ -208,18 +199,15 @@ class Elt:
         return other - self
 
     def __neg__(self):
-        return self * (self.field.p - 1)
+        f = self.field
+        return f.from_code(f.neg(self.code))
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         f = self.field
-        a, b = self.code, other.code
-        if a == 0 or b == 0:
-            return f.zero
-        f._ensure_tables()
-        return f.from_code(f._exp[(f._log[a] + f._log[b]) % (f.q - 1)])
+        return f.from_code(f.mul(self.code, other.code))
 
     __rmul__ = __mul__
 
@@ -233,21 +221,10 @@ class Elt:
         if not isinstance(e, int):
             return NotImplemented
         f = self.field
-        if self.code == 0:
-            if e == 0:
-                return f.one
-            if e < 0:
-                raise ZeroDivisionError("inverse of zero")
-            return f.zero
-        f._ensure_tables()
-        return f.from_code(f._exp[(f._log[self.code] * e) % (f.q - 1)])
+        return f.from_code(f.pow(self.code, e))
 
     def inv(self) -> "Elt":
-        if self.code == 0:
-            raise ZeroDivisionError("inverse of zero")
-        f = self.field
-        f._ensure_tables()
-        return f.from_code(f._exp[(-f._log[self.code]) % (f.q - 1)])
+        return self ** -1
 
     def frobenius(self) -> "Elt":
         """a -> a^p."""
@@ -358,6 +335,46 @@ class Field:
             self._log = log
             self._zech = zech
             self._exp = exp
+
+    # -- arithmetic on codes
+
+    def add(self, a: int, b: int) -> int:
+        """Code of a + b: g^la + g^lb = g^(la + Z[lb - la])."""
+        if not a:
+            return b
+        if not b:
+            return a
+        if self._exp is None:
+            self._ensure_tables()
+        log = self._log
+        la = log[a]
+        z = self._zech[(log[b] - la) % (self.q - 1)]
+        if z < 0:
+            return 0
+        return self._exp[(la + z) % (self.q - 1)]
+
+    def neg(self, a: int) -> int:
+        return self.mul(a, self.p - 1)
+
+    def mul(self, a: int, b: int) -> int:
+        if not a or not b:
+            return 0
+        if self._exp is None:
+            self._ensure_tables()
+        log = self._log
+        return self._exp[(log[a] + log[b]) % (self.q - 1)]
+
+    def inv(self, a: int) -> int:
+        return self.pow(a, -1)
+
+    def pow(self, a: int, e: int) -> int:
+        if not a:
+            if e < 0:
+                raise ZeroDivisionError("inverse of zero")
+            return 0 if e else 1
+        if self._exp is None:
+            self._ensure_tables()
+        return self._exp[self._log[a] * e % (self.q - 1)]
 
     # -- element construction
 

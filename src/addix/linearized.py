@@ -1,11 +1,13 @@
 """p-linearized polynomials, F_p-subspaces of GF(p^n) and their duality.
 
-A linearized polynomial sum(a_i x^{p^i}) is stored by its p-power coefficient
-vector and induces an F_p-linear map on the field.  Every F_p-subspace has a
-monic linearized vanishing polynomial dividing x^q - x, and conversely the
-kernel of such a polynomial is a subspace; both directions live here, along
-with expansion in a polynomial base, composition quotients and complements,
-linearized interpolation, coset representatives and image subspaces.
+A linearized polynomial sum(a_i x^{p^i}) induces an F_p-linear map on the
+field.  It holds the codes of its p-power coefficient vector on the core it
+shares with Poly; lin_coeffs is a read-only Elt view.  Every F_p-subspace
+has a monic linearized vanishing polynomial dividing x^q - x, and conversely
+the kernel of such a polynomial is a subspace; both directions live here,
+along with expansion in a polynomial base, composition quotients and
+complements, linearized interpolation, coset representatives and image
+subspaces.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import InvariantViolation, PreconditionError
 from .field import Elt, Field
-from .poly import Poly
+from .poly import CodeVector, Poly
 
 
 def _is_p_power_exp(e: int, p: int) -> bool:
@@ -34,121 +36,88 @@ def _p_power_index(e: int, p: int) -> int:
     return i
 
 
-class LinearizedPoly:
+class LinearizedPoly(CodeVector):
     """sum(lin_coeffs[i] * x^{p^i}); the zero map has an empty vector."""
 
-    __slots__ = ("field", "lin_coeffs")
-
-    def __init__(self, field: Field, lin_coeffs=()):
-        cs = list(lin_coeffs)
-        while cs and cs[-1].code == 0:
-            cs.pop()
-        self.field = field
-        self.lin_coeffs = tuple(cs)
+    __slots__ = ()
 
     @classmethod
     def identity(cls, field):
-        return cls(field, (field.one,))
+        return cls._new(field, (1,))
 
-    @classmethod
-    def from_codes(cls, field, codes):
-        return cls(field, tuple(field.from_code(c) for c in codes))
-
-    def is_zero(self) -> bool:
-        return not self.lin_coeffs
+    @property
+    def lin_coeffs(self) -> tuple[Elt, ...]:
+        """Coefficients of x, x^p, x^{p^2}, ... as elements."""
+        return tuple(map(self.field.from_code, self.codes))
 
     @property
     def degree(self) -> int:
         """Degree as an ordinary polynomial: p^(top index); -1 if zero."""
-        if not self.lin_coeffs:
+        if not self.codes:
             return -1
-        return self.field.p ** (len(self.lin_coeffs) - 1)
+        return self.field.p ** (len(self.codes) - 1)
 
     def is_monic(self) -> bool:
-        return bool(self.lin_coeffs) and self.lin_coeffs[-1].code == 1
+        return bool(self.codes) and self.codes[-1] == 1
 
     def is_separable(self) -> bool:
         """Nonzero coefficient at x itself, i.e. no repeated roots."""
-        return bool(self.lin_coeffs) and self.lin_coeffs[0].code != 0
+        return bool(self.codes) and self.codes[0] != 0
 
     def eval(self, point: Elt) -> Elt:
-        acc = self.field.zero
-        t = point
-        p = self.field.p
-        for c in self.lin_coeffs:
-            if c.code:
-                acc = acc + c * t
-            t = t ** p
-        return acc
+        field = self.field
+        add, mul, power, p = field.add, field.mul, field.pow, field.p
+        acc = 0
+        t = self._code(point)
+        for c in self.codes:
+            if c:
+                acc = add(acc, mul(c, t))
+            t = power(t, p)
+        return field.from_code(acc)
 
     def to_poly(self) -> Poly:
-        if not self.lin_coeffs:
+        if not self.codes:
             return Poly.zero(self.field)
         p = self.field.p
-        top = p ** (len(self.lin_coeffs) - 1)
-        dense = [self.field.zero] * (top + 1)
-        for i, c in enumerate(self.lin_coeffs):
+        dense = [0] * (p ** (len(self.codes) - 1) + 1)
+        for i, c in enumerate(self.codes):
             dense[p ** i] = c
-        return Poly(self.field, dense)
+        return Poly._new(self.field, dense)
 
     def compose(self, inner: "LinearizedPoly") -> "LinearizedPoly":
         """self(inner(x)), computed on p-power coefficients."""
-        if self.is_zero() or inner.is_zero():
-            return LinearizedPoly(self.field, ())
+        bc = self._operand(inner)
         field = self.field
-        p = field.p
-        out = [field.zero] * (len(self.lin_coeffs) + len(inner.lin_coeffs) - 1)
-        for s, a in enumerate(self.lin_coeffs):
-            if a.code:
-                for j, b in enumerate(inner.lin_coeffs):
-                    if b.code:
-                        out[s + j] = out[s + j] + a * (b ** (p ** s))
-        return LinearizedPoly(field, out)
+        add, mul, power, p = field.add, field.mul, field.pow, field.p
+        out = [0] * (len(self.codes) + len(bc) - 1)
+        for s, a in enumerate(self.codes):
+            if a:
+                for j, b in enumerate(bc):
+                    if b:
+                        out[s + j] = add(out[s + j], mul(a, power(b, p ** s)))
+        return LinearizedPoly._new(field, out)
 
     def frobenius_twist(self) -> "LinearizedPoly":
         """L(x)^p, again linearized: coefficients to the p, indices shifted."""
         field = self.field
-        p = field.p
-        return LinearizedPoly(field,
-                              (field.zero,) + tuple(c ** p for c in self.lin_coeffs))
-
-    def __add__(self, other):
-        if not isinstance(other, LinearizedPoly):
-            return NotImplemented
-        a, b = self.lin_coeffs, other.lin_coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return LinearizedPoly(self.field, out)
-
-    def __sub__(self, other):
-        if not isinstance(other, LinearizedPoly):
-            return NotImplemented
-        return self + LinearizedPoly(self.field, tuple(-c for c in other.lin_coeffs))
-
-    def scale(self, k: Elt) -> "LinearizedPoly":
-        return LinearizedPoly(self.field, tuple(c * k for c in self.lin_coeffs))
-
-    def __eq__(self, other):
-        if isinstance(other, LinearizedPoly):
-            return self.lin_coeffs == other.lin_coeffs and self.field == other.field
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(tuple(c.code for c in self.lin_coeffs))
+        power, p = field.pow, field.p
+        return LinearizedPoly._new(field, [0] + [power(c, p) for c in self.codes])
 
     def __repr__(self):
-        return f"LinearizedPoly({self.field!r}, codes={[c.code for c in self.lin_coeffs]})"
+        return f"LinearizedPoly({self.field!r}, codes={list(self.codes)})"
+
+
+def _frobenius_minus_x(field: Field, k: int) -> LinearizedPoly:
+    """x^{p^k} - x on p-power coefficients."""
+    codes = [0] * (k + 1)
+    codes[0] = field.neg(1)
+    codes[k] = 1
+    return LinearizedPoly._new(field, codes)
 
 
 def xq_minus_x_linearized(field: Field) -> LinearizedPoly:
     """x^q - x viewed on p-power coefficients."""
-    coeffs = [field.zero] * (field.n + 1)
-    coeffs[0] = -field.one
-    coeffs[field.n] = field.one
-    return LinearizedPoly(field, coeffs)
+    return _frobenius_minus_x(field, field.n)
 
 
 def is_linearized(poly: Poly) -> LinearizedPoly | None:
@@ -157,21 +126,18 @@ def is_linearized(poly: Poly) -> LinearizedPoly | None:
     Requires every monomial exponent to be a power of p and a zero constant
     term; the zero polynomial qualifies.
     """
-    field = poly.field
-    p = field.p
-    lin: dict[int, Elt] = {}
-    for e, c in enumerate(poly.coeffs):
-        if c.code == 0:
+    p = poly.field.p
+    lin: dict[int, int] = {}
+    for e, c in enumerate(poly.codes):
+        if c == 0:
             continue
         if not _is_p_power_exp(e, p):
             return None
         lin[_p_power_index(e, p)] = c
-    if not lin:
-        return LinearizedPoly(field, ())
-    out = [field.zero] * (max(lin) + 1)
+    out = [0] * (max(lin) + 1 if lin else 0)
     for i, c in lin.items():
         out[i] = c
-    return LinearizedPoly(field, out)
+    return LinearizedPoly._new(poly.field, out)
 
 
 # ---------------------------------------------------------------------------
@@ -260,12 +226,11 @@ class Subspace:
     def elements(self) -> list[Elt]:
         """All p^dim members, ascending code order."""
         field = self.field
-        out = [field.zero]
+        codes = [0]
         for b in self.basis:
-            scaled = [b * k for k in range(1, field.p)]
-            out = [e + s for s in [field.zero] + scaled for e in out]
-        out.sort(key=lambda e: e.code)
-        return out
+            scaled = [field.mul(b.code, k) for k in range(field.p)]
+            codes = [field.add(e, s) for s in scaled for e in codes]
+        return [field.from_code(c) for c in sorted(codes)]
 
     def complementary_basis(self) -> list[Elt]:
         """Greedy smallest-code elements extending self to the whole field."""
@@ -390,12 +355,12 @@ def compose_quotient(target, inner: LinearizedPoly) -> LinearizedPoly:
     digits = expand_in_base(target_poly, inner.to_poly())
     if not digits[0].is_zero():
         raise PreconditionError("inner polynomial does not divide target")
-    outer = [field.zero]
+    outer = [0]
     for d in digits[1:]:
         if d.degree > 0:
             raise PreconditionError("inner polynomial does not divide target")
-        outer.append(d.constant_term())
-    view = is_linearized(Poly(field, outer))
+        outer.extend(d.codes or (0,))
+    view = is_linearized(Poly._new(field, outer))
     if view is None:
         raise InvariantViolation("composition quotient of linearized inputs is not linearized")
     return view
@@ -426,31 +391,22 @@ def linearized_interpolate(field: Field, pairs, bound: int) -> LinearizedPoly:
     pts = list(pairs)
     if len(pts) != bound:
         raise PreconditionError("need exactly `bound` interpolation pairs")
-    if bound == 0:
-        return LinearizedPoly(field, ())
-    p = field.p
-    rows = []
-    for u, w in pts:
-        row = []
-        t = u
-        for _ in range(bound):
-            row.append(t)
-            t = t ** p
-        row.append(w)
-        rows.append(row)
+    add, mul, p = field.add, field.mul, field.p
+    rows = [[field.pow(u.code, p ** i) for i in range(bound)] + [w.code]
+            for u, w in pts]
     # Gaussian elimination over the big field
     for col in range(bound):
-        piv = next((r for r in range(col, bound) if rows[r][col].code), None)
+        piv = next((r for r in range(col, bound) if rows[r][col]), None)
         if piv is None:
             raise PreconditionError("singular linearized interpolation system")
         rows[col], rows[piv] = rows[piv], rows[col]
-        inv = rows[col][col].inv()
-        rows[col] = [v * inv for v in rows[col]]
+        inv = field.inv(rows[col][col])
+        rows[col] = [mul(v, inv) for v in rows[col]]
         for r in range(bound):
-            if r != col and rows[r][col].code:
-                k = rows[r][col]
-                rows[r] = [a - k * b for a, b in zip(rows[r], rows[col])]
-    return LinearizedPoly(field, tuple(rows[i][bound] for i in range(bound)))
+            if r != col and rows[r][col]:
+                k = field.neg(rows[r][col])
+                rows[r] = [add(a, mul(k, b)) for a, b in zip(rows[r], rows[col])]
+    return LinearizedPoly._new(field, [row[bound] for row in rows])
 
 
 def subspace_image(linmap: LinearizedPoly, subspace: Subspace) -> Subspace:
@@ -470,10 +426,7 @@ def subfield(field: Field, k: int) -> Subspace:
     k %= field.n
     if k == 0:
         return Subspace.full(field)
-    coeffs = [field.zero] * (k + 1)
-    coeffs[0] = -field.one
-    coeffs[k] = field.one
-    return kernel(LinearizedPoly(field, coeffs))
+    return kernel(_frobenius_minus_x(field, k))
 
 
 def all_subspaces(field: Field):

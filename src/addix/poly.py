@@ -1,7 +1,9 @@
 """Dense univariate polynomials over a Field.
 
-Coefficients are stored constant-term first with no trailing zeros; the zero
-polynomial is the empty vector and reports degree -1.  Includes Euclidean
+Coefficients are stored as element codes, constant-term first with no
+trailing zeros; the zero polynomial is the empty vector and reports degree
+-1.  Inner loops run on codes; Elt is the API boundary (constructors take
+Elt sequences, coeffs is a read-only Elt view).  Includes Euclidean
 division and monic gcd, composition, the additive shift expansion
 P0(x+y) - P0(x) - P0(y) = sum_i F_i(y) x^i, Lagrange interpolation, and the
 text grammar shared with the CLI.
@@ -15,113 +17,160 @@ from .errors import ParseError, PreconditionError
 from .field import Elt, Field
 
 
-class Poly:
-    __slots__ = ("field", "coeffs")
+class CodeVector:
+    """Coefficient vector over one field as a tuple of element codes with no
+    trailing zeros: the core Poly and LinearizedPoly share for construction,
+    the additive group, scaling, equality and hashing."""
+
+    __slots__ = ("field", "codes")
 
     def __init__(self, field: Field, coeffs=()):
-        cs = list(coeffs)
-        while cs and cs[-1].code == 0:
-            cs.pop()
+        self._set(field, [c.code for c in coeffs])
+
+    def _set(self, field, codes):
+        end = len(codes)
+        while end and not codes[end - 1]:
+            end -= 1
         self.field = field
-        self.coeffs = tuple(cs)
+        self.codes = tuple(codes[:end])
+
+    @classmethod
+    def _new(cls, field, codes):
+        """Instance over codes already known to be in range."""
+        obj = cls.__new__(cls)
+        obj._set(field, codes)
+        return obj
+
+    @classmethod
+    def from_codes(cls, field, codes):
+        return cls._new(field, [field.from_code(c).code for c in codes])
+
+    def is_zero(self) -> bool:
+        return not self.codes
+
+    def _code(self, e: Elt) -> int:
+        if e.field is not self.field and e.field != self.field:
+            raise PreconditionError("operands belong to different fields")
+        return e.code
+
+    def _operand(self, other):
+        """Codes of a same-kind operand over the same field, or None."""
+        if not isinstance(other, type(self)):
+            return None
+        if self.field is not other.field and self.field != other.field:
+            raise PreconditionError("polynomials over different fields")
+        return other.codes
+
+    def __add__(self, other):
+        b = self._operand(other)
+        if b is None:
+            return NotImplemented
+        add = self.field.add
+        a = self.codes
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] = add(out[i], c)
+        return self._new(self.field, out)
+
+    def __sub__(self, other):
+        if self._operand(other) is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __neg__(self):
+        neg = self.field.neg
+        return self._new(self.field, [neg(c) for c in self.codes])
+
+    def scale(self, k: Elt):
+        """Every coefficient times k."""
+        mul, k = self.field.mul, self._code(k)
+        return self._new(self.field, [mul(c, k) for c in self.codes])
+
+    def __eq__(self, other):
+        if isinstance(other, type(self)):
+            return self.codes == other.codes and (self.field is other.field
+                                                  or self.field == other.field)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.codes)
+
+
+def _mul_codes(field: Field, a, b) -> list[int]:
+    """Schoolbook product of two code vectors."""
+    add, mul = field.add, field.mul
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    out[i + j] = add(out[i + j], mul(ai, bj))
+    return out
+
+
+class Poly(CodeVector):
+    __slots__ = ()
 
     # -- constructors
 
     @classmethod
     def zero(cls, field):
-        return cls(field, ())
+        return cls._new(field, ())
 
     @classmethod
     def one(cls, field):
-        return cls(field, (field.one,))
+        return cls._new(field, (1,))
 
     @classmethod
     def x(cls, field):
-        return cls(field, (field.zero, field.one))
+        return cls._new(field, (0, 1))
 
     @classmethod
     def constant(cls, field, value: Elt):
-        return cls(field, (value,))
+        return cls._new(field, (value.code,))
 
     @classmethod
     def monomial(cls, field, coeff: Elt, exp: int):
-        if coeff.code == 0:
-            return cls(field, ())
-        return cls(field, (field.zero,) * exp + (coeff,))
-
-    @classmethod
-    def from_codes(cls, field, codes):
-        return cls(field, tuple(field.from_code(c) for c in codes))
+        return cls._new(field, (0,) * exp + (coeff.code,))
 
     # -- structure
 
     @property
+    def coeffs(self) -> tuple[Elt, ...]:
+        """Coefficients as elements, constant term first."""
+        return tuple(map(self.field.from_code, self.codes))
+
+    @property
     def degree(self) -> int:
         """Degree; -1 marks the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
+        return len(self.codes) - 1
 
     def constant_term(self) -> Elt:
-        return self.coeffs[0] if self.coeffs else self.field.zero
+        return self.field.from_code(self.codes[0] if self.codes else 0)
 
     def leading(self) -> Elt:
-        if not self.coeffs:
+        if not self.codes:
             raise PreconditionError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.field.from_code(self.codes[-1])
 
-    def _check(self, other):
-        if self.field is not other.field and self.field != other.field:
-            raise PreconditionError("polynomials over different fields")
+    def _operand(self, other):
+        if isinstance(other, Elt):
+            return (self._code(other),)
+        return super()._operand(other)
 
     # -- ring operations
-
-    def __add__(self, other):
-        if isinstance(other, Elt):
-            other = Poly.constant(self.field, other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        self._check(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly(self.field, out)
-
-    def __sub__(self, other):
-        if isinstance(other, Elt):
-            other = Poly.constant(self.field, other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return Poly(self.field, tuple(-c for c in self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, int):
             other = self.field.from_int(other)
         if isinstance(other, Elt):
-            if other.code == 0:
-                return Poly(self.field, ())
-            return Poly(self.field, tuple(c * other for c in self.coeffs))
-        if not isinstance(other, Poly):
+            return self.scale(other)
+        b = self._operand(other)
+        if b is None:
             return NotImplemented
-        self._check(other)
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly(self.field, ())
-        zero = self.field.zero
-        out = [zero] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai.code:
-                for j, bj in enumerate(b):
-                    if bj.code:
-                        out[i + j] = out[i + j] + ai * bj
-        return Poly(self.field, out)
+        return Poly._new(self.field, _mul_codes(self.field, self.codes, b))
 
     __rmul__ = __mul__
 
@@ -140,27 +189,26 @@ class Poly:
     def __divmod__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        self._check(other)
-        if other.is_zero():
+        bc = self._operand(other)
+        if not bc:
             raise ZeroDivisionError("division by zero polynomial")
-        db = other.degree
-        rem = list(self.coeffs)
-        if len(rem) - 1 < db:
-            return Poly(self.field, ()), self
-        inv_lead = other.leading().inv()
-        quo = [self.field.zero] * (len(rem) - db)
-        bc = other.coeffs
-        while len(rem) - 1 >= db and rem:
+        field = self.field
+        add, mul = field.add, field.mul
+        db = len(bc) - 1
+        rem = list(self.codes)
+        inv_lead = field.inv(bc[-1])
+        quo = [0] * (len(rem) - db)
+        while len(rem) - 1 >= db:
             shift = len(rem) - 1 - db
-            factor = rem[-1] * inv_lead
+            factor = mul(rem[-1], inv_lead)
             quo[shift] = factor
-            neg = -factor
+            neg = field.neg(factor)
             for j, bj in enumerate(bc):
-                if bj.code:
-                    rem[shift + j] = rem[shift + j] + neg * bj
-            while rem and rem[-1].code == 0:
+                if bj:
+                    rem[shift + j] = add(rem[shift + j], mul(neg, bj))
+            while rem and not rem[-1]:
                 rem.pop()
-        return Poly(self.field, quo), Poly(self.field, rem)
+        return Poly._new(field, quo), Poly._new(field, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -169,49 +217,43 @@ class Poly:
         return divmod(self, other)[1]
 
     def monic(self):
-        if self.is_zero():
+        if self.is_zero() or self.codes[-1] == 1:
             return self
-        lead = self.leading()
-        if lead.code == 1:
-            return self
-        return self * lead.inv()
+        return self.scale(self.leading().inv())
 
     def eval(self, point: Elt) -> Elt:
-        acc = self.field.zero
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
+        field = self.field
+        add, mul, x = field.add, field.mul, self._code(point)
+        acc = 0
+        for c in reversed(self.codes):
+            acc = add(mul(acc, x), c)
+        return field.from_code(acc)
 
     def compose(self, inner: "Poly") -> "Poly":
         """self(inner(x))."""
         if self.degree <= 0:
             return self
-        acc = Poly.constant(self.field, self.coeffs[-1])
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * inner + c
-        return acc
+        field = self.field
+        add, ic = field.add, self._operand(inner)
+        acc = [self.codes[-1]]
+        for c in reversed(self.codes[:-1]):
+            acc = _mul_codes(field, acc, ic) or [0]
+            acc[0] = add(acc[0], c)
+        return Poly._new(field, acc)
 
     def shift_arg(self, offset: Elt) -> "Poly":
         """self(x + offset), by Horner in (x + offset)."""
-        zero = self.field.zero
-        out: list[Elt] = []
-        for c in reversed(self.coeffs):
-            prev = zero
+        field = self.field
+        add, mul, y = field.add, field.mul, self._code(offset)
+        out: list[int] = []
+        for c in reversed(self.codes):
+            prev = 0
             for i, v in enumerate(out):
-                out[i] = prev + v * offset
+                out[i] = add(prev, mul(v, y))
                 prev = v
             out.append(prev)
-            out[0] = out[0] + c
-        return Poly(self.field, out)
-
-    def __eq__(self, other):
-        if isinstance(other, Poly):
-            return self.coeffs == other.coeffs and (self.field is other.field
-                                                    or self.field == other.field)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(tuple(c.code for c in self.coeffs))
+            out[0] = add(out[0], c)
+        return Poly._new(field, out)
 
     def __repr__(self):
         return f"Poly({self.field!r}, {poly_to_str(self)!r})"
@@ -226,10 +268,10 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 def xq_minus_x(field: Field) -> Poly:
     """The dense field equation x^q - x.  Length q+1; use sparingly."""
-    coeffs = [field.zero] * (field.q + 1)
-    coeffs[1] = -field.one
-    coeffs[field.q] = field.one
-    return Poly(field, coeffs)
+    codes = [0] * (field.q + 1)
+    codes[1] = field.neg(1)
+    codes[field.q] = 1
+    return Poly._new(field, codes)
 
 
 def pow_x_mod(modpoly: Poly, e: int) -> Poly:
@@ -266,12 +308,13 @@ def reduce_mod_xq_minus_x(a: Poly) -> Poly:
     q = field.q
     if a.degree < q:
         return a
-    out = [field.zero] * q
-    for e, c in enumerate(a.coeffs):
-        if c.code:
+    add = field.add
+    out = [0] * q
+    for e, c in enumerate(a.codes):
+        if c:
             t = e if e < q else ((e - 1) % (q - 1)) + 1
-            out[t] = out[t] + c
-    return Poly(field, out)
+            out[t] = add(out[t], c)
+    return Poly._new(field, out)
 
 
 # ---------------------------------------------------------------------------
@@ -318,15 +361,15 @@ def shift_expand(poly: Poly) -> list[Poly]:
     if d < 1:
         return []
     field = poly.field
-    p = field.p
-    cs = poly.coeffs
+    p, mul = field.p, field.mul
+    cs = poly.codes
     out = []
     for i in range(1, d):
-        band = [field.zero]
+        band = [0]
         for t in range(1, d - i + 1):
-            b = binom_mod_p(i + t, i, p)
-            band.append(cs[i + t] * b if b else field.zero)
-        out.append(Poly(field, band))
+            # a binomial mod p is a prime-subfield scalar: its own code
+            band.append(mul(cs[i + t], binom_mod_p(i + t, i, p)))
+        out.append(Poly._new(field, band))
     return out
 
 
@@ -474,27 +517,28 @@ def parse_poly(text: str, field: Field) -> Poly:
     return result
 
 
-def _coeff_str(c: Elt) -> str:
-    if c.code < c.field.p:
-        return str(c.code)
-    return f"[{c.code}]"
+def _coeff_str(code: int, p: int) -> str:
+    if code < p:
+        return str(code)
+    return f"[{code}]"
 
 
 def poly_to_str(poly: Poly) -> str:
     """Canonical rendering; always re-parses to an equal polynomial."""
     if poly.is_zero():
         return "0"
+    p = poly.field.p
     terms = []
     for e in range(poly.degree, -1, -1):
-        c = poly.coeffs[e]
-        if c.code == 0:
+        c = poly.codes[e]
+        if c == 0:
             continue
         if e == 0:
-            terms.append(_coeff_str(c))
+            terms.append(_coeff_str(c, p))
             continue
         var = "x" if e == 1 else f"x^{e}"
-        if c.code == 1:
+        if c == 1:
             terms.append(var)
         else:
-            terms.append(f"{_coeff_str(c)}*{var}")
+            terms.append(f"{_coeff_str(c, p)}*{var}")
     return " + ".join(terms)

@@ -8,6 +8,7 @@ both run these.
 
 from __future__ import annotations
 
+import functools
 import random
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
@@ -36,14 +37,17 @@ class CriterionResult:
     events: list[str] = dc_field(default_factory=list)
 
 
-_FIELD_CACHE: dict[tuple[int, int], Field] = {}
-
-
+@functools.cache
 def _field(p: int, n: int) -> Field:
-    key = (p, n)
-    if key not in _FIELD_CACHE:
-        _FIELD_CACHE[key] = Field(p, n)
-    return _FIELD_CACHE[key]
+    return Field(p, n)
+
+
+def _fields(pairs, max_q: int | None):
+    """The fields GF(p^n) for (p, n) in pairs, skipping those above max_q."""
+    for p, n in pairs:
+        field = _field(p, n)
+        if max_q is None or field.q <= max_q:
+            yield field
 
 
 def _random_poly(rng: random.Random, field: Field, max_deg: int,
@@ -99,10 +103,7 @@ def suite_kernel_methods(seed: int = 1, max_q: int | None = None) -> CriterionRe
     """gcd-path and brute-path additive kernels agree on random polynomials."""
     rng = random.Random(seed)
     checked = 0
-    for p, n in KERNEL_FIELDS:
-        field = _field(p, n)
-        if max_q is not None and field.q > max_q:
-            continue
+    for field in _fields(KERNEL_FIELDS, max_q):
         for _ in range(200):
             poly = _random_poly(rng, field, 12)
             if additive_kernel(poly, "gcd") != additive_kernel(poly, "brute"):
@@ -118,10 +119,7 @@ def suite_decomposition_identity(seed: int = 1, max_q: int | None = None) -> Cri
     """outer(subspace_poly) + linear_part reassembles the input exactly."""
     rng = random.Random(seed)
     checked = 0
-    for p, n in KERNEL_FIELDS:
-        field = _field(p, n)
-        if max_q is not None and field.q > max_q:
-            continue
+    for field in _fields(KERNEL_FIELDS, max_q):
         for _ in range(200):
             poly = _random_poly(rng, field, 12)
             dec = maximal_decomposition(poly)
@@ -129,7 +127,7 @@ def suite_decomposition_identity(seed: int = 1, max_q: int | None = None) -> Cri
                   and dec.outer.constant_term() == dec.poly.constant_term()
                   and dec.linear_part.to_poly().constant_term().code == 0
                   and dec.linear_part.degree < dec.subspace_poly.degree
-                  and dec.subspace_poly.degree == p ** (n - dec.index)
+                  and dec.subspace_poly.degree == field.p ** (field.n - dec.index)
                   and is_linearized(dec.linear_part.to_poly()) is not None)
             if not ok:
                 return CriterionResult(
@@ -145,10 +143,7 @@ def suite_value_sets(seed: int = 2, max_q: int | None = None) -> CriterionResult
     non-permutation with trivial gcd never exceeds q - deg(subspace_poly)."""
     rng = random.Random(seed)
     checked = 0
-    for p, n in VALUESET_FIELDS:
-        field = _field(p, n)
-        if max_q is not None and field.q > max_q:
-            continue
+    for field in _fields(VALUESET_FIELDS, max_q):
         for _ in range(500):
             poly = _random_poly(rng, field, 12)
             theorem_size, _ = value_set_size(poly, "theorem")
@@ -171,10 +166,7 @@ def suite_pp_certificates(seed: int = 2, max_q: int | None = None) -> CriterionR
     quotient-criterion-eligible instance agrees with the quotient test."""
     rng = random.Random(seed)
     checked = eligible = 0
-    for p, n in VALUESET_FIELDS:
-        field = _field(p, n)
-        if max_q is not None and field.q > max_q:
-            continue
+    for field in _fields(VALUESET_FIELDS, max_q):
         for _ in range(500):
             poly = _random_poly(rng, field, 12)
             cert = is_permutation(poly, "certificate")
@@ -232,10 +224,7 @@ def suite_inverse_roundtrip(seed: int = 3, max_q: int | None = None) -> Criterio
     additive index."""
     rng = random.Random(seed)
     checked = 0
-    for p, n in [(2, 4), (3, 3)]:
-        field = _field(p, n)
-        if max_q is not None and field.q > max_q:
-            continue
+    for field in _fields([(2, 4), (3, 3)], max_q):
         for poly in _sample_pps(rng, field, 200):
             inverse = inverse_pp(poly)
             els = field.elements()
@@ -253,14 +242,13 @@ def suite_inverse_roundtrip(seed: int = 3, max_q: int | None = None) -> Criterio
                            f"{checked} permutations inverted exactly")
 
 
-def _nilpotent_example_instances(p: int, m: int):
+def _nilpotent_example_instances(field: Field):
     """Instances of the two-step nilpotent family over GF(p^{2m}):
     alpha*beta*x^{p^m} + alpha*x with alpha^{p^m} = -alpha, beta^{p^m+1} = 1."""
-    field = _field(p, 2 * m)
-    pm = p ** m
+    pm = field.p ** (field.n // 2)
     alphas = [a for a in field.elements() if a.code and a ** pm == -a]
     betas = [b for b in field.elements() if b.code and b ** (pm + 1) == field.one]
-    return field, alphas, betas
+    return alphas, betas
 
 
 def suite_cycle_theorems(seed: int = 4, max_q: int | None = None) -> CriterionResult:
@@ -269,12 +257,9 @@ def suite_cycle_theorems(seed: int = 4, max_q: int | None = None) -> CriterionRe
     (c) every admissible fixed-point count is constructible."""
     rng = random.Random(seed)
     part_a = 0
-    for p, n in [(3, 2), (2, 4), (5, 2)]:
-        field = _field(p, n)
-        if max_q is not None and field.q > max_q:
-            continue
+    for field in _fields([(3, 2), (2, 4), (5, 2)], max_q):
         for _ in range(100):
-            dim = rng.randint(0, n)
+            dim = rng.randint(0, field.n)
             sub = _random_subspace(rng, field, dim)
             base = vanishing_poly(sub)
             g = _random_poly(rng, field, 3, min_deg=0)
@@ -287,10 +272,9 @@ def suite_cycle_theorems(seed: int = 4, max_q: int | None = None) -> CriterionRe
             part_a += 1
 
     part_b = 0
-    for p, m in [(2, 1), (3, 1), (2, 2), (5, 1)]:
-        field, alphas, betas = _nilpotent_example_instances(p, m)
-        if max_q is not None and field.q > max_q:
-            continue
+    for field in _fields([(2, 2), (3, 2), (2, 4), (5, 2)], max_q):
+        m = field.n // 2
+        alphas, betas = _nilpotent_example_instances(field)
         if not alphas or not betas:
             return CriterionResult("cycle-theorems", False,
                                    f"no nilpotent instance over {field!r}")
@@ -314,10 +298,8 @@ def suite_cycle_theorems(seed: int = 4, max_q: int | None = None) -> CriterionRe
             part_b += 1
 
     part_c = 0
-    for p, n in [(3, 2), (2, 4), (5, 2)]:
-        field = _field(p, n)
-        if max_q is not None and field.q > max_q:
-            continue
+    for field in _fields([(3, 2), (2, 4), (5, 2)], max_q):
+        p = field.p
         for fixed in range(p, field.q + 1, p):
             perm = construct_prescribed_cycles(field, fixed)
             expected = Counter()
@@ -340,24 +322,16 @@ def suite_complement_commutation(seed: int = 5, max_q: int | None = None) -> Cri
     equal x^q - x, exhaustively over GF(16) and sampled over GF(64)."""
     rng = random.Random(seed)
     checked = 0
-    f16 = _field(2, 4)
-    whole16 = xq_minus_x_linearized(f16)
-    if max_q is None or f16.q <= max_q:
-        for sub in all_subspaces(f16):
+    for field in _fields([(2, 4), (2, 6)], max_q):
+        whole = xq_minus_x_linearized(field)
+        if field.q == 16:
+            subs = all_subspaces(field)
+        else:
+            subs = (_random_subspace(rng, field, rng.randint(0, 6)) for _ in range(100))
+        for sub in subs:
             base = vanishing_poly(sub)
             comp = complement(base)
-            if comp.compose(base) != whole16 or base.compose(comp) != whole16:
-                return CriterionResult("complement-commutation", False,
-                                       f"commutation failed for {sub!r}")
-            checked += 1
-    f64 = _field(2, 6)
-    whole64 = xq_minus_x_linearized(f64)
-    if max_q is None or f64.q <= max_q:
-        for _ in range(100):
-            sub = _random_subspace(rng, f64, rng.randint(0, 6))
-            base = vanishing_poly(sub)
-            comp = complement(base)
-            if comp.compose(base) != whole64 or base.compose(comp) != whole64:
+            if comp.compose(base) != whole or base.compose(comp) != whole:
                 return CriterionResult("complement-commutation", False,
                                        f"commutation failed for {sub!r}")
             checked += 1
@@ -372,17 +346,14 @@ def suite_character_bounds(seed: int = 6, max_q: int | None = None) -> Criterion
     rng = random.Random(seed)
     checked = 0
     exhibited = False
-    for p, n in [(2, 4), (3, 3), (2, 6)]:
-        field = _field(p, n)
-        if max_q is not None and field.q > max_q:
-            continue
+    for field in _fields([(2, 4), (3, 3), (2, 6)], max_q):
         chars = [MultChar(field, j) for j in range(1, field.q - 1)]
         samples = []
         for i in range(100):
             if field.q == 64 and i < 20:
                 dim, linear = 4, LinearizedPoly.identity(field)
             else:
-                dim, linear = rng.randint(1, n - 1), None
+                dim, linear = rng.randint(1, field.n - 1), None
             poly, *_ = _decomposable_sample(rng, field, dim,
                                             rng.randint(1, 3), linear=linear)
             if poly.degree >= 1:
@@ -405,7 +376,7 @@ def suite_character_bounds(seed: int = 6, max_q: int | None = None) -> Criterion
                         char_sum_affine(chi, shift, sub)
         else:
             for _ in range(40):
-                sub = _random_subspace(rng, field, rng.randint(0, n))
+                sub = _random_subspace(rng, field, rng.randint(0, field.n))
                 shift = field.from_code(rng.randrange(field.q))
                 for chi in chars:
                     char_sum_affine(chi, shift, sub)
@@ -432,9 +403,8 @@ def suite_involution_translator(seed: int = 7, max_q: int | None = None) -> Crit
     """
     rng = random.Random(seed)
     events: list[str] = []
-    field = _field(2, 4)
     inv_checked = 0
-    if max_q is None or field.q <= max_q:
+    for field in _fields([(2, 4)], max_q):
         for _ in range(500):
             dim = rng.randint(1, 3)
             poly, *_ = _decomposable_sample(rng, field, dim, rng.randint(1, 3))
@@ -451,10 +421,7 @@ def suite_involution_translator(seed: int = 7, max_q: int | None = None) -> Crit
     translator_checked = 0
     odd_violations = even_violations = 0
     odd_example = None
-    for p, n in [(3, 2), (2, 4)]:
-        tfield = _field(p, n)
-        if max_q is not None and tfield.q > max_q:
-            continue
+    for tfield in _fields([(3, 2), (2, 4)], max_q):
         built = 0
         guard = 0
         while built < 100 and guard < 5000:
@@ -467,14 +434,14 @@ def suite_involution_translator(seed: int = 7, max_q: int | None = None) -> Crit
             except PreconditionError:
                 continue
             if is_pp and not is_complete:
-                if p == 2:
+                if tfield.p == 2:
                     even_violations += 1
                 else:
                     odd_violations += 1
                     if odd_example is None:
                         odd_example = (f"g={spec.g!r}, h={adjust!r}, "
                                        f"U codes={[e.code for e in spec.subspace.elements()]}, "
-                                       f"M codes={[c.code for c in spec.translate.lin_coeffs]}")
+                                       f"M codes={list(spec.translate.codes)}")
             built += 1
         translator_checked += built
         if built < 100:

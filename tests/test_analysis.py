@@ -281,6 +281,23 @@ def test_translator_pp_examples():
             translator_pp(spec2, Poly.x(F9))
 
 
+def test_translator_pp_scans_g_once(monkeypatch):
+    g = parse_poly("x^3+x", F9)
+    spec = TranslatorSpec(g=g, subspace=subfield(F9, 1),
+                          translate=is_linearized(parse_poly("2*x", F9)))
+    evals = []
+    plain_eval = Poly.eval
+
+    def counting_eval(self, point):
+        if self is g:
+            evals.append(point.code)
+        return plain_eval(self, point)
+
+    monkeypatch.setattr(Poly, "eval", counting_eval)
+    assert translator_pp(spec, Poly.zero(F9)) == (True, True)
+    assert sorted(evals) == list(range(F9.q))
+
+
 def test_translator_m_zero_instance():
     g = parse_poly("x^2+x", F4)  # trace onto F_2, M = 0
     spec = TranslatorSpec(g=g, subspace=Subspace(F4, [F4.one]),

@@ -2,13 +2,14 @@ import random
 
 import pytest
 
-from addix.decompose import (additive_index, additive_kernel, decompose_with,
-                             maximal_decomposition, multiplicative_index)
+from addix.decompose import (_split, additive_index, additive_kernel,
+                             decompose_with, maximal_decomposition,
+                             multiplicative_index)
 from addix.errors import PreconditionError
 from addix.field import Field
-from addix.linearized import (LinearizedPoly, Subspace, is_linearized, kernel,
-                              require_splitting_monic, subfield,
-                              vanishing_poly, xq_minus_x_linearized)
+from addix.linearized import (LinearizedPoly, Subspace, expand_in_base,
+                              is_linearized, kernel, require_splitting_monic,
+                              subfield, vanishing_poly, xq_minus_x_linearized)
 from addix.poly import Poly, parse_poly
 
 F4 = Field(2, 2)
@@ -192,3 +193,25 @@ def test_structural_routes_scan_no_field(monkeypatch):
         assert decompose_with(poly, dec.subspace_poly).ok
     assert decompose_with(structured, base).ok
     assert subfield(field, 4).dim == 4 and subfield(field, 12).is_full()
+
+
+@pytest.mark.parametrize("p, n", [(2, 5), (3, 3), (5, 2), (7, 2)])
+def test_trivial_kernel_split_matches_digits(p, n):
+    """Against the base x the split reads outer = P and M = 0 without long
+    division; the Euclidean digits of P - P(0) in base x must say the same."""
+    field = Field(p, n)
+    x = Poly.x(field)
+    rng = random.Random(p)
+    for _ in range(40):
+        poly = rand_poly(rng, field, rng.randint(1, min(field.q - 1, 40)))
+        const = poly.constant_term()
+        digits = expand_in_base(poly - Poly.constant(field, const), x)
+        assert is_linearized(digits[0]).is_zero()
+        assert all(d.degree <= 0 for d in digits[1:])
+        from_digits = Poly(field, [const] + [d.constant_term() for d in digits[1:]])
+        outer, linear_part = _split(poly, x)
+        assert outer == from_digits == poly
+        assert linear_part.is_zero()
+        dec = maximal_decomposition(poly)
+        if dec.index == n:
+            assert dec.outer == poly and dec.linear_part.is_zero()

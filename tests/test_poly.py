@@ -56,6 +56,10 @@ def test_ring_axioms_random():
 def test_mixed_field_rejected():
     with pytest.raises(PreconditionError):
         parse_poly("x", F5) + parse_poly("x", F9)
+    for use in (lambda f: f.eval(F9.one), lambda f: f.scale(F9.one),
+                lambda f: f.shift_arg(F9.one), lambda f: f + F9.one):
+        with pytest.raises(PreconditionError):
+            use(parse_poly("x^2+1", F5))
 
 
 def test_shift_expand_examples():
