@@ -354,7 +354,7 @@ class TranslatorSpec:
 
     kind 'b_linear' additionally claims M(u) = gamma^-1 * scale * u on U;
     kind 'frobenius' claims M(u) = gamma^(-p^i) * scale * u^(p^i) with
-    i = frob_power.
+    i = frob_power, read mod n since the Frobenius has order n.
     """
     g: Poly
     subspace: Subspace
@@ -386,7 +386,7 @@ def _translator_values(spec: TranslatorSpec) -> list[Elt] | None:
     elif spec.kind == "frobenius":
         if spec.gamma is None or spec.scale is None:
             raise PreconditionError("frobenius kind needs gamma and scale")
-        pi = field.p ** spec.frob_power
+        pi = field.p ** (spec.frob_power % field.n)
         gfac = (spec.gamma ** pi).inv()
         if any(spec.translate.eval(u) != gfac * spec.scale * u ** pi for u in members):
             return None

@@ -9,6 +9,7 @@ identity failed (the counterexample is printed).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import random
 import sys
@@ -99,17 +100,7 @@ def _cmd_valueset(args):
         size, classes = value_set_size(poly, "brute")
         record["size_brute"] = size
         record["classes_brute"] = classes
-    bounds = value_set_bounds(poly)
-    record["bounds"] = {
-        "size": bounds.size,
-        "gcd_degree": bounds.gcd_degree,
-        "threshold": bounds.threshold,
-        "is_pp": bounds.is_pp,
-        "implication_holds": bounds.implication_holds,
-        "degree_bound": bounds.degree_bound,
-        "mult_index": bounds.mult_index,
-        "mult_index_bound": bounds.mult_index_bound,
-    }
+    record["bounds"] = dataclasses.asdict(value_set_bounds(poly))
     _emit(record, args.format)
     return 0
 

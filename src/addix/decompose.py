@@ -13,9 +13,9 @@ from functools import cached_property, reduce
 from math import gcd as int_gcd
 
 from .errors import InvariantViolation, PreconditionError
-from .linearized import (LinearizedPoly, Subspace, expand_in_base,
-                         is_linearized, kernel, require_splitting_monic,
-                         xq_minus_x_linearized)
+from .linearized import (LinearizedPoly, Subspace, _outer_codes,
+                         expand_in_base, is_linearized, kernel,
+                         require_splitting_monic, xq_minus_x_linearized)
 from .poly import (Poly, gcd_with_xq_minus_x, poly_gcd, reduce_mod_xq_minus_x,
                    shift_expand)
 
@@ -132,11 +132,9 @@ def _split(poly: Poly, base_poly: Poly) -> tuple[Poly, LinearizedPoly]:
     linear_part = is_linearized(digits[0])
     if linear_part is None:
         raise InvariantViolation("zeroth digit of the expansion is not linearized")
-    outer = [const.code]
-    for d in digits[1:]:
-        if d.degree > 0:
-            raise InvariantViolation("higher digit of the expansion is not constant")
-        outer.extend(d.codes or (0,))
+    outer = _outer_codes(digits, const.code)
+    if outer is None:
+        raise InvariantViolation("higher digit of the expansion is not constant")
     return Poly._new(field, outer), linear_part
 
 

@@ -336,6 +336,18 @@ def expand_in_base(poly: Poly, base: Poly) -> list[Poly]:
     return digits
 
 
+def _outer_codes(digits, constant: int) -> list[int] | None:
+    """Codes of the outer polynomial read off Euclidean digits: constant,
+    then the code of each digit above index zero, or None when one of those
+    digits is not constant."""
+    outer = [constant]
+    for d in digits[1:]:
+        if d.degree > 0:
+            return None
+        outer.extend(d.codes or (0,))
+    return outer
+
+
 def compose_quotient(target, inner: LinearizedPoly) -> LinearizedPoly:
     """The linearized polynomial N with N(inner(x)) == target(x).
 
@@ -353,13 +365,9 @@ def compose_quotient(target, inner: LinearizedPoly) -> LinearizedPoly:
         if is_linearized(target_poly) is None:
             raise PreconditionError("target is not linearized")
     digits = expand_in_base(target_poly, inner.to_poly())
-    if not digits[0].is_zero():
+    outer = _outer_codes(digits, 0)
+    if not digits[0].is_zero() or outer is None:
         raise PreconditionError("inner polynomial does not divide target")
-    outer = [0]
-    for d in digits[1:]:
-        if d.degree > 0:
-            raise PreconditionError("inner polynomial does not divide target")
-        outer.extend(d.codes or (0,))
     view = is_linearized(Poly._new(field, outer))
     if view is None:
         raise InvariantViolation("composition quotient of linearized inputs is not linearized")

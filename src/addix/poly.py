@@ -317,60 +317,45 @@ def reduce_mod_xq_minus_x(a: Poly) -> Poly:
     return Poly._new(field, out)
 
 
-# ---------------------------------------------------------------------------
-# Binomial coefficients mod p (Lucas), with factorial tables per prime.
-
-_fact_cache: dict[int, tuple[list[int], list[int]]] = {}
-
-
-def _fact_tables(p: int):
-    tabs = _fact_cache.get(p)
-    if tabs is None:
-        fact = [1] * p
-        for i in range(2, p):
-            fact[i] = fact[i - 1] * i % p
-        inv = [pow(f, p - 2, p) if p > 1 else 1 for f in fact]
-        tabs = (fact, inv)
-        _fact_cache[p] = tabs
-    return tabs
-
-
-def binom_mod_p(m: int, r: int, p: int) -> int:
-    if r < 0 or r > m:
-        return 0
-    fact, inv = _fact_tables(p)
-    out = 1
-    while m or r:
-        a, b = m % p, r % p
-        if b > a:
-            return 0
-        out = out * fact[a] % p * inv[b] % p * inv[a - b] % p
-        m //= p
-        r //= p
-    return out
-
-
 def shift_expand(poly: Poly) -> list[Poly]:
     """Polynomials F_1, ..., F_{d-1} with
     P0(x+y) - P0(x) - P0(y) = sum_{i=1}^{d-1} F_i(y) x^i for P0 = poly - poly(0).
 
-    F_i(y) = sum_{t>=1} C(i+t, i) c_{i+t} y^t with binomials mod p; the
-    constant term always cancels.  Constant input yields the empty list.
+    F_i(y) = sum_{t>=1} C(i+t, i) c_{i+t} y^t.  By Lucas's theorem C(e, i)
+    mod p is the product of the binomials of the base-p digits of e and i,
+    nonzero exactly when no digit of i exceeds the matching digit of e.  So
+    each nonzero c_e is written only at those i (power t = e - i of band i),
+    and the cost follows the nonzero terms and their digits, not d^2.  Each
+    (i, t) comes from the single e = i + t.  Constant input yields the empty
+    list.
     """
     d = poly.degree
-    if d < 1:
-        return []
     field = poly.field
     p, mul = field.p, field.mul
-    cs = poly.codes
-    out = []
-    for i in range(1, d):
-        band = [0]
-        for t in range(1, d - i + 1):
-            # a binomial mod p is a prime-subfield scalar: its own code
-            band.append(mul(cs[i + t], binom_mod_p(i + t, i, p)))
-        out.append(Poly._new(field, band))
-    return out
+    bands = [None] * d
+    # descending e: the first e to reach band i fixes its degree e - i
+    for e in range(d, 1, -1):
+        c = poly.codes[e]
+        if not c:
+            continue
+        # (i, C(e, i) mod p) over the i dominated by e, digit by digit
+        terms, rest, weight = [(0, 1)], e, 1
+        while rest:
+            rest, digit = divmod(rest, p)
+            row = [1]   # C(digit, k), k = 0 .. digit, by a running product
+            for k in range(digit):
+                row.append(row[-1] * (digit - k) // (k + 1))
+            terms = [(i + k * weight, b * r % p)
+                     for i, b in terms for k, r in enumerate(row)]
+            weight *= p
+        for i, b in terms:
+            if 0 < i < e:
+                band = bands[i]
+                if band is None:
+                    band = bands[i] = [0] * (e - i + 1)
+                # a binomial mod p is a prime-subfield scalar: its own code
+                band[e - i] = mul(c, b)
+    return [Poly._new(field, bands[i] or ()) for i in range(1, d)]
 
 
 def lagrange_interpolate(field: Field, points) -> Poly:

@@ -260,6 +260,18 @@ def test_translator_kind_forms():
     assert not is_linear_translator(bad)  # claimed shape disagrees with M
 
 
+def test_frobenius_power_read_mod_n():
+    # the Frobenius of GF(9) has order 2: powers -1 and 21 mean power 1
+    def verdict(scale, power):
+        return is_linear_translator(TranslatorSpec(
+            g=parse_poly("x^3+x", F9), subspace=subfield(F9, 1),
+            translate=is_linearized(parse_poly("2*x", F9)), kind="frobenius",
+            gamma=F9.one, scale=F9.from_int(scale), frob_power=power))
+    assert [verdict(scale, 1) for scale in (1, 2)] == [False, True]
+    for scale in (1, 2):
+        assert verdict(scale, -1) == verdict(scale, 21) == verdict(scale, 1)
+
+
 def test_translator_pp_examples():
     g = parse_poly("x^3+x", F9)
     sub = subfield(F9, 1)

@@ -98,6 +98,17 @@ def test_translator_verb(capsys):
     assert record["is_pp"] is True
 
 
+def test_translator_frobenius_power_mod_n(capsys):
+    for scale, expected in (("1", False), ("2", True)):
+        for power in ("1", "-1", "21"):
+            code, record = run_json(capsys, "translator", "--field", "3^2",
+                                    "--g", "x^3+x", "--subspace", "1", "--m-lin", "2",
+                                    "--kind", "frobenius", "--gamma", "1",
+                                    "--b", scale, "--frob-i", power)
+            assert code == 0
+            assert record["is_translator"] is expected
+
+
 def test_charsum_verb_and_sweep(capsys):
     code, record = run_json(capsys, "charsum", "--field", "3^2",
                             "--poly", "(x^3-x)^2+x", "--char", "1")

@@ -5,7 +5,9 @@ field's code arithmetic.  The reference below works on Elt objects instead,
 with textbook algorithms.  Its addition adds digit vectors mod p and its
 multiplication is Elt * (exp/log, checked against schoolbook F_p[x] in
 test_field), so it shares neither the Zech table nor any polynomial loop
-with the code it checks.
+with the code it checks.  The shift-expansion bands are checked against the
+dense formula over every pair (i, t), and their cost against the count of
+pairs that Lucas's theorem leaves nonzero.
 """
 
 import random
@@ -13,8 +15,9 @@ from math import comb
 
 import pytest
 
+from addix.decompose import maximal_decomposition
 from addix.field import Field
-from addix.linearized import LinearizedPoly
+from addix.linearized import LinearizedPoly, Subspace, vanishing_poly
 from addix.poly import Poly, poly_gcd, shift_expand
 
 FIELDS = [Field(2, 4), Field(3, 3), Field(5, 2), Field(7, 2), Field(2, 10)]
@@ -96,6 +99,7 @@ def ref_compose(field, a, b):
 
 
 def ref_bands(field, a):
+    """The dense formula: band i holds C(i+t, i) a[i+t] at y^t for every t."""
     d = len(a) - 1
     return [trim([field.zero] + [a[i + t] * (comb(i + t, i) % field.p)
                                  for t in range(1, d - i + 1)])
@@ -123,6 +127,32 @@ def ref_lin_eval(lin, x):
 
 def rand_codes(rng, field, length):
     return [rng.randrange(field.q) for _ in range(length)]
+
+
+def structured(rng, field, dim, outer_degree):
+    """(V, outer(S(x)) + M(x)) with S vanishing on a random dim-dimensional
+    subspace V, a random outer of the given degree and deg M < deg S."""
+    sub = Subspace(field, ())
+    while sub.dim < dim:
+        sub = Subspace(field, list(sub.basis) + [field.from_code(rng.randrange(1, field.q))])
+    outer = Poly.from_codes(field, rand_codes(rng, field, outer_degree) + [1])
+    linear = LinearizedPoly.from_codes(field, rand_codes(rng, field, dim))
+    return sub, outer.compose(vanishing_poly(sub).to_poly()) + linear.to_poly()
+
+
+def lucas_pairs(codes, p):
+    """Pairs (e, i), 0 < i < e, with c_e != 0 and C(e, i) != 0 mod p.  By
+    Lucas these i are the ones whose base-p digits never exceed e's: the
+    product of (digit + 1) over e's digits, less i = 0 and i = e."""
+    count = 0
+    for e, c in enumerate(codes):
+        if c and e > 1:
+            dominated, rest = 1, e
+            while rest:
+                rest, digit = divmod(rest, p)
+                dominated *= digit + 1
+            count += dominated - 2
+    return count
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=IDS)
@@ -188,3 +218,49 @@ def test_linearized_operations_match_reference(field):
         for _ in range(40):
             x = field.from_code(rng.randrange(field.q))
             assert a.eval(x) == ref_lin_eval(a.lin_coeffs, x)
+
+
+@pytest.mark.parametrize("field", FIELDS[:4], ids=IDS[:4])
+def test_bands_match_dense_formula(field):
+    rng = random.Random(field.q + 4)
+    dense = rand_codes(rng, field, rng.randint(150, 250)) + [1]
+    sparse = [rng.randrange(1, field.q) if rng.random() < 0.05 else 0
+              for _ in range(rng.randint(250, 300))] + [1]
+    _, built = structured(rng, field, 2, 200 // field.p ** 2)
+    for poly in (Poly.from_codes(field, dense), Poly.from_codes(field, sparse), built):
+        assert ([list(f.coeffs) for f in shift_expand(poly)]
+                == ref_bands(field, list(poly.coeffs)))
+
+
+@pytest.fixture(scope="module")
+def sparse_3072():
+    """A GF(2^12) input of degree 3072: outer of degree 3 over S of degree 2^10."""
+    return structured(random.Random(3072), Field(2, 12), 10, 3)
+
+
+def test_band_cost_follows_nonzero_terms(sparse_3072, monkeypatch):
+    _, poly = sparse_3072
+    assert poly.degree == 3072
+    for p in (2, 3, 5, 7):
+        assert all(lucas_pairs([0] * e + [1], p) == sum(comb(e, i) % p != 0 for i in range(1, e))
+                   for e in range(60))
+    calls = 0
+    mul = Field.mul
+
+    def counted(self, a, b):
+        nonlocal calls
+        calls += 1
+        return mul(self, a, b)
+
+    monkeypatch.setattr(Field, "mul", counted)
+    bands = shift_expand(poly)
+    monkeypatch.undo()
+    assert len(bands) == 3071
+    assert calls <= lucas_pairs(poly.codes, 2)
+
+
+def test_sparse_3072_decomposes(sparse_3072):
+    sub, poly = sparse_3072
+    dec = maximal_decomposition(poly)
+    assert dec.compose() == poly
+    assert all(dec.kernel.contains(v) for v in sub.basis)

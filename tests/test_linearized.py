@@ -5,10 +5,10 @@ import pytest
 
 from addix.errors import PreconditionError
 from addix.field import Field
-from addix.linearized import (LinearizedPoly, Subspace, all_subspaces,
-                              complement, compose_quotient, coset_reps,
-                              expand_in_base, image_elements, is_linearized,
-                              kernel, linearized_interpolate,
+from addix.linearized import (LinearizedPoly, Subspace, _outer_codes,
+                              all_subspaces, complement, compose_quotient,
+                              coset_reps, expand_in_base, image_elements,
+                              is_linearized, kernel, linearized_interpolate,
                               require_splitting_monic, subfield,
                               subspace_image, vanishing_poly,
                               xq_minus_x_linearized)
@@ -166,6 +166,12 @@ def test_compose_quotient_examples():
         compose_quotient(is_linearized(parse_poly("x^3", F9)), lin)  # not divisible
     with pytest.raises(PreconditionError):
         compose_quotient(lin, is_linearized(parse_poly("x^3", F9)))  # inseparable inner
+
+
+def test_outer_codes_read_constant_digits_only():
+    one, x = Poly.one(F9), Poly.x(F9)
+    assert _outer_codes([x, one, Poly.zero(F9), one], 5) == [5, 1, 0, 1]
+    assert _outer_codes([Poly.zero(F9), one, x], 0) is None
 
 
 def test_compose_quotient_random_identity():

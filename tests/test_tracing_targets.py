@@ -3,11 +3,12 @@
 perfbench/tracing.py wraps addix from outside: a method through its own
 class's __dict__, a function by module attribute.  A refactor that moves a
 traced method onto a base class, or renames a traced function, must fail
-here rather than only in the slow benchmark self-test.
+here rather than only in the slow benchmark self-test.  The workloads keep
+their own copy of criterion 9's refutation text, which must match verify's.
 """
 
 import importlib
-import importlib.util
+import types
 from pathlib import Path
 
 import pytest
@@ -18,17 +19,18 @@ from addix.analysis import is_permutation
 from addix.field import Field
 from addix.poly import parse_poly
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+def _load(name):
+    """perfbench/<name>.py run as a fresh module; nothing is written beside it."""
+    path = PERFBENCH / f"{name}.py"
+    module = types.ModuleType(f"perfbench_{name}")
+    exec(compile(path.read_text(), path, "exec"), module.__dict__)
     return module
 
 
-tracing = _load_tracing()
+tracing = _load("tracing")
 
 
 @pytest.mark.parametrize("target", tracing.TARGETS, ids=[t[0] for t in tracing.TARGETS])
@@ -62,3 +64,9 @@ def test_tracer_installs_records_and_uninstalls():
     assert addix.verify.maximal_decomposition is addix.maximal_decomposition
     assert tracer.calls["decompose.maximal_decomposition"] == 1
     assert tracer.calls["poly.eval"] > 0 and tracer.extra["poly.eval"] > 0
+
+
+def test_workloads_refutation_text_matches_verify():
+    # the acceptance workload recognises criterion 9's documented failure by
+    # its own copy of this text; a rewording must not mark every answer wrong
+    assert _load("workloads").REFUTATION_EVENT == addix.verify.REFUTATION_EVENT
