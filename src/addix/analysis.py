@@ -51,7 +51,7 @@ def value_set_size(poly: Poly, method: str = "theorem") -> tuple[int, int]:
         c = _coset_count(dec, w)
         return c * poly.field.p ** w.dim, c
     if method == "brute":
-        image = {dec.poly.eval(y).code for y in poly.field.elements()}
+        image = set(dec.poly.values())
         classes = {w.coset_key(poly.field.from_code(v)) for v in image}
         return len(image), len(classes)
     raise PreconditionError(f"unknown method {method!r}")
@@ -77,7 +77,7 @@ def value_set_bounds(poly: Poly) -> ValueSetBounds:
     field = poly.field
     q = field.q
     dec = maximal_decomposition(poly)
-    size = len({dec.poly.eval(y).code for y in field.elements()})
+    size = len(set(dec.poly.values()))
     threshold = q - dec.subspace_poly.degree
     is_pp = size == q
     implication_holds = is_pp or dec.gcd_degree != 1 or size <= threshold
@@ -124,11 +124,10 @@ def _pp_conditions(dec: AdditiveDecomposition) -> tuple[int, bool]:
 
 
 def _collision_witness(poly: Poly):
-    seen: dict[int, Elt] = {}
-    for a in poly.field.elements():
-        v = poly.eval(a).code
+    seen: dict[int, int] = {}
+    for a, v in enumerate(poly.values()):
         if v in seen:
-            return seen[v], a
+            return poly.field.from_code(seen[v]), poly.field.from_code(a)
         seen[v] = a
     return None
 
@@ -213,22 +212,25 @@ def inverse_pp(poly: Poly) -> Poly:
     return outer0.compose(base0.to_poly()) + inv_linear.to_poly()
 
 
+def round_trips(f: Poly, g: Poly) -> bool:
+    """Brute check that f(g(y)) == y at every field element y: f's values
+    are tabulated once and g's scanned up to the first miss."""
+    if f.field != g.field:
+        raise PreconditionError("polynomials over different fields")
+    table = list(f.values())
+    return all(table[v] == y for y, v in enumerate(g.values()))
+
+
 # ---------------------------------------------------------------------------
 # Cycle structure
 
 
-def _permutation_map(poly: Poly) -> list[int]:
-    field = poly.field
-    image = [poly.eval(a).code for a in field.elements()]
-    if len(set(image)) != field.q:
-        raise PreconditionError("polynomial is not a permutation")
-    return image
-
-
 def cycle_structure(poly: Poly) -> Counter:
     """Multiset {cycle length: count} of the induced permutation."""
-    image = _permutation_map(poly)
+    image = list(poly.values())
     q = len(image)
+    if len(set(image)) != q:
+        raise PreconditionError("polynomial is not a permutation")
     seen = [False] * q
     out: Counter = Counter()
     for start in range(q):
@@ -365,17 +367,17 @@ class TranslatorSpec:
     frob_power: int = 0
 
 
-def _translator_values(spec: TranslatorSpec) -> list[Elt] | None:
-    """g's values in code order when spec passes the exhaustive translator
-    check over field x subspace (plus the closed-form shape for the named
-    kinds), else None."""
+def _translator_values(spec: TranslatorSpec) -> list[int] | None:
+    """Codes of g's values in code order when spec passes the exhaustive
+    translator check over field x subspace (plus the closed-form shape for
+    the named kinds), else None."""
     field = spec.g.field
     members = spec.subspace.elements()
-    values = [spec.g.eval(a) for a in field.elements()]
+    values = list(spec.g.values())
     if spec.kind == "general":
         # the definition asks for a map into the subspace, so straying
         # values already disqualify g
-        if any(not spec.subspace.contains(v) for v in values):
+        if any(not spec.subspace.contains(field.from_code(v)) for v in values):
             return None
     if spec.kind == "b_linear":
         if spec.gamma is None or spec.scale is None:
@@ -392,11 +394,11 @@ def _translator_values(spec: TranslatorSpec) -> list[Elt] | None:
             return None
     elif spec.kind != "general":
         raise PreconditionError(f"unknown translator kind {spec.kind!r}")
-    shifts = [spec.translate.eval(u) for u in members]
-    for a in field.elements():
-        ga = values[a.code]
-        for u, mu in zip(members, shifts):
-            if values[(a + u).code] != ga + mu:
+    add = field.add
+    shifts = [(u.code, spec.translate.eval(u).code) for u in members]
+    for a, ga in enumerate(values):
+        for u, mu in shifts:
+            if values[add(a, u)] != add(ga, mu):
                 return None
     return values
 
@@ -424,20 +426,20 @@ def translator_pp(spec: TranslatorSpec, adjust: Poly) -> tuple[bool, bool]:
     g_values = _translator_values(spec)
     if g_values is None:
         raise PreconditionError("spec is not a linear translator")
-    if {v.code for v in g_values} != member_codes:
+    if set(g_values) != member_codes:
         raise PreconditionError("g must map onto the subspace")
     adjusted = {u.code: adjust.eval(u) for u in members}
     if any(v.code not in member_codes for v in adjusted.values()):
         raise PreconditionError("adjust must map the subspace into itself")
     small = {(u + spec.translate.eval(adjusted[u.code])).code for u in members}
     small_bijective = len(small) == len(members)
-    big = {(a + adjusted[g_values[a.code].code]).code for a in field.elements()}
+    add = field.add
+    big = {add(a, adjusted[ga].code) for a, ga in enumerate(g_values)}
     big_bijective = len(big) == field.q
     if small_bijective != big_bijective:
         raise InvariantViolation(
             "subspace-side verdict disagrees with the full permutation scan")
-    doubled = {(a + a + adjusted[g_values[a.code].code]).code
-               for a in field.elements()}
+    doubled = {add(add(a, a), adjusted[ga].code) for a, ga in enumerate(g_values)}
     return big_bijective, len(doubled) == field.q
 
 

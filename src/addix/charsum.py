@@ -52,13 +52,10 @@ class MultChar:
         return f"MultChar({self.field!r}, {self.index})"
 
 
-def char_sum(poly: Poly, chi: MultChar, values=None) -> complex:
-    """sum over the field of chi(poly(x)); values may carry precomputed
-    poly evaluations in code order."""
-    if values is None:
-        values = [poly.eval(a) for a in poly.field.elements()]
+def char_sum(poly: Poly, chi: MultChar) -> complex:
+    """sum over the field of chi(poly(x))."""
     total = 0j
-    for v in values:
+    for v in map(poly.field.from_code, poly.values()):
         total += chi(v)
     return total
 
@@ -116,17 +113,19 @@ def bound_report(poly: Poly, chi: MultChar, *, decomposition=None,
                  values=None) -> CharSumReport:
     """Full bound comparison for one polynomial and one nontrivial character.
 
-    decomposition/values allow sweep drivers to reuse work; the measured sum
-    must respect the additive bound or InvariantViolation is raised with the
-    counterexample.
+    decomposition and values (elements, in code order) let sweep drivers reuse
+    work; the measured sum must respect the additive bound or
+    InvariantViolation is raised with the counterexample.
     """
     if chi.is_trivial():
         raise PreconditionError("bound report needs a nontrivial character")
     field = poly.field
+    if chi.field is not field and chi.field != field:
+        raise PreconditionError("character and polynomial belong to different fields")
     n, p, q = field.n, field.p, field.q
     dec = decomposition if decomposition is not None else maximal_decomposition(poly)
     if values is None:
-        values = [dec.poly.eval(a) for a in field.elements()]
+        values = map(field.from_code, dec.poly.values())
     logs = [field.dlog(v) for v in values if v.code]
     gd = dec.gcd_degree  # both share the root 0, so gd >= 1 and is a p-power
     m = 0

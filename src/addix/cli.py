@@ -16,8 +16,8 @@ import sys
 
 from .analysis import (TranslatorSpec, construct_prescribed_cycles,
                        cycle_structure, inverse_pp, is_involution,
-                       is_linear_translator, is_permutation, translator_pp,
-                       value_set_bounds, value_set_size)
+                       is_linear_translator, is_permutation, round_trips,
+                       translator_pp, value_set_bounds, value_set_size)
 from .charsum import MultChar, bound_report, char_sum
 from .decompose import decompose_with, maximal_decomposition
 from .errors import InvariantViolation, ParseError, PreconditionError
@@ -126,8 +126,7 @@ def _cmd_invert(args):
     field = parse_field_spec(args.field)
     poly = parse_poly(args.poly, field)
     inverse = inverse_pp(poly)
-    ok = all(inverse.eval(poly.eval(y)) == y for y in field.elements())
-    if not ok:
+    if not round_trips(inverse, poly):
         raise InvariantViolation(f"inverse round-trip failed for {args.poly!r}")
     _emit({"inverse": poly_to_str(inverse), "roundtrip_checked": True}, args.format)
     return 0
@@ -154,14 +153,10 @@ def _cmd_involution(args):
     field = parse_field_spec(args.field)
     poly = parse_poly(args.poly, field)
     report = is_involution(poly)
-    brute = all(poly.eval(poly.eval(y)) == y for y in field.elements())
+    brute = round_trips(poly, poly)
     if report.is_involution != brute:
         raise InvariantViolation(f"involution certificate disagrees with brute force for {args.poly!r}")
-    _emit({"is_involution": report.is_involution,
-           "image_equals_kernel": report.image_equals_kernel,
-           "restriction_order_two": report.restriction_order_two,
-           "reps_return": report.reps_return,
-           "brute": brute}, args.format)
+    _emit({**dataclasses.asdict(report), "brute": brute}, args.format)
     return 0
 
 
@@ -221,7 +216,7 @@ def _charsum_sweep(field: Field, args):
         if poly.degree < 1:
             continue
         dec = maximal_decomposition(poly)
-        values = [dec.poly.eval(a) for a in field.elements()]
+        values = list(map(field.from_code, dec.poly.values()))
         for j in range(1, field.q - 1):
             report = bound_report(poly, MultChar(field, j),
                                   decomposition=dec, values=values)

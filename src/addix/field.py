@@ -420,9 +420,12 @@ class Field:
 
     def dlog(self, a: Elt) -> int:
         """Exponent m in [0, q-2] with primitive**m == a; a must be nonzero."""
+        if a.field is not self and a.field != self:
+            raise PreconditionError("element belongs to a different field")
         if a.code == 0:
             raise PreconditionError("discrete log of zero is undefined")
-        self._ensure_tables()
+        if self._exp is None:
+            self._ensure_tables()
         return self._log[a.code]
 
     def __eq__(self, other):

@@ -229,6 +229,17 @@ class Poly(CodeVector):
             acc = add(mul(acc, x), c)
         return field.from_code(acc)
 
+    def values(self):
+        """Codes of self at every field element, in code order, by Horner.
+        A generator, so a scan that decides early stops early."""
+        add, mul = self.field.add, self.field.mul
+        codes = self.codes[::-1]
+        for x in range(self.field.q):
+            acc = 0
+            for c in codes:
+                acc = add(mul(acc, x), c)
+            yield acc
+
     def compose(self, inner: "Poly") -> "Poly":
         """self(inner(x))."""
         if self.degree <= 0:

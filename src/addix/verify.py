@@ -16,8 +16,9 @@ from dataclasses import dataclass, field as dc_field
 from .analysis import (TranslatorSpec, _collision_witness,
                        construct_prescribed_cycles, cycle_structure,
                        inverse_pp, is_involution, is_linear_translator,
-                       is_permutation, quotient_pp_criterion, translation_pp,
-                       translator_pp, value_set_bounds, value_set_size)
+                       is_permutation, quotient_pp_criterion, round_trips,
+                       translation_pp, translator_pp, value_set_bounds,
+                       value_set_size)
 from .charsum import MultChar, bound_report, char_sum_affine
 from .decompose import (additive_index, additive_kernel, maximal_decomposition)
 from .errors import InvariantViolation, PreconditionError
@@ -227,11 +228,10 @@ def suite_inverse_roundtrip(seed: int = 3, max_q: int | None = None) -> Criterio
     for field in _fields([(2, 4), (3, 3)], max_q):
         for poly in _sample_pps(rng, field, 200):
             inverse = inverse_pp(poly)
-            els = field.elements()
-            if not all(inverse.eval(poly.eval(y)) == y for y in els):
+            if not round_trips(inverse, poly):
                 return CriterionResult("inverse-roundtrip", False,
                                        f"left inverse failed for {poly!r}")
-            if not all(poly.eval(inverse.eval(y)) == y for y in els):
+            if not round_trips(poly, inverse):
                 return CriterionResult("inverse-roundtrip", False,
                                        f"right inverse failed for {poly!r}")
             if additive_index(inverse) != additive_index(poly):
@@ -360,7 +360,7 @@ def suite_character_bounds(seed: int = 6, max_q: int | None = None) -> Criterion
                 samples.append(poly)
         for poly in samples:
             dec = maximal_decomposition(poly)
-            values = [dec.poly.eval(a) for a in field.elements()]
+            values = list(map(field.from_code, dec.poly.values()))
             for chi in chars:
                 report = bound_report(poly, chi, decomposition=dec, values=values)
                 if (field.q == 64 and report.nontrivial_regime
@@ -411,7 +411,7 @@ def suite_involution_translator(seed: int = 7, max_q: int | None = None) -> Crit
             if poly.degree < 1:
                 continue
             report = is_involution(poly)
-            brute = all(poly.eval(poly.eval(y)) == y for y in field.elements())
+            brute = round_trips(poly, poly)
             if report.is_involution != brute:
                 return CriterionResult(
                     "involution-translator", False,
@@ -482,8 +482,7 @@ def _random_translator_instance(rng: random.Random, field: Field):
         members = sub.elements()
         shifts = [(s, rng.choice(members)) for s in image_elements(base)]
         g_poly = g_poly + lagrange_interpolate(field, shifts).compose(base.to_poly())
-        onto = {g_poly.eval(a).code for a in field.elements()}
-        if onto != {m.code for m in members}:
+        if set(g_poly.values()) != {m.code for m in members}:
             return None, None
     members = sub.elements()
     adjust = lagrange_interpolate(field, [(m, rng.choice(members)) for m in members])

@@ -3,12 +3,13 @@ from collections import Counter
 
 import pytest
 
-from addix.analysis import (TranslatorSpec, agw_check,
+from addix.analysis import (TranslatorSpec, _collision_witness, agw_check,
                             construct_prescribed_cycles, cycle_structure,
                             inverse_pp, is_involution, is_linear_translator,
-                            is_permutation, quotient_pp_criterion,
+                            is_permutation, quotient_pp_criterion, round_trips,
                             translation_pp, translator_pp, value_set_bounds,
                             value_set_size)
+from addix.charsum import MultChar, char_sum
 from addix.decompose import additive_index
 from addix.errors import PreconditionError
 from addix.field import Field
@@ -297,17 +298,23 @@ def test_translator_pp_scans_g_once(monkeypatch):
     g = parse_poly("x^3+x", F9)
     spec = TranslatorSpec(g=g, subspace=subfield(F9, 1),
                           translate=is_linearized(parse_poly("2*x", F9)))
-    evals = []
-    plain_eval = Poly.eval
+    scans, evals = [], []
+    plain_values, plain_eval = Poly.values, Poly.eval
+
+    def counting_values(self):
+        if self is g:
+            scans.append(self)
+        return plain_values(self)
 
     def counting_eval(self, point):
         if self is g:
             evals.append(point.code)
         return plain_eval(self, point)
 
+    monkeypatch.setattr(Poly, "values", counting_values)
     monkeypatch.setattr(Poly, "eval", counting_eval)
     assert translator_pp(spec, Poly.zero(F9)) == (True, True)
-    assert sorted(evals) == list(range(F9.q))
+    assert len(scans) == 1 and evals == []
 
 
 def test_translator_m_zero_instance():
@@ -320,6 +327,86 @@ def test_translator_m_zero_instance():
         h = lagrange_interpolate(F4, [(m, rng.choice(members)) for m in members])
         is_pp, _ = translator_pp(spec, h)
         assert is_pp  # u + M(h(u)) = u is always a bijection
+
+
+# -- full-field value scans
+
+
+def test_collision_witness_scan_is_lazy(monkeypatch):
+    """x^2 + x collides at codes 0 and 1; the witness scan stops there, a
+    few multiplications in, where a value table of GF(2^12) takes ~12,000."""
+    field = Field(2, 12)
+    field.elements()  # the element cache that from_code reads
+    poly = parse_poly("x^2+x", field)
+    calls = 0
+    mul = Field.mul
+
+    def counted(self, a, b):
+        nonlocal calls
+        calls += 1
+        return mul(self, a, b)
+
+    monkeypatch.setattr(Field, "mul", counted)
+    witness = _collision_witness(poly)
+    monkeypatch.undo()
+    assert [w.code for w in witness] == [0, 1]
+    assert calls <= 36
+
+
+def test_round_trips_matches_double_eval():
+    """round_trips(f, g) agrees with evaluating f(g(y)) == y point by point
+    on inverse pairs, involutions (the p = 2 constructions) and
+    non-permutations."""
+    def by_eval(f, g):
+        return all(f.eval(g.eval(y)) == y for y in g.field.elements())
+
+    rng = random.Random(83)
+    pairs = []
+    for field in (F9, F16):
+        for fixed in range(0, field.q + 1, field.p):
+            perm = construct_prescribed_cycles(field, fixed)
+            inverse = inverse_pp(perm)
+            pairs += [(inverse, perm), (perm, inverse), (perm, perm)]
+        for _ in range(10):
+            poly = rand_poly(rng, field, 6)
+            pairs += [(poly, poly), (Poly.x(field), poly), (poly, Poly.x(field))]
+    verdicts = [round_trips(f, g) for f, g in pairs]
+    assert verdicts == [by_eval(f, g) for f, g in pairs]
+    assert verdicts.count(True) > 20 and verdicts.count(False) > 20
+    with pytest.raises(PreconditionError):
+        round_trips(Poly.x(F9), Poly.x(F16))
+
+
+def test_value_scans_call_no_field_elements(monkeypatch):
+    """The full-field routes read Poly.values: with Field.elements disabled
+    they answer as before over GF(2^6)."""
+    field = Field(2, 6)
+    field.elements()  # the element cache that from_code reads
+    rng = random.Random(64)
+    dense = rand_poly(rng, field, 9)
+    perm = construct_prescribed_cycles(field, 8)
+    # relative trace x + x^4 + x^16 onto GF(4), with M(u) = 3u = u there
+    trace = LinearizedPoly(field, (field.one, field.zero) * 3)
+    spec = TranslatorSpec(g=trace.to_poly(), subspace=subfield(field, 2),
+                          translate=LinearizedPoly.identity(field))
+    chi = MultChar(field, 5)
+
+    def answers():
+        return (value_set_bounds(dense), value_set_bounds(perm),
+                is_permutation(dense, "certificate"), is_permutation(dense, "brute"),
+                is_permutation(perm, "certificate"), is_permutation(perm, "brute"),
+                cycle_structure(perm), translator_pp(spec, Poly.one(field)),
+                char_sum(dense, chi), char_sum(perm, chi))
+
+    expected = answers()
+    assert expected[4].is_pp and expected[6] == Counter({1: 8, 2: 28})
+    assert expected[7] == (True, False) and abs(expected[9]) < 1e-9
+
+    def scan(self):
+        raise AssertionError("scan over every field element")
+
+    monkeypatch.setattr(Field, "elements", scan)
+    assert answers() == expected
 
 
 # -- commutative-diagram criterion

@@ -19,6 +19,26 @@ F16 = Field(2, 4)
 TOL = 1e-9
 
 
+@pytest.mark.parametrize("case", ["call", "char_sum", "affine", "bound_report"])
+def test_characters_refuse_other_fields(case):
+    """A character of GF(16) is never applied to elements of GF(9), nor one
+    of GF(9) to a polynomial over GF(16)."""
+    chi = MultChar(F16, 1)
+    poly = parse_poly("x^3+x", F9)
+    with pytest.raises(PreconditionError):
+        if case == "call":
+            chi(F9.from_code(5))
+        elif case == "char_sum":
+            char_sum(poly, chi)
+        elif case == "affine":
+            char_sum_affine(chi, F9.from_code(2), Subspace(F9, [F9.one]))
+        else:
+            bound_report(poly, chi)
+    if case == "bound_report":
+        with pytest.raises(PreconditionError):
+            bound_report(parse_poly("x^3+x", F16), MultChar(F9, 1))
+
+
 def test_char_eval_examples():
     trivial = MultChar(F9, 0)
     for a in F9.elements():

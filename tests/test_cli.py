@@ -87,6 +87,12 @@ def test_construct_cycles(capsys):
 def test_involution_verb(capsys):
     code, record = run_json(capsys, "involution", "--field", "3^2", "--poly=-x")
     assert code == 0 and record["is_involution"] is True
+    code, out = run(capsys, "involution", "--field", "2^4", "--poly", "x^2",
+                    "--format", "text")
+    assert code == 0
+    assert out.splitlines() == ["is_involution: False", "image_equals_kernel: True",
+                                "restriction_order_two: False", "reps_return: True",
+                                "brute: False"]
 
 
 def test_translator_verb(capsys):

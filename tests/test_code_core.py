@@ -182,6 +182,7 @@ def test_eval_at_every_point_matches_reference(field):
         ac = list(a.coeffs)
         for x in field.elements():
             assert a.eval(x) == ref_eval(field, ac, x)
+        assert list(a.values()) == [ref_eval(field, ac, x).code for x in field.elements()]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=IDS)
