@@ -216,10 +216,8 @@ def _charsum_sweep(field: Field, args):
         if poly.degree < 1:
             continue
         dec = maximal_decomposition(poly)
-        values = list(map(field.from_code, dec.poly.values()))
         for j in range(1, field.q - 1):
-            report = bound_report(poly, MultChar(field, j),
-                                  decomposition=dec, values=values)
+            report = bound_report(poly, MultChar(field, j), decomposition=dec)
             weil = "" if report.weil_bound is None else f"{report.weil_bound:.6f}"
             print(f"{pid},{j},{report.magnitude:.6f},{report.additive_bound:.6f},"
                   f"{weil},{report.trivial_bound}")

@@ -230,14 +230,22 @@ class Poly(CodeVector):
         return field.from_code(acc)
 
     def values(self):
-        """Codes of self at every field element, in code order, by Horner.
-        A generator, so a scan that decides early stops early."""
-        add, mul = self.field.add, self.field.mul
-        codes = self.codes[::-1]
-        for x in range(self.field.q):
-            acc = 0
-            for c in codes:
-                acc = add(mul(acc, x), c)
+        """Codes of self at every field element, in code order, by Horner
+        over the nonzero terms: a gap of g > 1 exponents between two of them
+        costs one x^g by Field.pow, so a sparse polynomial costs by its terms,
+        not its degree.  A generator, so a scan that decides early stops early."""
+        field = self.field
+        add, mul, pw = field.add, field.mul, field.pow
+        terms = [(e, c) for e, c in enumerate(self.codes) if c][::-1] or [(0, 0)]
+        lead = terms[0][1]
+        steps = [(high - e, c) for (high, _), (e, c) in zip(terms, terms[1:])]
+        low = terms[-1][0]
+        for x in range(field.q):
+            acc = lead
+            for gap, c in steps:
+                acc = add(mul(acc, x if gap == 1 else pw(x, gap)), c)
+            if low:
+                acc = mul(acc, x if low == 1 else pw(x, low))
             yield acc
 
     def compose(self, inner: "Poly") -> "Poly":

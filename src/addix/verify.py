@@ -163,15 +163,21 @@ def suite_value_sets(seed: int = 2, max_q: int | None = None) -> CriterionResult
 
 
 def suite_pp_certificates(seed: int = 2, max_q: int | None = None) -> CriterionResult:
-    """Certificate verdicts match brute permutation scans, and every
-    quotient-criterion-eligible instance agrees with the quotient test."""
+    """Certificate verdicts match brute force (a permutation's values are
+    all distinct, a non-permutation's witness is a real collision), and
+    every quotient-criterion-eligible instance agrees with the quotient test."""
     rng = random.Random(seed)
     checked = eligible = 0
     for field in _fields(VALUESET_FIELDS, max_q):
         for _ in range(500):
             poly = _random_poly(rng, field, 12)
             cert = is_permutation(poly, "certificate")
-            if cert.is_pp != (_collision_witness(poly) is None):
+            if cert.is_pp:  # the certificate scanned nothing: scan every value
+                agrees = len(set(poly.values())) == field.q
+            else:  # its witness came from a scan: check the collision itself
+                w = cert.witness
+                agrees = w is not None and w[0] != w[1] and poly.eval(w[0]) == poly.eval(w[1])
+            if not agrees:
                 return CriterionResult(
                     "pp-certificates", False,
                     f"certificate disagrees with brute scan for {poly!r}")
@@ -360,9 +366,8 @@ def suite_character_bounds(seed: int = 6, max_q: int | None = None) -> Criterion
                 samples.append(poly)
         for poly in samples:
             dec = maximal_decomposition(poly)
-            values = list(map(field.from_code, dec.poly.values()))
             for chi in chars:
-                report = bound_report(poly, chi, decomposition=dec, values=values)
+                report = bound_report(poly, chi, decomposition=dec)
                 if (field.q == 64 and report.nontrivial_regime
                         and report.weil_applicable
                         and report.additive_bound < report.weil_bound

@@ -19,6 +19,7 @@ P(x) + x = 2x + h(g(x)) permutes GF(q) iff u -> 2u + M(h(u)) permutes U; for
 p = 2, P(x) + x = h(g(x)) takes at most |U| values, so it never permutes.
 """
 
+import dataclasses
 import random
 
 from addix import (Field, LinearizedPoly, Poly, TranslatorSpec, parse_poly,
@@ -58,6 +59,38 @@ def test_criterion_03_value_set_equivalence():
 
 def test_criterion_04_pp_certificate_equivalence():
     _report(4, suite_pp_certificates(seed=2))
+
+
+def test_pp_certificates_scan_each_polynomial_once(monkeypatch):
+    """The suite checks a non-permutation's witness at its two points and
+    scans only the permutations, so every polynomial is scanned once."""
+    scans = []
+    values = Poly.values
+
+    def counted(self):
+        scans.append(self)
+        return values(self)
+
+    monkeypatch.setattr(Poly, "values", counted)
+    result = suite_pp_certificates(max_q=8)
+    assert result.passed and result.detail.startswith("500 polynomials")
+    assert len(scans) == 500
+
+
+def test_pp_certificates_reject_a_false_witness(monkeypatch):
+    import addix.verify as verify
+    certify = verify.is_permutation
+
+    def false_witness(poly, method):
+        cert = certify(poly, method)
+        if cert.is_pp:
+            return cert
+        zero = poly.field.zero  # one point twice is no collision
+        return dataclasses.replace(cert, witness=(zero, zero))
+
+    monkeypatch.setattr(verify, "is_permutation", false_witness)
+    result = suite_pp_certificates(max_q=8)
+    assert not result.passed and "disagrees with brute scan" in result.detail
 
 
 def test_criterion_05_inverse_roundtrip():

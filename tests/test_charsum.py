@@ -4,11 +4,14 @@ import random
 
 import pytest
 
+import addix.charsum as charsum
 from addix.charsum import (MultChar, _power_coset_flag, bound_report,
                            char_sum, char_sum_affine)
+from addix.cli import main
+from addix.decompose import maximal_decomposition
 from addix.errors import PreconditionError
 from addix.field import Field
-from addix.linearized import Subspace, vanishing_poly
+from addix.linearized import LinearizedPoly, Subspace, vanishing_poly
 from addix.poly import Poly, parse_poly
 
 F4 = Field(2, 2)
@@ -19,15 +22,17 @@ F16 = Field(2, 4)
 TOL = 1e-9
 
 
-@pytest.mark.parametrize("case", ["call", "char_sum", "affine", "bound_report"])
+@pytest.mark.parametrize("case", ["call", "zero", "char_sum", "affine", "bound_report"])
 def test_characters_refuse_other_fields(case):
-    """A character of GF(16) is never applied to elements of GF(9), nor one
-    of GF(9) to a polynomial over GF(16)."""
+    """A character of GF(16) is never applied to elements of GF(9), its zero
+    included, nor one of GF(9) to a polynomial over GF(16)."""
     chi = MultChar(F16, 1)
     poly = parse_poly("x^3+x", F9)
     with pytest.raises(PreconditionError):
         if case == "call":
             chi(F9.from_code(5))
+        elif case == "zero":
+            chi(F9.zero)
         elif case == "char_sum":
             char_sum(poly, chi)
         elif case == "affine":
@@ -178,3 +183,156 @@ def test_power_coset_flag_matches_divisor_loop(p, n):
         assert _power_coset_flag(field, logs) == expected, poly
         seen.add(expected)
     assert seen == {True, False}
+
+
+# -- every character from one transform
+
+
+SPECTRUM_FIELDS = [(2, n) for n in range(2, 9)] + [(3, n) for n in range(1, 6)] + [
+    (5, 1), (5, 2), (5, 3), (7, 1), (7, 2)]
+
+
+def _structured(rng, field, dim, outer_deg):
+    """outer(S(x)) + M(x) with S vanishing on a random dim-dimensional
+    subspace and deg M < deg S."""
+    basis = []
+    while len(basis) < dim:
+        cand = field.from_code(rng.randrange(1, field.q))
+        if not Subspace(field, basis).contains(cand):
+            basis.append(cand)
+    base = vanishing_poly(Subspace(field, basis)).to_poly()
+    outer = Poly.from_codes(field, [rng.randrange(field.q) for _ in range(outer_deg)] + [1])
+    linear = LinearizedPoly.from_codes(field, [rng.randrange(field.q) for _ in range(dim)])
+    return outer.compose(base) + linear.to_poly()
+
+
+def _inputs(field, seed):
+    """A random, a structured and a linearized polynomial over field."""
+    rng = random.Random(seed)
+    dense = Poly.from_codes(field, [rng.randrange(field.q) for _ in range(6)] + [1])
+    top = min(field.n - 1, 2)  # degrees stay at most 2 * p^2, so char_sum stays cheap
+    linear = LinearizedPoly.from_codes(field, [rng.randrange(field.q) for _ in range(top)] + [1])
+    return [dense, _structured(rng, field, rng.randint(0, top), 2), linear.to_poly()]
+
+
+def _sweep(poly, chars):
+    dec = maximal_decomposition(poly)
+    return [bound_report(poly, chi, decomposition=dec) for chi in chars], dec
+
+
+@pytest.mark.parametrize("p,n", SPECTRUM_FIELDS, ids=[f"{p}^{n}" for p, n in SPECTRUM_FIELDS])
+def test_sweep_sums_match_char_sum(p, n):
+    """Every report of a sweep, the first summed directly and the rest read
+    off the spectrum, is the oracle's sum within the stated FFT margin."""
+    field = Field(p, n)
+    chars = [MultChar(field, j) for j in range(1, field.q - 1)]
+    for poly in _inputs(field, p * 100 + n):
+        reports, dec = _sweep(poly, chars)
+        margin = dec.__dict__["_value_profile"].margin
+        assert 0 < margin < 1e-9
+        for chi, report in zip(chars, reports):
+            assert abs(report.value - char_sum(poly, chi)) <= margin, (poly, chi)
+
+
+@pytest.mark.parametrize("n", [10, 12])
+def test_spectrum_matches_char_sum_sampled(n):
+    field = Field(2, n)
+    rng = random.Random(n)
+    for poly in (_structured(rng, field, 3, 3),
+                 Poly.from_codes(field, [rng.randrange(field.q) for _ in range(5)] + [1])):
+        sample = [MultChar(field, j) for j in [1] + rng.sample(range(2, field.q - 1), 12)]
+        reports, dec = _sweep(poly, sample)  # all but the first read the spectrum
+        margin = dec.__dict__["_value_profile"].margin
+        for chi, report in zip(sample, reports):
+            assert abs(report.value - char_sum(poly, chi)) <= margin
+
+
+def _count(monkeypatch, owner, name):
+    calls = []
+    orig = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_one_transform_per_polynomial(monkeypatch, capsys):
+    """A sweep takes one spectrum (three FFTs) and one dlog per nonzero value
+    for each polynomial; a single report takes neither transform."""
+    spectra = _count(monkeypatch, charsum, "_spectrum")
+    ffts = _count(monkeypatch, charsum, "_fft")
+    dlogs = _count(monkeypatch, Field, "dlog")
+    field = Field(2, 6)
+    poly = parse_poly("x^3+[3]*x", field)
+    bound_report(poly, MultChar(field, 5))
+    assert spectra == [] and ffts == []
+    dlogs.clear()
+    _sweep(poly, [MultChar(field, j) for j in range(1, 63)])
+    assert len(spectra) == 1 and len(ffts) == 3
+    assert len(dlogs) == sum(1 for v in poly.values() if v)
+    spectra.clear()
+    assert main(["charsum", "--field", "2^6", "--sweep", "3", "--seed", "0"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 3 * 62
+    assert len(spectra) == 3
+
+
+def test_near_bound_transform_values_are_recomputed(monkeypatch):
+    """A transform magnitude at the violation threshold, or within the FFT
+    margin below it, is replaced by the direct sum; one below the margin is
+    reported as the transform gave it."""
+    field = Field(2, 6)
+    poly = parse_poly("x^3+[3]*x", field)
+    chars = [MultChar(field, j) for j in range(1, 63)]
+    bound = bound_report(poly, chars[0]).additive_bound
+    limit = bound + charsum._TOL
+    real = charsum._spectrum
+    skew = {3: limit,  # would be a violation
+            4: complex(0, limit - 1e-12),  # inside the margin below it
+            5: char_sum(poly, chars[4]) + 0.25}  # far below: taken as given
+
+    def perturbed(hist):
+        spec = real(hist)
+        for j, value in skew.items():
+            spec[j] = value
+        return spec
+
+    monkeypatch.setattr(charsum, "_spectrum", perturbed)
+    dec = maximal_decomposition(poly)
+    reports = [bound_report(poly, chi, decomposition=dec) for chi in chars]
+    margin = dec.__dict__["_value_profile"].margin
+    assert 1e-12 < margin
+    for j in (3, 4):
+        assert abs(reports[j - 1].value - char_sum(poly, chars[j - 1])) <= margin
+        assert reports[j - 1].magnitude < bound
+    assert reports[4].value == skew[5]
+
+
+def test_values_argument_is_honoured_after_the_memo():
+    """values that are not the polynomial's values give their own sum,
+    flag and refusal, however the memo on the decomposition was built."""
+    field = Field(3, 3)
+    rng = random.Random(5)
+    poly = _structured(rng, field, 1, 2)
+    other = Poly.from_codes(field, [rng.randrange(27) for _ in range(5)] + [1])
+    own = [field.from_code(c) for c in poly.values()]
+    foreign = [field.from_code(c) for c in other.values()]
+    dec = maximal_decomposition(poly)
+    chars = [MultChar(field, j) for j in range(1, 26)]
+    for chi in chars:
+        bound_report(poly, chi, decomposition=dec)
+    for chi in chars[:4]:
+        report = bound_report(poly, chi, decomposition=dec, values=foreign)
+        assert abs(report.value - sum(chi(v) for v in foreign)) < TOL
+        again = bound_report(poly, chi, decomposition=dec)
+        assert abs(again.value - char_sum(poly, chi)) < TOL
+        given = bound_report(poly, chi, decomposition=dec, values=iter(own))
+        assert abs(given.value - char_sum(poly, chi)) < TOL
+    constant = [field.from_code(2)] * field.q  # a perfect power: Weil is off
+    assert bound_report(poly, chars[0], decomposition=dec).weil_applicable
+    assert not bound_report(poly, chars[0], decomposition=dec,
+                            values=constant).weil_applicable
+    with pytest.raises(PreconditionError):
+        bound_report(poly, chars[0], decomposition=dec, values=own + [F9.one])

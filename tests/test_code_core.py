@@ -183,6 +183,36 @@ def test_eval_at_every_point_matches_reference(field):
         for x in field.elements():
             assert a.eval(x) == ref_eval(field, ac, x)
         assert list(a.values()) == [ref_eval(field, ac, x).code for x in field.elements()]
+    # sparse: gaps of one and of many, exponents past q, a trailing x^k
+    # factor, the zero polynomial
+    for terms in ({0: 1}, {1: 2}, {70: 1, 2: 1}, {40: 1, 7: 3, 6: 1, 1: 2}, {}):
+        codes = [0] * (max(terms, default=-1) + 1)
+        for e, c in terms.items():
+            codes[e] = c % field.q
+        a = Poly.from_codes(field, codes)
+        ac = list(a.coeffs)
+        assert list(a.values()) == [ref_eval(field, ac, x).code for x in field.elements()]
+
+
+def test_values_cost_by_nonzero_terms(monkeypatch):
+    """A full scan of x^2049 + x = x(x + 1)^2048 over GF(2^12) takes two
+    multiplications and one power per point; Horner over every coefficient
+    would take 2,050 multiplications."""
+    field = Field(2, 12)
+    codes = [0] * 2050
+    codes[2049] = codes[1] = 1
+    poly = Poly.from_codes(field, codes)
+    calls = 0
+    for name in ("mul", "pow"):
+        def counted(self, a, b, orig=getattr(Field, name)):
+            nonlocal calls
+            calls += 1
+            return orig(self, a, b)
+        monkeypatch.setattr(Field, name, counted)
+    zeros = [x for x, v in enumerate(poly.values()) if v == 0]
+    monkeypatch.undo()
+    assert zeros == [0, 1]
+    assert calls == 3 * field.q
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=IDS)
