@@ -31,16 +31,19 @@ def _image_subspace(dec: AdditiveDecomposition) -> Subspace:
 
 
 def _coset_count(dec: AdditiveDecomposition, w: Subspace) -> int:
-    """Number of cosets of W that poly's image meets, read off its values at
-    the kernel's canonical coset representatives."""
-    return len({w.coset_key(dec.poly.eval(z)) for z in coset_reps(dec.kernel).reps})
+    """Number of cosets of W that poly's image meets, read off its value
+    table at the kernel's canonical coset representatives."""
+    values, from_code = dec.values, dec.poly.field.from_code
+    return len({w.coset_key(from_code(values[z.code]))
+                for z in coset_reps(dec.kernel).reps})
 
 
 def value_set_size(poly: Poly, method: str = "theorem") -> tuple[int, int]:
     """(|image of poly|, number of distinct image cosets).
 
-    The theorem path evaluates only at coset representatives and scales by
-    the size of the image subspace; brute counts the image directly.  The
+    The theorem path reads the decomposition's value table only at coset
+    representatives and scales by the size of the image subspace; brute
+    counts the image of the polynomial itself directly.  The
     coset count is always derived from the image-subspace structure.
     """
     if poly.degree < 1:
@@ -77,7 +80,7 @@ def value_set_bounds(poly: Poly) -> ValueSetBounds:
     field = poly.field
     q = field.q
     dec = maximal_decomposition(poly)
-    size = len(set(dec.poly.values()))
+    size = len(set(dec.values))
     threshold = q - dec.subspace_poly.degree
     is_pp = size == q
     implication_holds = is_pp or dec.gcd_degree != 1 or size <= threshold
@@ -193,7 +196,8 @@ def inverse_pp(poly: Poly) -> Poly:
         raise PreconditionError("inverse needs degree >= 1")
     field = poly.field
     dec = maximal_decomposition(poly)
-    if _collision_witness(dec.poly) is not None:
+    values = dec.values
+    if len(set(values)) != field.q:
         raise PreconditionError("polynomial is not a permutation")
     w = _image_subspace(dec)
     base0 = vanishing_poly(w)
@@ -202,7 +206,7 @@ def inverse_pp(poly: Poly) -> Poly:
     points = []
     seen = set()
     for z in coset_reps(dec.kernel).reps:
-        image = dec.poly.eval(z)
+        image = field.from_code(values[z.code])
         abscissa = base0.eval(image)
         if abscissa.code in seen:
             raise InvariantViolation("coset images collided while inverting a permutation")

@@ -234,11 +234,12 @@ class _ValueProfile:
 
 def _value_profile(field: Field, dec, values) -> _ValueProfile:
     """The profile memoised on the decomposition, rebuilt whenever field or
-    values differ from its snapshot (None stands for dec.poly.values())."""
+    values differ from its snapshot (None stands for the decomposition's
+    value table, dec.values)."""
     key = None if values is None else tuple(values)
     profile = dec.__dict__.get("_value_profile")
     if profile is None or profile.field != field or profile.key != key:
-        elts = map(field.from_code, dec.poly.values()) if key is None else key
+        elts = map(field.from_code, dec.values) if key is None else key
         profile = _ValueProfile(field, key, elts)
         dec.__dict__["_value_profile"] = profile
     return profile

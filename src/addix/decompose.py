@@ -9,7 +9,7 @@ classical multiplicative index used for bound comparisons.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from math import gcd as int_gcd
 
 from .errors import InvariantViolation, PreconditionError
@@ -46,6 +46,18 @@ class AdditiveDecomposition:
         at least 1, and 1 is the permutation certificate's first condition."""
         return poly_gcd(self.subspace_poly.to_poly(), self.linear_part.to_poly()).degree
 
+    @cached_property
+    def values(self) -> list[int]:
+        """Codes of poly at every field element, in code order (read-only),
+        by P = outer(S) + M: S and M are tabulated by linearity, and outer is
+        evaluated once per distinct value of S, p^(n - dim kernel) points."""
+        s_table = self.subspace_poly.values()
+        points = list(dict.fromkeys(s_table))
+        outer_at = dict(zip(points, self.outer.values_at(points)))
+        add = self.poly.field.add
+        return [add(outer_at[s], m)
+                for s, m in zip(s_table, self.linear_part.values())]
+
 
 @dataclass(frozen=True)
 class PartialDecomposition:
@@ -79,7 +91,12 @@ def _maximal_subspace_poly(poly: Poly) -> tuple[LinearizedPoly, Subspace]:
     bands = [f for f in shift_expand(poly) if not f.is_zero()]
     if not bands:
         return xq_minus_x_linearized(field), Subspace.full(field)
-    g = gcd_with_xq_minus_x(reduce(poly_gcd, bands))
+    g = bands[0]
+    for band in bands[1:]:
+        if g.degree == 1:
+            break  # every band is divisible by x, so the gcd is x already
+        g = poly_gcd(g, band)
+    g = gcd_with_xq_minus_x(g)
     sub_poly = is_linearized(g)
     if sub_poly is None:
         raise InvariantViolation("gcd of the bands with x^q - x is not linearized")
@@ -145,21 +162,32 @@ def maximal_decomposition(poly: Poly) -> AdditiveDecomposition:
     constant above index zero with a linearized zeroth digit; observing
     anything else is a structural impossibility and raises
     InvariantViolation rather than being silently repaired.
+
+    The result is memoised on poly, so later calls with the same object
+    return the same decomposition with its cached tables.
     """
+    dec = getattr(poly, "_decomposition", None)
+    if dec is not None:
+        return dec
     if poly.degree < 1:
         raise PreconditionError("decomposition needs degree >= 1")
-    poly = _canonical_input(poly)
+    reduced = _canonical_input(poly)
     field = poly.field
-    sub_poly, ker = _maximal_subspace_poly(poly)
-    outer, linear_part = _split(poly, sub_poly.to_poly())
-    return AdditiveDecomposition(
-        poly=poly,
+    sub_poly, ker = _maximal_subspace_poly(reduced)
+    outer, linear_part = _split(reduced, sub_poly.to_poly())
+    dec = AdditiveDecomposition(
+        # a copy, not poly itself: poly -> dec -> poly would be a reference
+        # cycle, and its q-entry value table would wait for the cyclic
+        # collector instead of going with the last reference to poly
+        poly=Poly._new(field, reduced.codes),
         outer=outer,
         subspace_poly=sub_poly,
         linear_part=linear_part,
         index=field.n - ker.dim,
         kernel=ker,
     )
+    poly._decomposition = dec
+    return dec
 
 
 def decompose_with(poly: Poly, base: LinearizedPoly) -> PartialDecomposition:

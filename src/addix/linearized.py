@@ -75,6 +75,21 @@ class LinearizedPoly(CodeVector):
             t = power(t, p)
         return field.from_code(acc)
 
+    def values(self) -> list[int]:
+        """Codes of self at every field element, in code order, by linearity
+        from its values on the basis e_i = p^i: the codes below p^(i+1) are
+        those below p^i plus d * L(e_i) for each digit d, so the table costs
+        q - 1 adds after n evaluations."""
+        field = self.field
+        add, p = field.add, field.p
+        table = [0]
+        for i in range(field.n):
+            image = self.eval(field.from_code(p ** i)).code
+            size = len(table)
+            for _ in range(p - 1):
+                table.extend([add(v, image) for v in table[-size:]])
+        return table
+
     def to_poly(self) -> Poly:
         if not self.codes:
             return Poly.zero(self.field)
@@ -177,7 +192,7 @@ class Subspace:
     compare equal structurally.
     """
 
-    __slots__ = ("field", "_rows", "_pivots", "basis")
+    __slots__ = ("field", "_rows", "_pivots", "basis", "_steps")
 
     def __init__(self, field: Field, generators=(), *, strict: bool = False):
         rows: list[list[int]] = []
@@ -197,6 +212,7 @@ class Subspace:
         self._rows = tuple(tuple(rows[i]) for i in order)
         self._pivots = tuple(pivots[i] for i in order)
         self.basis = tuple(field.from_coeffs(r) for r in self._rows)
+        self._steps = None
 
     @classmethod
     def full(cls, field):
@@ -210,16 +226,35 @@ class Subspace:
     def is_full(self) -> bool:
         return self.dim == self.field.n
 
+    def _reduce_code(self, v: int) -> int:
+        """Code of v - sum_j d_j(v) * row_j, d_j(v) the base-p digit of v at
+        pivot j.  Every other row is zero at pivot j, so subtracting rows
+        never changes the digits still to be read, and the result has every
+        pivot digit cleared.  The multiples -d * row_j are built on first
+        use, so a subspace that is never reduced pays nothing for them."""
+        field = self.field
+        p = field.p
+        if self._steps is None:
+            self._steps = [(p ** piv, [field.from_coeffs([-d * r for r in row]).code
+                                       for d in range(p)])
+                           for row, piv in zip(self._rows, self._pivots)]
+        add = field.add
+        out = v
+        for weight, multiples in self._steps:
+            d = v // weight % p
+            if d:
+                out = add(out, multiples[d])
+        return out
+
     def reduce(self, v: Elt) -> Elt:
         """Canonical representative of v + self (pivot coordinates cleared)."""
-        vec = _reduce(list(v.coeffs), self._rows, self._pivots, self.field.p)
-        return self.field.from_coeffs(vec)
+        return self.field.from_code(self._reduce_code(v.code))
 
     def coset_key(self, v: Elt) -> int:
-        return self.reduce(v).code
+        return self._reduce_code(v.code)
 
     def contains(self, v: Elt) -> bool:
-        return self.reduce(v).code == 0
+        return self._reduce_code(v.code) == 0
 
     __contains__ = contains
 

@@ -111,7 +111,10 @@ def _mul_codes(field: Field, a, b) -> list[int]:
 
 
 class Poly(CodeVector):
-    __slots__ = ()
+    # Memos of this immutable object, unset until first use: _horner holds
+    # the step list of values_at, _decomposition the AdditiveDecomposition
+    # that decompose.maximal_decomposition returns for it.
+    __slots__ = ("_horner", "_decomposition")
 
     # -- constructors
 
@@ -222,25 +225,27 @@ class Poly(CodeVector):
         return self.scale(self.leading().inv())
 
     def eval(self, point: Elt) -> Elt:
-        field = self.field
-        add, mul, x = field.add, field.mul, self._code(point)
-        acc = 0
-        for c in reversed(self.codes):
-            acc = add(mul(acc, x), c)
-        return field.from_code(acc)
+        return self.field.from_code(next(self.values_at((self._code(point),))))
 
     def values(self):
-        """Codes of self at every field element, in code order, by Horner
-        over the nonzero terms: a gap of g > 1 exponents between two of them
-        costs one x^g by Field.pow, so a sparse polynomial costs by its terms,
-        not its degree.  A generator, so a scan that decides early stops early."""
+        """Codes of self at every field element, in code order (lazy)."""
+        return self.values_at(range(self.field.q))
+
+    def values_at(self, points):
+        """Codes of self at each code in points, by Horner over the nonzero
+        terms: a gap of g > 1 exponents between two of them costs one x^g by
+        Field.pow, so a sparse polynomial costs by its terms, not its degree.
+        The step list is built once per polynomial, so eval pays for it once.
+        A generator, so a scan that decides early stops early."""
         field = self.field
         add, mul, pw = field.add, field.mul, field.pow
-        terms = [(e, c) for e, c in enumerate(self.codes) if c][::-1] or [(0, 0)]
-        lead = terms[0][1]
-        steps = [(high - e, c) for (high, _), (e, c) in zip(terms, terms[1:])]
-        low = terms[-1][0]
-        for x in range(field.q):
+        try:
+            lead, steps, low = self._horner
+        except AttributeError:
+            terms = [(e, c) for e, c in enumerate(self.codes) if c][::-1] or [(0, 0)]
+            steps = [(high - e, c) for (high, _), (e, c) in zip(terms, terms[1:])]
+            self._horner = lead, steps, low = terms[0][1], steps, terms[-1][0]
+        for x in points:
             acc = lead
             for gap, c in steps:
                 acc = add(mul(acc, x if gap == 1 else pw(x, gap)), c)

@@ -148,11 +148,13 @@ def suite_value_sets(seed: int = 2, max_q: int | None = None) -> CriterionResult
         for _ in range(500):
             poly = _random_poly(rng, field, 12)
             theorem_size, _ = value_set_size(poly, "theorem")
+            brute_size, _ = value_set_size(poly, "brute")
             bounds = value_set_bounds(poly)
-            if theorem_size != bounds.size:
-                return CriterionResult(
-                    "value-sets", False,
-                    f"value set mismatch {theorem_size} vs {bounds.size} for {poly!r}")
+            for other in (brute_size, bounds.size):
+                if theorem_size != other:
+                    return CriterionResult(
+                        "value-sets", False,
+                        f"value set mismatch {theorem_size} vs {other} for {poly!r}")
             if not bounds.implication_holds:
                 return CriterionResult(
                     "value-sets", False,

@@ -21,6 +21,7 @@ p = 2, P(x) + x = h(g(x)) takes at most |U| values, so it never permutes.
 
 import dataclasses
 import random
+import re
 
 from addix import (Field, LinearizedPoly, Poly, TranslatorSpec, parse_poly,
                    subfield, translator_pp)
@@ -55,6 +56,23 @@ def test_criterion_02_decomposition_identity():
 
 def test_criterion_03_value_set_equivalence():
     _report(3, suite_value_sets(seed=2))
+
+
+def test_value_sets_compare_theorem_with_brute(monkeypatch):
+    """The value-set bounds read the same table as the theorem path, so the
+    suite must also hold the theorem size against the brute count."""
+    import addix.verify as verify
+    count = verify.value_set_size
+
+    def off_by_one_brute(poly, method="theorem"):
+        size, classes = count(poly, method)
+        return (size + 1, classes) if method == "brute" else (size, classes)
+
+    monkeypatch.setattr(verify, "value_set_size", off_by_one_brute)
+    result = suite_value_sets(max_q=8)
+    assert not result.passed
+    match = re.match(r"value set mismatch (\d+) vs (\d+) for Poly\(", result.detail)
+    assert match and int(match[2]) == int(match[1]) + 1
 
 
 def test_criterion_04_pp_certificate_equivalence():

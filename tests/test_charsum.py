@@ -260,19 +260,22 @@ def _count(monkeypatch, owner, name):
 
 
 def test_one_transform_per_polynomial(monkeypatch, capsys):
-    """A sweep takes one spectrum (three FFTs) and one dlog per nonzero value
-    for each polynomial; a single report takes neither transform."""
+    """A polynomial takes one histogram (one dlog per nonzero value) and one
+    spectrum (three FFTs) across a single report and a sweep together: the
+    single report builds the histogram and takes no transform, and the sweep
+    reads the same memoised decomposition, so it adds the spectrum alone."""
     spectra = _count(monkeypatch, charsum, "_spectrum")
     ffts = _count(monkeypatch, charsum, "_fft")
     dlogs = _count(monkeypatch, Field, "dlog")
     field = Field(2, 6)
     poly = parse_poly("x^3+[3]*x", field)
+    nonzero = sum(1 for v in poly.values() if v)
     bound_report(poly, MultChar(field, 5))
     assert spectra == [] and ffts == []
-    dlogs.clear()
+    assert len(dlogs) == nonzero
     _sweep(poly, [MultChar(field, j) for j in range(1, 63)])
     assert len(spectra) == 1 and len(ffts) == 3
-    assert len(dlogs) == sum(1 for v in poly.values() if v)
+    assert len(dlogs) == nonzero
     spectra.clear()
     assert main(["charsum", "--field", "2^6", "--sweep", "3", "--seed", "0"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 1 + 3 * 62

@@ -1,5 +1,6 @@
 import json
 
+from addix import decompose
 from addix.cli import main
 from addix.field import parse_field_spec
 from addix.poly import parse_poly
@@ -69,6 +70,25 @@ def test_pp_and_witness(capsys):
     assert record["brute"]["is_pp"] is False
     a, b = record["brute"]["witness"]
     assert a != b
+
+
+def test_one_decomposition_per_polynomial(capsys, monkeypatch):
+    """valueset --method both and pp-test each run their verbs on one
+    parsed polynomial, so its subspace polynomial is found once."""
+    calls = []
+    inner = decompose._maximal_subspace_poly
+
+    def counted(poly):
+        calls.append(poly)
+        return inner(poly)
+
+    monkeypatch.setattr(decompose, "_maximal_subspace_poly", counted)
+    for verb, extra in (("valueset", ("--method", "both")), ("pp-test", ())):
+        calls.clear()
+        code, record = run_json(capsys, verb, "--field", "2^8",
+                                "--poly", "x^9+[5]*x^3+x", *extra)
+        assert code == 0 and record
+        assert len(calls) == 1, verb
 
 
 def test_invert_and_cycles(capsys):

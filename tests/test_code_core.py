@@ -7,7 +7,9 @@ multiplication is Elt * (exp/log, checked against schoolbook F_p[x] in
 test_field), so it shares neither the Zech table nor any polynomial loop
 with the code it checks.  The shift-expansion bands are checked against the
 dense formula over every pair (i, t), and their cost against the count of
-pairs that Lucas's theorem leaves nonzero.
+pairs that Lucas's theorem leaves nonzero.  The decomposition's value table,
+built by linearity, is checked against Horner on the polynomial itself, and
+the code-level subspace reduction against the digit-vector echelon routine.
 """
 
 import random
@@ -17,11 +19,14 @@ import pytest
 
 from addix.decompose import maximal_decomposition
 from addix.field import Field
-from addix.linearized import LinearizedPoly, Subspace, vanishing_poly
+from addix.field import is_prime
+from addix.linearized import LinearizedPoly, Subspace, _reduce, vanishing_poly
 from addix.poly import Poly, poly_gcd, shift_expand
 
 FIELDS = [Field(2, 4), Field(3, 3), Field(5, 2), Field(7, 2), Field(2, 10)]
 IDS = [repr(f) for f in FIELDS]
+SMALL_FIELDS = [Field(p, n) for p in range(2, 65) if is_prime(p)
+                for n in range(1, 7) if p ** n <= 64]
 
 
 # -- the reference: Elt lists, constant term first
@@ -191,13 +196,15 @@ def test_eval_at_every_point_matches_reference(field):
             codes[e] = c % field.q
         a = Poly.from_codes(field, codes)
         ac = list(a.coeffs)
-        assert list(a.values()) == [ref_eval(field, ac, x).code for x in field.elements()]
+        dense = [ref_eval(field, ac, x).code for x in field.elements()]
+        assert list(a.values()) == dense
+        assert [a.eval(x).code for x in field.elements()] == dense
 
 
 def test_values_cost_by_nonzero_terms(monkeypatch):
     """A full scan of x^2049 + x = x(x + 1)^2048 over GF(2^12) takes two
-    multiplications and one power per point; Horner over every coefficient
-    would take 2,050 multiplications."""
+    multiplications and one power per point, and so does Poly.eval at one
+    point; Horner over every coefficient would take 2,050 multiplications."""
     field = Field(2, 12)
     codes = [0] * 2050
     codes[2049] = codes[1] = 1
@@ -210,9 +217,12 @@ def test_values_cost_by_nonzero_terms(monkeypatch):
             return orig(self, a, b)
         monkeypatch.setattr(Field, name, counted)
     zeros = [x for x, v in enumerate(poly.values()) if v == 0]
+    scanned, calls = calls, 0
+    value = poly.eval(field.from_code(5))
     monkeypatch.undo()
     assert zeros == [0, 1]
-    assert calls == 3 * field.q
+    assert scanned == 3 * field.q
+    assert calls == 3 and value.code == list(poly.values())[5]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=IDS)
@@ -249,6 +259,7 @@ def test_linearized_operations_match_reference(field):
         for _ in range(40):
             x = field.from_code(rng.randrange(field.q))
             assert a.eval(x) == ref_lin_eval(a.lin_coeffs, x)
+        assert a.values() == [ref_lin_eval(a.lin_coeffs, x).code for x in field.elements()]
 
 
 @pytest.mark.parametrize("field", FIELDS[:4], ids=IDS[:4])
@@ -295,3 +306,56 @@ def test_sparse_3072_decomposes(sparse_3072):
     dec = maximal_decomposition(poly)
     assert dec.compose() == poly
     assert all(dec.kernel.contains(v) for v in sub.basis)
+
+
+def table_inputs(rng, field):
+    """Dense, structured (every kernel dimension), linearized and degree >= q
+    polynomials over one field."""
+    q = field.q
+    yield Poly.from_codes(field, rand_codes(rng, field, rng.randint(2, 14)))
+    for dim in range(field.n + 1):
+        yield structured(rng, field, dim, rng.randint(1, 3))[1]
+    lin = LinearizedPoly.from_codes(field, rand_codes(rng, field, field.n) + [1])
+    yield lin.to_poly() + Poly.constant(field, field.from_code(rng.randrange(q)))
+    yield Poly.from_codes(field, rand_codes(rng, field, q + rng.randint(1, q)) + [1])
+
+
+@pytest.mark.parametrize("field", SMALL_FIELDS, ids=[repr(f) for f in SMALL_FIELDS])
+def test_value_table_matches_horner(field):
+    rng = random.Random(field.q + 5)
+    for poly in table_inputs(rng, field):
+        dec = maximal_decomposition(poly)
+        assert dec.values == list(dec.poly.values())
+        assert dec.values == list(poly.values())
+
+
+def test_value_table_matches_horner_gf4096():
+    field = Field(2, 12)
+    rng = random.Random(4096)
+    for dim, outer_degree in ((0, 4), (3, 2), (7, 3), (12, 1)):
+        _, poly = structured(rng, field, dim, outer_degree)
+        dec = maximal_decomposition(poly)
+        assert dec.values == list(poly.values())
+
+
+def test_decomposition_is_memoised_on_the_polynomial(sparse_3072):
+    _, poly = sparse_3072
+    dec = maximal_decomposition(poly)
+    assert maximal_decomposition(poly) is dec
+    assert dec.values is dec.values
+    assert dec.poly == poly and dec.poly is not poly
+    assert maximal_decomposition(Poly.from_codes(poly.field, poly.codes)) is not dec
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+def test_code_reduce_matches_echelon_reference(field):
+    rng = random.Random(field.q + 6)
+    p = field.p
+    for dim in range(field.n + 1):
+        sub = structured(rng, field, dim, 1)[0]
+        assert sub.dim == dim
+        for v in field.elements():
+            ref = _reduce(list(v.coeffs), sub._rows, sub._pivots, p)
+            assert list(sub.reduce(v).coeffs) == ref
+            assert sub.coset_key(v) == field.from_coeffs(ref).code
+            assert sub.contains(v) == (not any(ref))

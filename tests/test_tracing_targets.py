@@ -15,7 +15,7 @@ import pytest
 
 import addix
 import addix.verify
-from addix.analysis import is_permutation
+from addix.analysis import construct_prescribed_cycles, is_permutation
 from addix.field import Field
 from addix.poly import parse_poly
 
@@ -55,8 +55,13 @@ def test_tracer_installs_records_and_uninstalls():
     try:
         assert all(cls.__dict__[attr] is not orig
                    for (cls, attr), orig in zip(methods, before))
+        field = Field(2, 3)
         tracer.begin(0)
-        assert not is_permutation(parse_poly("x^2+x", Field(2, 3))).is_pp
+        assert not is_permutation(parse_poly("x^2+x", field)).is_pp
+        # the certificate reads the decomposition's value table; the cycle
+        # construction still evaluates Poly (translation_pp, interpolation)
+        # and decomposes nothing
+        assert construct_prescribed_cycles(field, 4).degree > 1
         tracer.end()
     finally:
         tracer.uninstall()
