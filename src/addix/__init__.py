@@ -13,11 +13,11 @@ from .decompose import (AdditiveDecomposition, PartialDecomposition,
                         maximal_decomposition, multiplicative_index)
 from .errors import InvariantViolation, ParseError, PreconditionError
 from .field import Elt, Field, parse_field_spec, size_cap
-from .linearized import (CosetDecomposition, LinearizedPoly, Subspace,
-                         all_subspaces, complement, compose_quotient,
-                         coset_reps, expand_in_base, is_linearized, kernel,
-                         linearized_interpolate, subfield, subspace_image,
-                         vanishing_poly, xq_minus_x_linearized)
+from .linearized import (LinearizedPoly, Subspace, all_subspaces, complement,
+                         compose_quotient, coset_reps, expand_in_base,
+                         is_linearized, kernel, linearized_interpolate,
+                         subfield, subspace_image, vanishing_poly,
+                         xq_minus_x_linearized)
 from .poly import (Poly, lagrange_interpolate, parse_poly, poly_gcd,
                    poly_to_str, reduce_mod_xq_minus_x, shift_expand,
                    xq_minus_x)

@@ -16,9 +16,8 @@ from .decompose import (AdditiveDecomposition, maximal_decomposition,
 from .errors import InvariantViolation, PreconditionError
 from .field import Elt, Field
 from .linearized import (LinearizedPoly, Subspace, compose_quotient,
-                         coset_reps, image_elements, linearized_interpolate,
-                         require_splitting_monic, subspace_image,
-                         vanishing_poly)
+                         image_elements, linearized_interpolate,
+                         require_splitting_monic, vanishing_poly)
 from .poly import Poly, lagrange_interpolate, poly_gcd
 
 
@@ -26,16 +25,12 @@ from .poly import Poly, lagrange_interpolate, poly_gcd
 # Value sets
 
 
-def _image_subspace(dec: AdditiveDecomposition) -> Subspace:
-    return subspace_image(dec.linear_part, dec.kernel)
-
-
-def _coset_count(dec: AdditiveDecomposition, w: Subspace) -> int:
+def _coset_count(dec: AdditiveDecomposition) -> int:
     """Number of cosets of W that poly's image meets, read off its value
     table at the kernel's canonical coset representatives."""
     values, from_code = dec.values, dec.poly.field.from_code
-    return len({w.coset_key(from_code(values[z.code]))
-                for z in coset_reps(dec.kernel).reps})
+    return len({dec.image_subspace.coset_key(from_code(values[z.code]))
+                for z in dec.coset_reps})
 
 
 def value_set_size(poly: Poly, method: str = "theorem") -> tuple[int, int]:
@@ -49,9 +44,9 @@ def value_set_size(poly: Poly, method: str = "theorem") -> tuple[int, int]:
     if poly.degree < 1:
         raise PreconditionError("value set needs degree >= 1")
     dec = maximal_decomposition(poly)
-    w = _image_subspace(dec)
+    w = dec.image_subspace
     if method == "theorem":
-        c = _coset_count(dec, w)
+        c = _coset_count(dec)
         return c * poly.field.p ** w.dim, c
     if method == "brute":
         image = set(dec.poly.values())
@@ -119,9 +114,9 @@ class PPCertificate:
 
 def _pp_conditions(dec: AdditiveDecomposition) -> tuple[int, bool]:
     field = dec.poly.field
-    w = _image_subspace(dec)
+    w = dec.image_subspace
     kernel_cosets = field.q // field.p ** dec.kernel.dim
-    bijective = (_coset_count(dec, w) == kernel_cosets
+    bijective = (_coset_count(dec) == kernel_cosets
                  and field.q == kernel_cosets * field.p ** w.dim)
     return dec.gcd_degree, bijective
 
@@ -199,13 +194,12 @@ def inverse_pp(poly: Poly) -> Poly:
     values = dec.values
     if len(set(values)) != field.q:
         raise PreconditionError("polynomial is not a permutation")
-    w = _image_subspace(dec)
-    base0 = vanishing_poly(w)
+    base0 = vanishing_poly(dec.image_subspace)
     pairs = [(dec.linear_part.eval(b), b) for b in dec.kernel.basis]
     inv_linear = linearized_interpolate(field, pairs, dec.kernel.dim)
     points = []
     seen = set()
-    for z in coset_reps(dec.kernel).reps:
+    for z in dec.coset_reps:
         image = field.from_code(values[z.code])
         abscissa = base0.eval(image)
         if abscissa.code in seen:
@@ -300,13 +294,7 @@ def construct_prescribed_cycles(field: Field, fixed_count: int) -> Poly:
     while u % p == 0:
         u //= p
         j += 1
-    target = Subspace(field, ())
-    code = 1
-    while target.dim < j:
-        cand = field.from_code(code)
-        if not target.contains(cand):
-            target = Subspace(field, list(target.basis) + [cand])
-        code += 1
+    target = Subspace(field, [field.from_code(p ** i) for i in range(j)])
     base = vanishing_poly(target)
     image = image_elements(base)
     filler = target.elements()[1] if len(image) > u else None
@@ -335,12 +323,11 @@ def is_involution(poly: Poly) -> InvolutionReport:
     if poly.degree < 1:
         raise PreconditionError("involution test needs degree >= 1")
     dec = maximal_decomposition(poly)
-    w = _image_subspace(dec)
-    image_ok = w == dec.kernel
+    image_ok = dec.image_subspace == dec.kernel
     order_two = all(dec.linear_part.eval(dec.linear_part.eval(b)) == b
                     for b in dec.kernel.basis)
     reps_ok = all(dec.poly.eval(dec.poly.eval(z)) == z
-                  for z in coset_reps(dec.kernel).reps)
+                  for z in dec.coset_reps)
     return InvolutionReport(
         is_involution=image_ok and order_two and reps_ok,
         image_equals_kernel=image_ok,

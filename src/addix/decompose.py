@@ -13,9 +13,11 @@ from functools import cached_property
 from math import gcd as int_gcd
 
 from .errors import InvariantViolation, PreconditionError
-from .linearized import (LinearizedPoly, Subspace, _outer_codes,
+from .field import Elt
+from .linearized import (LinearizedPoly, Subspace, _outer_codes, coset_reps,
                          expand_in_base, is_linearized, kernel,
-                         require_splitting_monic, xq_minus_x_linearized)
+                         require_splitting_monic, subspace_image,
+                         xq_minus_x_linearized)
 from .poly import (Poly, gcd_with_xq_minus_x, poly_gcd, reduce_mod_xq_minus_x,
                    shift_expand)
 
@@ -45,6 +47,16 @@ class AdditiveDecomposition:
         """deg gcd(subspace_poly, linear_part); both vanish at 0, so it is
         at least 1, and 1 is the permutation certificate's first condition."""
         return poly_gcd(self.subspace_poly.to_poly(), self.linear_part.to_poly()).degree
+
+    @cached_property
+    def coset_reps(self) -> tuple[Elt, ...]:
+        """One canonical representative per coset of the kernel, zero first."""
+        return coset_reps(self.kernel)
+
+    @cached_property
+    def image_subspace(self) -> Subspace:
+        """W = linear_part(kernel), whose cosets the value-set theorem counts."""
+        return subspace_image(self.linear_part, self.kernel)
 
     @cached_property
     def values(self) -> list[int]:

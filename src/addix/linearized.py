@@ -13,7 +13,6 @@ subspaces.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import InvariantViolation, PreconditionError
 from .field import Elt, Field
@@ -156,68 +155,81 @@ def is_linearized(poly: Poly) -> LinearizedPoly | None:
 
 
 # ---------------------------------------------------------------------------
-# F_p-subspaces, canonical reduced-echelon bases.
+# F_p-subspaces, canonical reduced-echelon bases held as codes.
 
 
-def _reduce(vec: list[int], rows, pivots, p: int) -> list[int]:
-    """Clear vec's entries at the pivots of echelon rows whose pivot entries
-    are 1, in place; vec is returned for chaining."""
+def _lowest_digit(code: int, p: int) -> tuple[int, int]:
+    """(place value p^i, value) of the lowest nonzero base-p digit of a
+    nonzero code."""
+    weight = 1
+    while code // weight % p == 0:
+        weight *= p
+    return weight, code // weight % p
+
+
+def _clear(field: Field, code: int, rows, pivots) -> int:
+    """code minus, for each echelon row, its digit at that row's pivot times
+    the row; pivots are given as place values p^i.  Rows have pivot digit 1
+    and zeros at the pivots of the rows before them, so a cleared digit
+    stays cleared and the result has every pivot digit zero."""
+    p, add, mul = field.p, field.add, field.mul
     for row, piv in zip(rows, pivots):
-        k = vec[piv]
-        if k:
-            for j, r in enumerate(row):
-                vec[j] = (vec[j] - k * r) % p
-    return vec
+        d = code // piv % p
+        if d:  # -d * row; for d = p - 1 that is the row itself
+            code = add(code, row if d == p - 1 else mul(row, p - d))
+    return code
 
 
-def _insert(vec: list[int], rows, pivots, p: int, width: int) -> bool:
-    """Reduce vec in place against the echelon rows; unless its first
-    `width` entries then vanish, append it as a new row with its pivot entry
-    scaled to 1.  Returns whether a row was added."""
-    _reduce(vec, rows, pivots, p)
-    piv = next((j for j in range(width) if vec[j]), None)
-    if piv is None:
+def _add_row(field: Field, code: int, rows: list[int], pivots: list[int]) -> bool:
+    """Clear code against the echelon rows; unless it then vanishes, append
+    it with its lowest nonzero digit as pivot, scaled to 1.  Returns whether
+    a row was added."""
+    code = _clear(field, code, rows, pivots)
+    if not code:
         return False
-    inv = pow(vec[piv], p - 2, p)
-    rows.append([(v * inv) % p for v in vec])
+    piv, d = _lowest_digit(code, field.p)
+    rows.append(field.mul(code, pow(d, -1, field.p)))
     pivots.append(piv)
     return True
 
 
 class Subspace:
-    """F_p-subspace of the field, held as a reduced echelon basis.
+    """F_p-subspace of the field, held as a reduced echelon basis of codes.
 
-    Rows are coefficient vectors with ascending pivot positions, pivot entries
-    normalized to 1 and pivot columns cleared elsewhere, so equal subspaces
-    compare equal structurally.
+    Each row is the code of a basis element whose lowest nonzero base-p
+    digit, its pivot, is 1; every other row has digit 0 there, and rows
+    ascend by pivot, so equal subspaces compare equal structurally.  Pivots
+    are kept as the place values p^i of their digits.
     """
 
-    __slots__ = ("field", "_rows", "_pivots", "basis", "_steps")
+    __slots__ = ("field", "_rows", "_pivots")
 
     def __init__(self, field: Field, generators=(), *, strict: bool = False):
-        rows: list[list[int]] = []
+        self.field = field
+        rows: list[int] = []
         pivots: list[int] = []
-        p = field.p
         dependent = False
         for g in generators:
-            if not _insert(list(g.coeffs), rows, pivots, p, field.n):
+            if not _add_row(field, self._code(g), rows, pivots):
                 dependent = True
                 continue
-            for row in rows[:-1]:
-                _reduce(row, rows[-1:], pivots[-1:], p)
+            for k in range(len(rows) - 1):
+                rows[k] = _clear(field, rows[k], rows[-1:], pivots[-1:])
         if strict and dependent:
             raise PreconditionError("generators are linearly dependent over F_p")
-        order = sorted(range(len(rows)), key=lambda i: pivots[i])
-        self.field = field
-        self._rows = tuple(tuple(rows[i]) for i in order)
+        order = sorted(range(len(rows)), key=pivots.__getitem__)
+        self._rows = tuple(rows[i] for i in order)
         self._pivots = tuple(pivots[i] for i in order)
-        self.basis = tuple(field.from_coeffs(r) for r in self._rows)
-        self._steps = None
 
     @classmethod
     def full(cls, field):
         gens = [field.from_code(field.p ** i) for i in range(field.n)]
         return cls(field, gens)
+
+    @property
+    def basis(self) -> tuple[Elt, ...]:
+        """The echelon rows as elements, ascending by pivot."""
+        return tuple(map(self.field.from_code, self._rows))
 
     @property
     def dim(self) -> int:
@@ -226,35 +238,20 @@ class Subspace:
     def is_full(self) -> bool:
         return self.dim == self.field.n
 
-    def _reduce_code(self, v: int) -> int:
-        """Code of v - sum_j d_j(v) * row_j, d_j(v) the base-p digit of v at
-        pivot j.  Every other row is zero at pivot j, so subtracting rows
-        never changes the digits still to be read, and the result has every
-        pivot digit cleared.  The multiples -d * row_j are built on first
-        use, so a subspace that is never reduced pays nothing for them."""
-        field = self.field
-        p = field.p
-        if self._steps is None:
-            self._steps = [(p ** piv, [field.from_coeffs([-d * r for r in row]).code
-                                       for d in range(p)])
-                           for row, piv in zip(self._rows, self._pivots)]
-        add = field.add
-        out = v
-        for weight, multiples in self._steps:
-            d = v // weight % p
-            if d:
-                out = add(out, multiples[d])
-        return out
+    def _code(self, v: Elt) -> int:
+        if v.field is not self.field and v.field != self.field:
+            raise PreconditionError("element belongs to a different field")
+        return v.code
 
     def reduce(self, v: Elt) -> Elt:
-        """Canonical representative of v + self (pivot coordinates cleared)."""
-        return self.field.from_code(self._reduce_code(v.code))
+        """Canonical representative of v + self (pivot digits cleared)."""
+        return self.field.from_code(self.coset_key(v))
 
     def coset_key(self, v: Elt) -> int:
-        return self._reduce_code(v.code)
+        return _clear(self.field, self._code(v), self._rows, self._pivots)
 
     def contains(self, v: Elt) -> bool:
-        return self._reduce_code(v.code) == 0
+        return self.coset_key(v) == 0
 
     __contains__ = contains
 
@@ -262,23 +259,20 @@ class Subspace:
         """All p^dim members, ascending code order."""
         field = self.field
         codes = [0]
-        for b in self.basis:
-            scaled = [field.mul(b.code, k) for k in range(field.p)]
+        for row in self._rows:
+            scaled = [field.mul(row, k) for k in range(field.p)]
             codes = [field.add(e, s) for s in scaled for e in codes]
         return [field.from_code(c) for c in sorted(codes)]
 
     def complementary_basis(self) -> list[Elt]:
         """Greedy smallest-code elements extending self to the whole field."""
         field = self.field
-        rows = [list(r) for r in self._rows]
-        pivots = list(self._pivots)
-        p = field.p
+        rows, pivots = list(self._rows), list(self._pivots)
         out = []
         code = 1
         while len(rows) < field.n:
-            v = field.from_code(code)
-            if _insert(list(v.coeffs), rows, pivots, p, field.n):
-                out.append(v)
+            if _add_row(field, code, rows, pivots):
+                out.append(field.from_code(code))
             code += 1
         return out
 
@@ -291,45 +285,43 @@ class Subspace:
         return hash(self._rows)
 
     def __repr__(self):
-        return f"Subspace({self.field!r}, dim={self.dim}, basis_codes={[b.code for b in self.basis]})"
+        return f"Subspace({self.field!r}, dim={self.dim}, basis_codes={list(self._rows)})"
 
 
-@dataclass(frozen=True)
-class CosetDecomposition:
-    """Partition of the field into translates of a subspace.
-
-    reps holds one representative per coset: the F_p-span of the canonical
-    complementary basis, sorted by code, so reps[0] is always zero.
-    """
-    subspace: Subspace
-    reps: tuple[Elt, ...]
-
-
-def coset_reps(subspace: Subspace) -> CosetDecomposition:
+def coset_reps(subspace: Subspace) -> tuple[Elt, ...]:
+    """One representative per coset of the subspace: the F_p-span of the
+    canonical complementary basis, sorted by code, so the first is zero."""
     comp = Subspace(subspace.field, subspace.complementary_basis())
-    return CosetDecomposition(subspace, tuple(comp.elements()))
+    return tuple(comp.elements())
 
 
 def kernel(linpoly: LinearizedPoly) -> Subspace:
     """Roots of a nonzero linearized polynomial inside the field: the
     F_p-nullspace of its matrix on the coordinate basis e_i = p^i.
 
-    The rows [digits of L(e_i) | e_i] are eliminated on their left halves;
-    the right halves of the rows whose left halves vanish span the kernel.
-    That costs n evaluations and O(n^2) digit operations, not q evaluations.
+    The pairs (L(e_i), e_i) are eliminated on their left codes; the right
+    codes of the pairs whose left codes vanish span the kernel.  That costs
+    n evaluations and O(n^2) code operations, not q evaluations.
     """
     if linpoly.is_zero():
         raise PreconditionError("kernel of the zero map is everything")
     field = linpoly.field
-    n, p = field.n, field.p
-    rows: list[list[int]] = []
-    pivots: list[int] = []
+    p, add, mul = field.p, field.add, field.mul
+    rows: list[tuple[int, int, int]] = []  # (pivot p^i, left code, right code)
     zeros = []
-    for i in range(n):
-        vec = list(linpoly.eval(field.from_code(p ** i)).coeffs) + [0] * n
-        vec[n + i] = 1
-        if not _insert(vec, rows, pivots, p, n):
-            zeros.append(field.from_coeffs(vec[n:]))
+    for i in range(field.n):
+        left, right = linpoly.eval(field.from_code(p ** i)).code, p ** i
+        for piv, row_left, row_right in rows:
+            d = left // piv % p
+            if d:
+                left = add(left, mul(row_left, p - d))
+                right = add(right, mul(row_right, p - d))
+        if left:
+            piv, d = _lowest_digit(left, p)
+            inv = pow(d, -1, p)
+            rows.append((piv, mul(left, inv), mul(right, inv)))
+        else:
+            zeros.append(field.from_code(right))
     return Subspace(field, zeros)
 
 
@@ -482,9 +474,7 @@ def all_subspaces(field: Field):
             free_slots = [(i, j) for i, piv in enumerate(pivots)
                           for j in range(piv + 1, n) if j not in pivot_set]
             for fill in itertools.product(range(p), repeat=len(free_slots)):
-                rows = [[0] * n for _ in range(d)]
-                for i, piv in enumerate(pivots):
-                    rows[i][piv] = 1
+                rows = [p ** piv for piv in pivots]
                 for (i, j), v in zip(free_slots, fill):
-                    rows[i][j] = v
-                yield Subspace(field, [field.from_coeffs(r) for r in rows])
+                    rows[i] += v * p ** j
+                yield Subspace(field, [field.from_code(r) for r in rows])

@@ -378,7 +378,7 @@ def suite_character_bounds(seed: int = 6, max_q: int | None = None) -> Criterion
             checked += len(chars)
         if field.q == 16:
             for sub in all_subspaces(field):
-                for shift in coset_reps(sub).reps:
+                for shift in coset_reps(sub):
                     for chi in chars:
                         char_sum_affine(chi, shift, sub)
         else:

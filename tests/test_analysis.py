@@ -438,6 +438,30 @@ def test_agw_matches_translator_theorem():
         assert agw_check(fmap, lam, lam, fbar) == is_pp
 
 
+def test_cosets_and_image_built_once_per_decomposition(monkeypatch):
+    """Every reader of one memoised decomposition shares its kernel coset
+    representatives and its image subspace."""
+    from addix import decompose
+    calls = Counter()
+    for name in ("coset_reps", "subspace_image"):
+        def counted(*args, _name=name, _inner=getattr(decompose, name)):
+            calls[_name] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(decompose, name, counted)
+    for field, text, is_pp in ((F16, "(x^4+x)^3+x^2", True),
+                               (Field(2, 8), "(x^4+x)^3+(x^4+x)+x", False)):
+        poly = parse_poly(text, field)
+        calls.clear()
+        for method in ("certificate", "brute"):
+            assert is_permutation(poly, method).is_pp == is_pp
+        for method in ("theorem", "brute"):
+            value_set_size(poly, method)
+        if is_pp:
+            inverse_pp(poly)
+        is_involution(poly)
+        assert calls == {"coset_reps": 1, "subspace_image": 1}, text
+
 def test_agw_matches_quotient_criterion():
     base = is_linearized(parse_poly("x^4+x", F16))
     rng = random.Random(79)
@@ -455,7 +479,6 @@ def test_agw_matches_quotient_criterion():
 def test_agw_with_distinct_target_set():
     # inverse-side diagram: the two small sets are the images of the kernel
     # polynomial and of the image-subspace polynomial, generally different
-    from addix.analysis import _image_subspace
     from addix.decompose import maximal_decomposition
     from addix.linearized import compose_quotient
 
@@ -473,7 +496,7 @@ def test_agw_with_distinct_target_set():
         if poly.degree < 1:
             continue
         dec = maximal_decomposition(poly)
-        base0 = vanishing_poly(_image_subspace(dec))
+        base0 = vanishing_poly(dec.image_subspace)
         try:
             bridge = compose_quotient(base0.compose(dec.linear_part), dec.subspace_poly)
         except PreconditionError:

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 from addix import decompose
 from addix.cli import main
@@ -74,21 +75,23 @@ def test_pp_and_witness(capsys):
 
 def test_one_decomposition_per_polynomial(capsys, monkeypatch):
     """valueset --method both and pp-test each run their verbs on one
-    parsed polynomial, so its subspace polynomial is found once."""
-    calls = []
-    inner = decompose._maximal_subspace_poly
+    parsed polynomial, so its subspace polynomial, the kernel's coset
+    representatives and the image subspace are each found once."""
+    calls = Counter()
+    for name in ("_maximal_subspace_poly", "coset_reps", "subspace_image"):
+        def counted(*args, _name=name, _inner=getattr(decompose, name)):
+            calls[_name] += 1
+            return _inner(*args)
 
-    def counted(poly):
-        calls.append(poly)
-        return inner(poly)
-
-    monkeypatch.setattr(decompose, "_maximal_subspace_poly", counted)
-    for verb, extra in (("valueset", ("--method", "both")), ("pp-test", ())):
-        calls.clear()
-        code, record = run_json(capsys, verb, "--field", "2^8",
-                                "--poly", "x^9+[5]*x^3+x", *extra)
-        assert code == 0 and record
-        assert len(calls) == 1, verb
+        monkeypatch.setattr(decompose, name, counted)
+    for poly in ("x^9+[5]*x^3+x", "(x^4+x)^3+(x^4+x)+x"):
+        for verb, extra in (("valueset", ("--method", "both")), ("pp-test", ())):
+            calls.clear()
+            code, record = run_json(capsys, verb, "--field", "2^8",
+                                    "--poly", poly, *extra)
+            assert code == 0 and record
+            assert calls == {"_maximal_subspace_poly": 1, "coset_reps": 1,
+                             "subspace_image": 1}, (poly, verb)
 
 
 def test_invert_and_cycles(capsys):

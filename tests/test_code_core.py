@@ -8,8 +8,10 @@ test_field), so it shares neither the Zech table nor any polynomial loop
 with the code it checks.  The shift-expansion bands are checked against the
 dense formula over every pair (i, t), and their cost against the count of
 pairs that Lucas's theorem leaves nonzero.  The decomposition's value table,
-built by linearity, is checked against Horner on the polynomial itself, and
-the code-level subspace reduction against the digit-vector echelon routine.
+built by linearity, is checked against Horner on the polynomial itself.
+Subspaces hold reduced-echelon rows as codes; their rows, reductions,
+kernels and complements are checked against a digit-vector echelon
+reference that works on Elt.coeffs lists mod p.
 """
 
 import random
@@ -18,9 +20,10 @@ from math import comb
 import pytest
 
 from addix.decompose import maximal_decomposition
+from addix.errors import PreconditionError
 from addix.field import Field
 from addix.field import is_prime
-from addix.linearized import LinearizedPoly, Subspace, _reduce, vanishing_poly
+from addix.linearized import LinearizedPoly, Subspace, kernel, vanishing_poly
 from addix.poly import Poly, poly_gcd, shift_expand
 
 FIELDS = [Field(2, 4), Field(3, 3), Field(5, 2), Field(7, 2), Field(2, 10)]
@@ -125,6 +128,59 @@ def ref_lin_eval(lin, x):
     for i, c in enumerate(lin):
         acc = add(acc, c * x ** (field.p ** i))
     return acc
+
+
+def ref_reduce(vec, rows, pivots, p):
+    """Clear vec's digits at the pivots of echelon rows whose pivot digits
+    are 1, in place; vec is returned for chaining."""
+    for row, piv in zip(rows, pivots):
+        k = vec[piv]
+        if k:
+            for j, r in enumerate(row):
+                vec[j] = (vec[j] - k * r) % p
+    return vec
+
+
+def ref_insert(vec, rows, pivots, p):
+    """Reduce vec in place against the echelon rows; unless it then
+    vanishes, append it as a new row with its lowest nonzero digit as pivot,
+    scaled to 1.  Returns whether a row was added."""
+    ref_reduce(vec, rows, pivots, p)
+    piv = next((j for j, v in enumerate(vec) if v), None)
+    if piv is None:
+        return False
+    inv = pow(vec[piv], p - 2, p)
+    rows.append([(v * inv) % p for v in vec])
+    pivots.append(piv)
+    return True
+
+
+def ref_echelon(field, gens):
+    """(rows, pivots, dependent) for the span of gens: reduced echelon
+    digit rows ascending by pivot, and whether some generator was dependent."""
+    rows, pivots, p = [], [], field.p
+    dependent = False
+    for g in gens:
+        if not ref_insert(list(g.coeffs), rows, pivots, p):
+            dependent = True
+            continue
+        for row in rows[:-1]:
+            ref_reduce(row, rows[-1:], pivots[-1:], p)
+    order = sorted(range(len(rows)), key=lambda i: pivots[i])
+    return [rows[i] for i in order], [pivots[i] for i in order], dependent
+
+
+def ref_complement(field, rows, pivots):
+    """Codes of the greedy smallest-code elements extending the rows to
+    the whole field."""
+    rows, pivots = [list(r) for r in rows], list(pivots)
+    out = []
+    code = 1
+    while len(rows) < field.n:
+        if ref_insert(list(field.from_code(code).coeffs), rows, pivots, field.p):
+            out.append(code)
+        code += 1
+    return out
 
 
 # -- comparisons
@@ -354,8 +410,48 @@ def test_code_reduce_matches_echelon_reference(field):
     for dim in range(field.n + 1):
         sub = structured(rng, field, dim, 1)[0]
         assert sub.dim == dim
+        rows = [list(b.coeffs) for b in sub.basis]
+        pivots = [next(j for j, d in enumerate(row) if d) for row in rows]
         for v in field.elements():
-            ref = _reduce(list(v.coeffs), sub._rows, sub._pivots, p)
+            ref = ref_reduce(list(v.coeffs), rows, pivots, p)
             assert list(sub.reduce(v).coeffs) == ref
             assert sub.coset_key(v) == field.from_coeffs(ref).code
             assert sub.contains(v) == (not any(ref))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+def test_code_echelon_matches_digit_reference(field):
+    rng = random.Random(field.q + 7)
+    dependent_seen = set()
+    for _ in range(60):
+        gens = [field.from_code(rng.randrange(field.q))
+                for _ in range(rng.randint(0, field.n + 1))]
+        if gens and rng.random() < 0.3:
+            gens.insert(rng.randrange(len(gens)), gens[0] * field.from_int(2) + gens[-1])
+        rows, pivots, dependent = ref_echelon(field, gens)
+        dependent_seen.add(dependent)
+        sub = Subspace(field, gens)
+        assert [list(b.coeffs) for b in sub.basis] == rows
+        if dependent:
+            with pytest.raises(PreconditionError):
+                Subspace(field, gens, strict=True)
+        else:
+            assert Subspace(field, gens, strict=True) == sub
+        assert ([b.code for b in sub.complementary_basis()]
+                == ref_complement(field, rows, pivots))
+    assert dependent_seen == {False, True}
+    if field.q > 256:
+        return
+    dims = set()
+    for _ in range(20):
+        inner = LinearizedPoly.from_codes(field, rand_codes(rng, field, rng.randint(1, field.n)))
+        if inner.is_zero():
+            continue
+        outer = vanishing_poly(structured(rng, field, rng.randint(0, field.n - 1), 1)[0])
+        lin = outer.compose(inner) if rng.random() < 0.5 else inner.compose(outer)
+        roots = [a for a in field.elements() if ref_lin_eval(lin.lin_coeffs, a).code == 0]
+        ker = kernel(lin)
+        assert ker.elements() == roots
+        assert [list(b.coeffs) for b in ker.basis] == ref_echelon(field, roots)[0]
+        dims.add(ker.dim)
+    assert len(dims) > 1

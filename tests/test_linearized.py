@@ -222,14 +222,14 @@ def test_linearized_interpolate_examples():
 
 
 def test_coset_reps_examples():
-    assert [r.code for r in coset_reps(Subspace.full(F9)).reps] == [0]
-    assert [r.code for r in coset_reps(Subspace(F9, ())).reps] == list(range(9))
+    assert [r.code for r in coset_reps(Subspace.full(F9))] == [0]
+    assert [r.code for r in coset_reps(Subspace(F9, ()))] == list(range(9))
     sub = Subspace(F9, [F9.one])
-    decomp = coset_reps(sub)
-    assert len(decomp.reps) == 3 and decomp.reps[0].code == 0
-    covered = sorted((r + u).code for r in decomp.reps for u in sub.elements())
+    reps = coset_reps(sub)
+    assert len(reps) == 3 and reps[0].code == 0
+    covered = sorted((r + u).code for r in reps for u in sub.elements())
     assert covered == list(range(9))
-    for a, b in itertools.combinations(decomp.reps, 2):
+    for a, b in itertools.combinations(reps, 2):
         assert not sub.contains(a - b)
 
 
@@ -302,3 +302,22 @@ def test_subspace_basics():
     key = sub.coset_key(v)
     for u in sub.elements():
         assert sub.coset_key(v + u) == key
+
+
+@pytest.mark.parametrize("case", ["init", "zero", "reduce", "coset_key", "contains", "in"])
+def test_subspaces_refuse_other_fields(case):
+    """A subspace never reads an element of another field as a code of its
+    own, as a generator or as an argument, its zero included."""
+    with pytest.raises(PreconditionError):
+        if case == "init":
+            Subspace(F8, [F4.from_code(3)])
+        elif case == "zero":
+            Subspace(F8, [F8.one, F4.zero])
+        elif case == "reduce":
+            Subspace(F8, [F8.one]).reduce(F4.from_code(2))
+        elif case == "coset_key":
+            Subspace(F8, [F8.one]).coset_key(Field(2, 5).from_code(30))
+        elif case == "contains":
+            Subspace(F8, [F8.one]).contains(F9.from_code(1))
+        else:
+            F8.from_code(3) in Subspace.full(F4)
