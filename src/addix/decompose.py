@@ -183,15 +183,16 @@ def maximal_decomposition(poly: Poly) -> AdditiveDecomposition:
         return dec
     if poly.degree < 1:
         raise PreconditionError("decomposition needs degree >= 1")
-    reduced = _canonical_input(poly)
     field = poly.field
+    # a copy, not poly itself, for dec.poly and for the outer that _split
+    # returns against a trivial kernel: poly -> dec -> poly would be a
+    # reference cycle, and its q-entry value table would wait for the cyclic
+    # collector instead of going with the last reference to poly
+    reduced = Poly._new(field, _canonical_input(poly).codes)
     sub_poly, ker = _maximal_subspace_poly(reduced)
     outer, linear_part = _split(reduced, sub_poly.to_poly())
     dec = AdditiveDecomposition(
-        # a copy, not poly itself: poly -> dec -> poly would be a reference
-        # cycle, and its q-entry value table would wait for the cyclic
-        # collector instead of going with the last reference to poly
-        poly=Poly._new(field, reduced.codes),
+        poly=reduced,
         outer=outer,
         subspace_poly=sub_poly,
         linear_part=linear_part,

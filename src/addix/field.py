@@ -8,8 +8,13 @@ identity.  Field.add/neg/mul/inv/pow are the one arithmetic on codes,
 through tables built lazily once per field beside a canonical primitive
 element g: exp/log serve mul, pow and inv, and the Zech logarithm Z,
 defined by 1 + g^m = g^Z[m], turns addition into g^a + g^b = g^(a + Z[b - a])
-with one rule for every p.  Polynomials hold codes; Elt is the API
-boundary and its operators delegate here.  The _fp_* helpers on plain
+with one rule for every p.  The fused kernels on code vectors are part of
+that one arithmetic: Horner scans (horner_plan, horner), the multiply-add
+row of long division and of the schoolbook product (divmod_codes,
+mul_codes) and the shift x -> x + y (shift_codes) run whole loops on
+discrete logs with the same tables, so no module but this one reads them.
+Polynomials hold codes; Elt is the API boundary and its operators delegate
+here.  The _fp_* helpers on plain
 coefficient lists are the one F_p[x] arithmetic: they validate and select
 the modulus, find the primitive element and build the exp table.
 """
@@ -375,6 +380,129 @@ class Field:
         if self._exp is None:
             self._ensure_tables()
         return self._exp[self._log[a] * e % (self.q - 1)]
+
+    # -- fused kernels on code vectors
+    #
+    # Inside these loops an element is its discrete log, with -1 (the log
+    # table's own entry for code 0) marking zero: a product is a sum of logs
+    # and a sum is one Zech lookup, g^a + g^b = g^(a + Z[b - a]), so no step
+    # calls add or mul.  Logs are reduced mod q - 1; Z[b - a] reads a
+    # negative difference from the end of the table, which is Z at b - a
+    # mod q - 1.
+
+    def _logs(self):
+        if self._exp is None:
+            self._ensure_tables()
+        return self._exp, self._log, self._zech, self.q - 1
+
+    def horner_plan(self, codes) -> tuple:
+        """Log-domain Horner plan of a code vector (constant term first):
+        (value at 0, low, log of the leading coefficient, steps).  steps
+        holds one (gap, log c) pair per lower nonzero term c x^e, descending,
+        gap being the distance in exponent from the term before; low is the
+        lowest exponent with a nonzero coefficient.  A polynomial's cost is
+        then its nonzero terms, not its degree.  steps is a list: as tuples
+        of every length they would outlive their polynomials in the
+        interpreter's per-length tuple free lists, raising peak memory."""
+        log = self._logs()[1]
+        terms = [(e, c) for e, c in enumerate(codes) if c][::-1] or [(0, 0)]
+        steps = [(high - e, log[c]) for (high, _), (e, c) in zip(terms, terms[1:])]
+        low = terms[-1][0]
+        return (codes[0] if codes else 0), low, log[terms[0][1]], steps
+
+    def horner(self, plan, points):
+        """Codes of the planned polynomial at each code in points.  The
+        accumulator is a log: acc * x^gap is la + gap * lx and acc + c is
+        la + Z[lc - la].  A generator, so a scan that decides early stops
+        early."""
+        exp, log, zech, m = self._logs()
+        at_zero, low, lead, steps = plan
+        for x in points:
+            if not x:
+                yield at_zero
+                continue
+            lx = log[x]
+            la = lead
+            for gap, lc in steps:
+                if la < 0:
+                    la = lc
+                else:
+                    la = (la + gap * lx) % m
+                    z = zech[lc - la]
+                    la = -1 if z < 0 else la + z
+            yield 0 if la < 0 else exp[(la + low * lx) % m]
+
+    def _axpy(self, acc, shift, lf, terms):
+        """acc[shift + j] += g^(lf + lt) for each (j, lt) in terms, in place,
+        on a vector of logs: the one multiply-add row of long division and
+        of the schoolbook product."""
+        zech, m = self._zech, self.q - 1
+        for j, lt in terms:
+            k = shift + j
+            r = acc[k]
+            if r < 0:
+                acc[k] = (lf + lt) % m
+            else:
+                z = zech[(lf + lt - r) % m]
+                acc[k] = -1 if z < 0 else (r + z) % m
+
+    def _to_codes(self, logs) -> list[int]:
+        exp = self._exp
+        return [exp[v] if v >= 0 else 0 for v in logs]
+
+    def mul_codes(self, a, b) -> list[int]:
+        """Schoolbook product of two code vectors: one row per nonzero
+        coefficient of the shorter one."""
+        if not a or not b:
+            return []
+        log = self._logs()[1]
+        if len(a) > len(b):
+            a, b = b, a
+        acc = [-1] * (len(a) + len(b) - 1)
+        terms = [(j, log[c]) for j, c in enumerate(b) if c]
+        for i, c in enumerate(a):
+            if c:
+                self._axpy(acc, i, log[c], terms)
+        return self._to_codes(acc)
+
+    def shift_codes(self, codes, y) -> list[int]:
+        """Codes of P(x + y) for P's code vector and y's code, by Horner in
+        x + y: each step is acc * x, a shift, plus y * acc, one row, plus the
+        next coefficient."""
+        log = self._logs()[1]
+        ly = log[y]
+        if ly < 0:
+            return list(codes)
+        acc: list[int] = []
+        for c in reversed(codes):
+            terms = [(j, v) for j, v in enumerate(acc) if v >= 0]
+            acc.insert(0, -1)
+            self._axpy(acc, 0, ly, terms)
+            if c:
+                self._axpy(acc, 0, log[c], ((0, 0),))
+        return self._to_codes(acc)
+
+    def divmod_codes(self, a, b) -> tuple[list[int], list[int]]:
+        """(quotient, remainder) code lists of a by b, both without trailing
+        zeros and b nonzero.  Each row subtracts factor * b below the leading
+        term, which cancels exactly, with b's other nonzero terms held as
+        logs; the remainder is returned without trailing zeros."""
+        db = len(b) - 1
+        if len(a) <= db:
+            return [], list(a)
+        exp, log, _, m = self._logs()
+        rem = [log[c] for c in a]
+        lead, minus = log[b[-1]], log[self.p - 1]
+        terms = [(j, log[c]) for j, c in enumerate(b[:-1]) if c]
+        quo = [0] * (len(rem) - db)
+        while len(rem) > db:
+            shift = len(rem) - 1 - db
+            lf = (rem.pop() - lead) % m
+            quo[shift] = exp[lf]
+            self._axpy(rem, shift, lf + minus, terms)
+            while rem and rem[-1] < 0:
+                rem.pop()
+        return quo, self._to_codes(rem)
 
     # -- element construction
 

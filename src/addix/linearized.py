@@ -223,8 +223,12 @@ class Subspace:
 
     @classmethod
     def full(cls, field):
-        gens = [field.from_code(field.p ** i) for i in range(field.n)]
-        return cls(field, gens)
+        """The whole field: the unit codes p^i are already reduced echelon
+        rows, each its own pivot, so no row needs clearing."""
+        sub = cls.__new__(cls)
+        sub.field = field
+        sub._rows = sub._pivots = tuple(field.p ** i for i in range(field.n))
+        return sub
 
     @property
     def basis(self) -> tuple[Elt, ...]:

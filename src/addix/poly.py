@@ -2,7 +2,8 @@
 
 Coefficients are stored as element codes, constant-term first with no
 trailing zeros; the zero polynomial is the empty vector and reports degree
--1.  Inner loops run on codes; Elt is the API boundary (constructors take
+-1.  Inner loops run on codes, the hot ones (evaluation, division, products,
+shifts) as fused kernels of Field; Elt is the API boundary (constructors take
 Elt sequences, coeffs is a read-only Elt view).  Includes Euclidean
 division and monic gcd, composition, the additive shift expansion
 P0(x+y) - P0(x) - P0(y) = sum_i F_i(y) x^i, Lagrange interpolation, and the
@@ -98,23 +99,11 @@ class CodeVector:
         return hash(self.codes)
 
 
-def _mul_codes(field: Field, a, b) -> list[int]:
-    """Schoolbook product of two code vectors."""
-    add, mul = field.add, field.mul
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = add(out[i + j], mul(ai, bj))
-    return out
-
-
 class Poly(CodeVector):
-    # Memos of this immutable object, unset until first use: _horner holds
-    # the step list of values_at, _decomposition the AdditiveDecomposition
-    # that decompose.maximal_decomposition returns for it.
-    __slots__ = ("_horner", "_decomposition")
+    # Memos of this immutable object, unset until first use: _plan holds
+    # the Field.horner_plan that values_at runs, _decomposition the
+    # AdditiveDecomposition that decompose.maximal_decomposition returns.
+    __slots__ = ("_plan", "_decomposition")
 
     # -- constructors
 
@@ -173,7 +162,7 @@ class Poly(CodeVector):
         b = self._operand(other)
         if b is None:
             return NotImplemented
-        return Poly._new(self.field, _mul_codes(self.field, self.codes, b))
+        return Poly._new(self.field, self.field.mul_codes(self.codes, b))
 
     __rmul__ = __mul__
 
@@ -195,23 +184,8 @@ class Poly(CodeVector):
         bc = self._operand(other)
         if not bc:
             raise ZeroDivisionError("division by zero polynomial")
-        field = self.field
-        add, mul = field.add, field.mul
-        db = len(bc) - 1
-        rem = list(self.codes)
-        inv_lead = field.inv(bc[-1])
-        quo = [0] * (len(rem) - db)
-        while len(rem) - 1 >= db:
-            shift = len(rem) - 1 - db
-            factor = mul(rem[-1], inv_lead)
-            quo[shift] = factor
-            neg = field.neg(factor)
-            for j, bj in enumerate(bc):
-                if bj:
-                    rem[shift + j] = add(rem[shift + j], mul(neg, bj))
-            while rem and not rem[-1]:
-                rem.pop()
-        return Poly._new(field, quo), Poly._new(field, rem)
+        quo, rem = self.field.divmod_codes(self.codes, bc)
+        return Poly._new(self.field, quo), Poly._new(self.field, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -232,26 +206,15 @@ class Poly(CodeVector):
         return self.values_at(range(self.field.q))
 
     def values_at(self, points):
-        """Codes of self at each code in points, by Horner over the nonzero
-        terms: a gap of g > 1 exponents between two of them costs one x^g by
-        Field.pow, so a sparse polynomial costs by its terms, not its degree.
-        The step list is built once per polynomial, so eval pays for it once.
-        A generator, so a scan that decides early stops early."""
-        field = self.field
-        add, mul, pw = field.add, field.mul, field.pow
+        """Codes of self at each code in points, by Field.horner over the
+        nonzero terms, so a sparse polynomial costs by its terms, not its
+        degree.  The plan is built once per polynomial, so eval pays for it
+        once.  Lazy: a scan that decides early stops early."""
         try:
-            lead, steps, low = self._horner
+            plan = self._plan
         except AttributeError:
-            terms = [(e, c) for e, c in enumerate(self.codes) if c][::-1] or [(0, 0)]
-            steps = [(high - e, c) for (high, _), (e, c) in zip(terms, terms[1:])]
-            self._horner = lead, steps, low = terms[0][1], steps, terms[-1][0]
-        for x in points:
-            acc = lead
-            for gap, c in steps:
-                acc = add(mul(acc, x if gap == 1 else pw(x, gap)), c)
-            if low:
-                acc = mul(acc, x if low == 1 else pw(x, low))
-            yield acc
+            plan = self._plan = self.field.horner_plan(self.codes)
+        return self.field.horner(plan, points)
 
     def compose(self, inner: "Poly") -> "Poly":
         """self(inner(x))."""
@@ -261,23 +224,13 @@ class Poly(CodeVector):
         add, ic = field.add, self._operand(inner)
         acc = [self.codes[-1]]
         for c in reversed(self.codes[:-1]):
-            acc = _mul_codes(field, acc, ic) or [0]
+            acc = field.mul_codes(acc, ic) or [0]
             acc[0] = add(acc[0], c)
         return Poly._new(field, acc)
 
     def shift_arg(self, offset: Elt) -> "Poly":
-        """self(x + offset), by Horner in (x + offset)."""
-        field = self.field
-        add, mul, y = field.add, field.mul, self._code(offset)
-        out: list[int] = []
-        for c in reversed(self.codes):
-            prev = 0
-            for i, v in enumerate(out):
-                out[i] = add(prev, mul(v, y))
-                prev = v
-            out.append(prev)
-            out[0] = add(out[0], c)
-        return Poly._new(field, out)
+        """self(x + offset)."""
+        return Poly._new(self.field, self.field.shift_codes(self.codes, self._code(offset)))
 
     def __repr__(self):
         return f"Poly({self.field!r}, {poly_to_str(self)!r})"

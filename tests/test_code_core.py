@@ -1,11 +1,15 @@
 """The code-level polynomial core against an Elt schoolbook reference.
 
 Poly and LinearizedPoly hold element codes and run their loops through the
-field's code arithmetic.  The reference below works on Elt objects instead,
-with textbook algorithms.  Its addition adds digit vectors mod p and its
-multiplication is Elt * (exp/log, checked against schoolbook F_p[x] in
-test_field), so it shares neither the Zech table nor any polynomial loop
-with the code it checks.  The shift-expansion bands are checked against the
+field's code arithmetic: Horner scans, division, products and shifts through
+the fused log-domain kernels of Field, the rest through Field.add/mul.  The
+reference below works on Elt objects instead, with textbook algorithms.  Its
+addition adds digit vectors mod p and its multiplication is Elt * (exp/log,
+checked against schoolbook F_p[x] in test_field), so it shares neither the
+Zech table nor any polynomial loop with the code it checks.  The kernels
+are checked against it on inputs chosen to reach their edge cases: the
+point 0, polynomials with few terms or none, and sums that cancel to zero
+mid-loop.  The shift-expansion bands are checked against the
 dense formula over every pair (i, t), and their cost against the count of
 pairs that Lucas's theorem leaves nonzero.  The decomposition's value table,
 built by linearity, is checked against Horner on the polynomial itself.
@@ -14,7 +18,10 @@ kernels and complements are checked against a digit-vector echelon
 reference that works on Elt.coeffs lists mod p.
 """
 
+import gc
+import itertools
 import random
+import weakref
 from math import comb
 
 import pytest
@@ -258,27 +265,133 @@ def test_eval_at_every_point_matches_reference(field):
 
 
 def test_values_cost_by_nonzero_terms(monkeypatch):
-    """A full scan of x^2049 + x = x(x + 1)^2048 over GF(2^12) takes two
-    multiplications and one power per point, and so does Poly.eval at one
-    point; Horner over every coefficient would take 2,050 multiplications."""
+    """x^2049 + x = x(x + 1)^2048 over GF(2^12) is planned as one Horner
+    step, from x^2049 down to x, and a trailing factor x (low = 1).  A full
+    scan pulls each point once, and Poly.eval at one point pulls that point
+    alone on the same plan; Horner over every coefficient would take 2,049
+    steps a point."""
     field = Field(2, 12)
     codes = [0] * 2050
     codes[2049] = codes[1] = 1
     poly = Poly.from_codes(field, codes)
-    calls = 0
-    for name in ("mul", "pow"):
-        def counted(self, a, b, orig=getattr(Field, name)):
-            nonlocal calls
-            calls += 1
-            return orig(self, a, b)
-        monkeypatch.setattr(Field, name, counted)
+    plans, pulled = [], []
+    horner_plan, horner = Field.horner_plan, Field.horner
+
+    def planned(self, codes):
+        plans.append(horner_plan(self, codes))
+        return plans[-1]
+
+    def counted(self, plan, points):
+        def pull():
+            for x in points:
+                pulled.append(x)
+                yield x
+        return horner(self, plan, pull())
+
+    monkeypatch.setattr(Field, "horner_plan", planned)
+    monkeypatch.setattr(Field, "horner", counted)
     zeros = [x for x, v in enumerate(poly.values()) if v == 0]
-    scanned, calls = calls, 0
+    scanned = len(pulled)
     value = poly.eval(field.from_code(5))
     monkeypatch.undo()
     assert zeros == [0, 1]
-    assert scanned == 3 * field.q
-    assert calls == 3 and value.code == list(poly.values())[5]
+    ((_, low, _, steps),) = plans
+    assert steps == [(2048, 0)] and low == 1
+    assert scanned == field.q
+    assert pulled[scanned:] == [5] and value.code == list(poly.values())[5]
+
+
+def kernel_inputs(rng, field):
+    """Code vectors for the Horner kernel, built by the reference: zero,
+    constant, one-term, zero constant term (low > 0), dense, sparse with
+    long gaps, and two whose accumulator cancels to zero mid-scan at a
+    nonzero point a.  Yields (codes, a or None)."""
+    q, one = field.q, field.one
+    c = lambda: rng.randrange(1, q)  # noqa: E731
+    yield [], None
+    yield [c()], None
+    yield [0, 0, 0, c()], None
+    yield [0, c(), 0, 0, c(), c()], None
+    yield [0] * 5 + rand_codes(rng, field, 6) + [c()], None
+    yield rand_codes(rng, field, 9) + [c()], None
+    yield [c()] + [0] * 30 + [c()] + [0] * 70 + [c()], None
+    a = field.from_code(c())
+    # x^5 - a^2 x^3 + lower terms: the first step gives a^2 - a^2 = 0 at a
+    yield [c(), c(), 0, neg(a * a).code, 0, 1], a
+    # x^3 - a x^2: the last step cancels at a, before the factor x^2
+    yield [0, 0, neg(a).code, one.code], a
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+def test_horner_kernel_matches_reference(field):
+    rng = random.Random(field.q + 8)
+    cancelled = 0
+    for codes, a in kernel_inputs(rng, field):
+        poly = Poly.from_codes(field, codes)
+        ac = list(poly.coeffs)
+        expected = [ref_eval(field, ac, x).code for x in field.elements()]
+        assert list(field.horner(field.horner_plan(poly.codes), range(field.q))) == expected
+        assert list(poly.values()) == expected
+        assert [poly.eval(x).code for x in field.elements()] == expected
+        if a is not None:
+            top = next(e for e in range(len(ac) - 2, -1, -1) if ac[e].code)
+            cancelled += ref_eval(field, ac[top:], a).code == 0
+    assert cancelled == 2
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+def test_values_at_is_lazy(field):
+    """A long stream of points, like itertools.count() but finite so that
+    an eager scan fails instead of hanging: values_at pulls a point only
+    when its consumer asks for the next value."""
+    poly = Poly.from_codes(field, [3 % field.q, 0, 1, field.q - 1])
+    ac = list(poly.coeffs)
+    pulled = 0
+
+    def points():
+        nonlocal pulled
+        for k in range(64 * field.q):
+            pulled += 1
+            yield k % field.q
+
+    head = list(itertools.islice(poly.values_at(points()), 2 * field.q + 3))
+    assert pulled == 2 * field.q + 3
+    assert head == [ref_eval(field, ac, field.from_code(k % field.q)).code
+                    for k in range(2 * field.q + 3)]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+def test_row_kernels_match_reference(field):
+    """divmod, gcd, the product and the shift x -> x + y on pairs built by
+    the reference: a = b * c + r with gaps in c, so a row of the division
+    also cancels the next leading coefficient and the quotient has zeros;
+    a = g * u and b = g * v with a common factor g; and (x + k)(x - k),
+    whose middle coefficient cancels inside the product's rows."""
+    rng = random.Random(field.q + 9)
+    elt = lambda: field.from_code(rng.randrange(field.q))  # noqa: E731
+    unit = lambda: field.from_code(rng.randrange(1, field.q))  # noqa: E731
+    gaps = 0
+    for _ in range(20):
+        bc = [elt() for _ in range(rng.randint(0, 5))] + [unit()]
+        cc = [elt()] + [field.zero] * rng.randint(0, 4) + [unit()]
+        rc = trim(elt() for _ in range(len(bc) - 1))
+        gc_ = [elt() for _ in range(rng.randint(0, 3))] + [unit()]
+        pairs = [(ref_add(field, ref_mul(field, bc, cc), rc), bc),
+                 (ref_mul(field, gc_, cc), ref_mul(field, gc_, bc))]
+        for ac, dc in pairs:
+            a, d = Poly(field, ac), Poly(field, dc)
+            assert list((a * d).coeffs) == ref_mul(field, ac, dc)
+            quo, rem = divmod(a, d)
+            ref_quo, ref_rem = ref_divmod(field, ac, dc)
+            assert (list(quo.coeffs), list(rem.coeffs)) == (ref_quo, ref_rem)
+            assert list(poly_gcd(a, d).coeffs) == ref_gcd(field, ac, dc)
+            gaps += any(c.code == 0 for c in ref_quo)
+            for y in (field.zero, unit()):
+                assert list(a.shift_arg(y).coeffs) == ref_compose(field, ac, [y, field.one])
+    assert gaps
+    k = unit()
+    assert list((Poly(field, [k, field.one]) * Poly(field, [neg(k), field.one])).coeffs) == [
+        neg(k * k), field.zero, field.one]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=IDS)
@@ -401,6 +514,34 @@ def test_decomposition_is_memoised_on_the_polynomial(sparse_3072):
     assert dec.values is dec.values
     assert dec.poly == poly and dec.poly is not poly
     assert maximal_decomposition(Poly.from_codes(poly.field, poly.codes)) is not dec
+
+
+def test_trivial_kernel_decomposition_leaves_no_cycle():
+    """Against a trivial kernel the outer is the input's own coefficients;
+    it must be held as a copy, or poly -> dec -> outer = poly closes a
+    cycle and the decomposition waits for the cyclic collector."""
+    field = Field(2, 8)
+    poly = Poly.from_codes(field, [7, 0, 3, 1])
+    dec = maximal_decomposition(poly)
+    assert dec.kernel.dim == 0 and dec.outer == poly
+    ref = weakref.ref(dec)
+    del dec
+    gc.disable()
+    try:
+        del poly
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+def test_full_subspace_is_the_unit_basis(field):
+    full = Subspace.full(field)
+    spanned = Subspace(field, field.elements())
+    assert full == spanned and hash(full) == hash(spanned)
+    assert full._pivots == spanned._pivots and full.basis == spanned.basis
+    assert [b.code for b in full.basis] == [field.p ** i for i in range(field.n)]
+    assert full.is_full() and full.complementary_basis() == []
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=IDS)
