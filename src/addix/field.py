@@ -9,14 +9,14 @@ through tables built lazily once per field beside a canonical primitive
 element g: exp/log serve mul, pow and inv, and the Zech logarithm Z,
 defined by 1 + g^m = g^Z[m], turns addition into g^a + g^b = g^(a + Z[b - a])
 with one rule for every p.  The fused kernels on code vectors are part of
-that one arithmetic: Horner scans (horner_plan, horner), the multiply-add
-row of long division and of the schoolbook product (divmod_codes,
-mul_codes) and the shift x -> x + y (shift_codes) run whole loops on
+that one arithmetic: Horner scans (horner_plan, horner) and one
+multiply-add row shared by long division, the schoolbook product and the
+shift x -> x + y (divmod_codes, mul_codes, shift_codes) run whole loops on
 discrete logs with the same tables, so no module but this one reads them.
 Polynomials hold codes; Elt is the API boundary and its operators delegate
-here.  The _fp_* helpers on plain
-coefficient lists are the one F_p[x] arithmetic: they validate and select
-the modulus, find the primitive element and build the exp table.
+here.  The _fp_* helpers on plain coefficient lists are the one F_p[x]
+arithmetic: they validate and select the modulus, find the primitive
+element and build the exp table.
 """
 
 from __future__ import annotations
@@ -434,8 +434,8 @@ class Field:
 
     def _axpy(self, acc, shift, lf, terms):
         """acc[shift + j] += g^(lf + lt) for each (j, lt) in terms, in place,
-        on a vector of logs: the one multiply-add row of long division and
-        of the schoolbook product."""
+        on a vector of logs: the one multiply-add row of long division, the
+        schoolbook product and the shift."""
         zech, m = self._zech, self.q - 1
         for j, lt in terms:
             k = shift + j

@@ -375,9 +375,9 @@ def test_row_kernels_match_reference(field):
         bc = [elt() for _ in range(rng.randint(0, 5))] + [unit()]
         cc = [elt()] + [field.zero] * rng.randint(0, 4) + [unit()]
         rc = trim(elt() for _ in range(len(bc) - 1))
-        gc_ = [elt() for _ in range(rng.randint(0, 3))] + [unit()]
+        common = [elt() for _ in range(rng.randint(0, 3))] + [unit()]
         pairs = [(ref_add(field, ref_mul(field, bc, cc), rc), bc),
-                 (ref_mul(field, gc_, cc), ref_mul(field, gc_, bc))]
+                 (ref_mul(field, common, cc), ref_mul(field, common, bc))]
         for ac, dc in pairs:
             a, d = Poly(field, ac), Poly(field, dc)
             assert list((a * d).coeffs) == ref_mul(field, ac, dc)
