@@ -108,6 +108,8 @@ def _maximal_subspace_poly(poly: Poly) -> tuple[LinearizedPoly, Subspace]:
         if g.degree == 1:
             break  # every band is divisible by x, so the gcd is x already
         g = poly_gcd(g, band)
+    if g.degree == 1:  # c*x divides x^q - x: the kernel is trivial
+        return LinearizedPoly.identity(field), Subspace(field, ())
     g = gcd_with_xq_minus_x(g)
     sub_poly = is_linearized(g)
     if sub_poly is None:

@@ -7,7 +7,9 @@ has a monic linearized vanishing polynomial dividing x^q - x, and conversely
 the kernel of such a polynomial is a subspace; both directions live here,
 along with expansion in a polynomial base, composition quotients and
 complements, linearized interpolation, coset representatives and image
-subspaces.
+subspaces.  A subspace's canonical coset representatives are the codes whose
+pivot digits are zero: reduce, coset_key and coset_reps share that one rule,
+and one span routine lists value tables, members and representatives.
 """
 
 from __future__ import annotations
@@ -33,6 +35,19 @@ def _p_power_index(e: int, p: int) -> int:
         e //= p
         i += 1
     return i
+
+
+def _span(field: Field, gens) -> list[int]:
+    """Codes of every F_p-combination sum(d_i * gens[i]), the one with digits
+    d_i at index sum(d_i * p^i): the first generator varies fastest, and the
+    entries below p^(i+1) are those below p^i plus d * gens[i] for each d."""
+    add = field.add
+    table = [0]
+    for g in gens:
+        size = len(table)
+        for _ in range(field.p - 1):
+            table.extend([add(v, g) for v in table[-size:]])
+    return table
 
 
 class LinearizedPoly(CodeVector):
@@ -75,19 +90,12 @@ class LinearizedPoly(CodeVector):
         return field.from_code(acc)
 
     def values(self) -> list[int]:
-        """Codes of self at every field element, in code order, by linearity
-        from its values on the basis e_i = p^i: the codes below p^(i+1) are
-        those below p^i plus d * L(e_i) for each digit d, so the table costs
+        """Codes of self at every field element, in code order, by linearity:
+        the span of its values on the basis e_i = p^i, so the table costs
         q - 1 adds after n evaluations."""
         field = self.field
-        add, p = field.add, field.p
-        table = [0]
-        for i in range(field.n):
-            image = self.eval(field.from_code(p ** i)).code
-            size = len(table)
-            for _ in range(p - 1):
-                table.extend([add(v, image) for v in table[-size:]])
-        return table
+        return _span(field, [self.eval(field.from_code(field.p ** i)).code
+                             for i in range(field.n)])
 
     def to_poly(self) -> Poly:
         if not self.codes:
@@ -180,19 +188,6 @@ def _clear(field: Field, code: int, rows, pivots) -> int:
     return code
 
 
-def _add_row(field: Field, code: int, rows: list[int], pivots: list[int]) -> bool:
-    """Clear code against the echelon rows; unless it then vanishes, append
-    it with its lowest nonzero digit as pivot, scaled to 1.  Returns whether
-    a row was added."""
-    code = _clear(field, code, rows, pivots)
-    if not code:
-        return False
-    piv, d = _lowest_digit(code, field.p)
-    rows.append(field.mul(code, pow(d, -1, field.p)))
-    pivots.append(piv)
-    return True
-
-
 class Subspace:
     """F_p-subspace of the field, held as a reduced echelon basis of codes.
 
@@ -204,19 +199,23 @@ class Subspace:
 
     __slots__ = ("field", "_rows", "_pivots")
 
-    def __init__(self, field: Field, generators=(), *, strict: bool = False):
+    def __init__(self, field: Field, generators=()):
+        """Span of the generators; one that clears to zero against the rows
+        so far is dependent and skipped, and each new row, with its lowest
+        nonzero digit as pivot scaled to 1, is cleared out of the others."""
         self.field = field
+        p = field.p
         rows: list[int] = []
         pivots: list[int] = []
-        dependent = False
         for g in generators:
-            if not _add_row(field, self._code(g), rows, pivots):
-                dependent = True
+            code = _clear(field, self._code(g), rows, pivots)
+            if not code:
                 continue
-            for k in range(len(rows) - 1):
-                rows[k] = _clear(field, rows[k], rows[-1:], pivots[-1:])
-        if strict and dependent:
-            raise PreconditionError("generators are linearly dependent over F_p")
+            piv, d = _lowest_digit(code, p)
+            row = field.mul(code, pow(d, -1, p))
+            rows = [_clear(field, r, (row,), (piv,)) for r in rows]
+            rows.append(row)
+            pivots.append(piv)
         order = sorted(range(len(rows)), key=pivots.__getitem__)
         self._rows = tuple(rows[i] for i in order)
         self._pivots = tuple(pivots[i] for i in order)
@@ -262,23 +261,7 @@ class Subspace:
     def elements(self) -> list[Elt]:
         """All p^dim members, ascending code order."""
         field = self.field
-        codes = [0]
-        for row in self._rows:
-            scaled = [field.mul(row, k) for k in range(field.p)]
-            codes = [field.add(e, s) for s in scaled for e in codes]
-        return [field.from_code(c) for c in sorted(codes)]
-
-    def complementary_basis(self) -> list[Elt]:
-        """Greedy smallest-code elements extending self to the whole field."""
-        field = self.field
-        rows, pivots = list(self._rows), list(self._pivots)
-        out = []
-        code = 1
-        while len(rows) < field.n:
-            if _add_row(field, code, rows, pivots):
-                out.append(field.from_code(code))
-            code += 1
-        return out
+        return [field.from_code(c) for c in sorted(_span(field, self._rows))]
 
     def __eq__(self, other):
         if isinstance(other, Subspace):
@@ -293,10 +276,13 @@ class Subspace:
 
 
 def coset_reps(subspace: Subspace) -> tuple[Elt, ...]:
-    """One representative per coset of the subspace: the F_p-span of the
-    canonical complementary basis, sorted by code, so the first is zero."""
-    comp = Subspace(subspace.field, subspace.complementary_basis())
-    return tuple(comp.elements())
+    """One representative per coset of the subspace, ascending by code, so
+    the first is zero: the codes whose pivot digits are zero, which are the
+    values of coset_key, spanned by the unit codes p^i that are not pivots."""
+    field = subspace.field
+    pivots = set(subspace._pivots)
+    units = [w for w in (field.p ** i for i in range(field.n)) if w not in pivots]
+    return tuple([field.from_code(c) for c in _span(field, units)])
 
 
 def kernel(linpoly: LinearizedPoly) -> Subspace:

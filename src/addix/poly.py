@@ -26,7 +26,8 @@ class CodeVector:
     __slots__ = ("field", "codes")
 
     def __init__(self, field: Field, coeffs=()):
-        self._set(field, [c.code for c in coeffs])
+        self.field = field
+        self._set(field, [self._code(c) for c in coeffs])
 
     def _set(self, field, codes):
         end = len(codes)

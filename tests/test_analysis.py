@@ -209,7 +209,7 @@ def test_involution_certificate_matches_brute():
     rng = random.Random(67)
     for _ in range(100):
         sub = Subspace(F16, [F16.from_code(rng.randrange(1, 16))
-                             for _ in range(rng.randint(1, 2))], strict=False)
+                             for _ in range(rng.randint(1, 2))])
         base = vanishing_poly(sub)
         outer = Poly.from_codes(F16, [rng.randrange(16) for _ in range(3)])
         linear = LinearizedPoly.from_codes(F16, [rng.randrange(16)
@@ -488,7 +488,7 @@ def test_agw_with_distinct_target_set():
     while exercised < 10:
         dim = rng.randint(1, 3)
         sub = Subspace(F16, [F16.from_code(rng.randrange(1, 16))
-                             for _ in range(dim)], strict=False)
+                             for _ in range(dim)])
         base = vanishing_poly(sub)
         outer = rand_poly(rng, F16, 2)
         linear = LinearizedPoly.from_codes(F16, [rng.randrange(16)
@@ -521,7 +521,7 @@ def test_agw_random_quotient_diagrams():
     els = F16.elements()
     for _ in range(1000):
         sub = Subspace(F16, [F16.from_code(rng.randrange(1, 16))
-                             for _ in range(rng.randint(0, 2))], strict=False)
+                             for _ in range(rng.randint(0, 2))])
         base = vanishing_poly(sub)
         image = sorted({base.eval(y) for y in els}, key=lambda e: e.code)
         fbar = {s: rng.choice(image) for s in image}

@@ -13,9 +13,9 @@ mid-loop.  The shift-expansion bands are checked against the
 dense formula over every pair (i, t), and their cost against the count of
 pairs that Lucas's theorem leaves nonzero.  The decomposition's value table,
 built by linearity, is checked against Horner on the polynomial itself.
-Subspaces hold reduced-echelon rows as codes; their rows, reductions,
-kernels and complements are checked against a digit-vector echelon
-reference that works on Elt.coeffs lists mod p.
+Subspaces hold reduced-echelon rows as codes; their rows, reductions and
+kernels are checked against a digit-vector echelon reference that works on
+Elt.coeffs lists mod p.
 """
 
 import gc
@@ -27,10 +27,10 @@ from math import comb
 import pytest
 
 from addix.decompose import maximal_decomposition
-from addix.errors import PreconditionError
 from addix.field import Field
 from addix.field import is_prime
-from addix.linearized import LinearizedPoly, Subspace, kernel, vanishing_poly
+from addix.linearized import (LinearizedPoly, Subspace, coset_reps, kernel,
+                              vanishing_poly)
 from addix.poly import Poly, poly_gcd, shift_expand
 
 FIELDS = [Field(2, 4), Field(3, 3), Field(5, 2), Field(7, 2), Field(2, 10)]
@@ -175,19 +175,6 @@ def ref_echelon(field, gens):
             ref_reduce(row, rows[-1:], pivots[-1:], p)
     order = sorted(range(len(rows)), key=lambda i: pivots[i])
     return [rows[i] for i in order], [pivots[i] for i in order], dependent
-
-
-def ref_complement(field, rows, pivots):
-    """Codes of the greedy smallest-code elements extending the rows to
-    the whole field."""
-    rows, pivots = [list(r) for r in rows], list(pivots)
-    out = []
-    code = 1
-    while len(rows) < field.n:
-        if ref_insert(list(field.from_code(code).coeffs), rows, pivots, field.p):
-            out.append(code)
-        code += 1
-    return out
 
 
 # -- comparisons
@@ -541,7 +528,7 @@ def test_full_subspace_is_the_unit_basis(field):
     assert full == spanned and hash(full) == hash(spanned)
     assert full._pivots == spanned._pivots and full.basis == spanned.basis
     assert [b.code for b in full.basis] == [field.p ** i for i in range(field.n)]
-    assert full.is_full() and full.complementary_basis() == []
+    assert full.is_full() and [r.code for r in coset_reps(full)] == [0]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=IDS)
@@ -573,13 +560,7 @@ def test_code_echelon_matches_digit_reference(field):
         dependent_seen.add(dependent)
         sub = Subspace(field, gens)
         assert [list(b.coeffs) for b in sub.basis] == rows
-        if dependent:
-            with pytest.raises(PreconditionError):
-                Subspace(field, gens, strict=True)
-        else:
-            assert Subspace(field, gens, strict=True) == sub
-        assert ([b.code for b in sub.complementary_basis()]
-                == ref_complement(field, rows, pivots))
+        assert (sub.dim < len(gens)) == dependent  # dependent generators are skipped
     assert dependent_seen == {False, True}
     if field.q > 256:
         return

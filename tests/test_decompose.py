@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import addix.poly
 from addix.decompose import (_split, additive_index, additive_kernel,
                              decompose_with, maximal_decomposition,
                              multiplicative_index)
@@ -172,8 +173,7 @@ def test_structural_routes_scan_no_field(monkeypatch):
     field = Field(2, 12)
     field.elements()  # the element cache that from_code reads
     rng = random.Random(41)
-    sub = Subspace(field, [field.from_code(rng.randrange(1, field.q)) for _ in range(3)],
-                   strict=False)
+    sub = Subspace(field, [field.from_code(rng.randrange(1, field.q)) for _ in range(3)])
     base = vanishing_poly(sub)
     outer = Poly.from_codes(field, [rng.randrange(field.q) for _ in range(2)] + [1])
     linear = LinearizedPoly.from_codes(field, [rng.randrange(field.q) for _ in range(3)])
@@ -215,3 +215,23 @@ def test_trivial_kernel_split_matches_digits(p, n):
         dec = maximal_decomposition(poly)
         if dec.index == n:
             assert dec.outer == poly and dec.linear_part.is_zero()
+
+
+def test_trivial_kernel_skips_the_xq_gcd(monkeypatch):
+    """A band gcd of degree 1 is c*x, which divides x^q - x, so a trivial
+    kernel is read off it with no x^q mod g; a larger gcd still needs one."""
+    calls = []
+    real = addix.poly.pow_x_mod
+
+    def counting(modpoly, e):
+        calls.append(modpoly.degree)
+        return real(modpoly, e)
+
+    monkeypatch.setattr(addix.poly, "pow_x_mod", counting)
+    field = Field(2, 8)
+    dec = maximal_decomposition(parse_poly("x^3+x+1", field))
+    assert dec.index == 8 and calls == []
+    assert dec.subspace_poly == LinearizedPoly.identity(field)
+    assert dec.kernel == kernel(LinearizedPoly.identity(field))
+    dec = maximal_decomposition(parse_poly("(x^4+x)^3+(x^4+x)+x", field))
+    assert dec.index == 6 and calls

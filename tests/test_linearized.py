@@ -90,7 +90,7 @@ def test_kernel_matches_dense_root_scan_random_large(p, n):
                           monic=rng.random() < 0.5, x_coeff=rng.random() < 0.7)
         if rng.random() < 0.5:
             sub = Subspace(field, [field.from_code(rng.randrange(1, field.q))
-                                   for _ in range(rng.randint(1, 3))], strict=False)
+                                   for _ in range(rng.randint(1, 3))])
             lin = vanishing_poly(sub).compose(lin)
         ker = kernel(lin)
         assert ker == _root_scan(lin), lin
@@ -121,7 +121,7 @@ def test_vanishing_poly_matches_naive_product():
     for field in (F8, F16):
         for _ in range(10):
             gens = [field.from_code(rng.randrange(1, field.q)) for _ in range(2)]
-            sub = Subspace(field, gens, strict=False)
+            sub = Subspace(field, gens)
             naive = Poly.one(field)
             for v in sub.elements():
                 naive = naive * Poly(field, (-v, field.one))
@@ -178,7 +178,7 @@ def test_compose_quotient_random_identity():
     rng = random.Random(13)
     for _ in range(30):
         gens = [F16.from_code(rng.randrange(1, 16)) for _ in range(rng.randint(1, 2))]
-        inner = vanishing_poly(Subspace(F16, gens, strict=False))
+        inner = vanishing_poly(Subspace(F16, gens))
         outer = LinearizedPoly.from_codes(F16, [rng.randrange(16) for _ in range(2)])
         target = outer.compose(inner)
         if target.is_zero():
@@ -233,6 +233,50 @@ def test_coset_reps_examples():
         assert not sub.contains(a - b)
 
 
+FIELDS_UP_TO_81 = [Field(p, n) for p in (2, 3, 5, 7) for n in range(1, 7) if p ** n <= 81]
+
+
+def _check_coset_reps(sub):
+    """coset_reps lists the values of coset_key in ascending order, and each
+    representative is its own canonical reduction."""
+    reps = coset_reps(sub)
+    assert [r.code for r in reps] == sorted({sub.coset_key(v) for v in sub.field.elements()})
+    assert all(sub.reduce(r) == r for r in reps)
+
+
+@pytest.mark.parametrize("field", FIELDS_UP_TO_81, ids=str)
+def test_coset_reps_are_the_coset_keys(field):
+    for sub in all_subspaces(field):
+        _check_coset_reps(sub)
+
+
+@pytest.mark.parametrize("p,n", [(3, 5), (2, 10)])
+def test_coset_reps_are_the_coset_keys_random_large(p, n):
+    field = Field(p, n)
+    rng = random.Random(17)
+    dims = set()
+    for _ in range(10):
+        sub = Subspace(field, [field.from_code(rng.randrange(1, field.q))
+                               for _ in range(rng.randint(0, n))])
+        _check_coset_reps(sub)
+        dims.add(sub.dim)
+    assert len(dims) > 3
+
+
+def test_coset_reps_build_no_subspace(monkeypatch):
+    sub = Subspace(F27, [F27.from_code(5)])
+    built = []
+    init = Subspace.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Subspace, "__init__", counting_init)
+    assert len(coset_reps(sub)) == 9
+    assert built == []
+
+
 def test_subspace_image_examples():
     sub = Subspace(F9, [F9.one])
     assert subspace_image(LinearizedPoly.identity(F9), sub) == sub
@@ -243,8 +287,7 @@ def test_subspace_image_examples():
         m = LinearizedPoly.from_codes(F16, [rng.randrange(16) for _ in range(3)])
         if m.is_zero():
             continue
-        sub = Subspace(F16, [F16.from_code(rng.randrange(1, 16)) for _ in range(2)],
-                       strict=False)
+        sub = Subspace(F16, [F16.from_code(rng.randrange(1, 16)) for _ in range(2)])
         img = subspace_image(m, sub)
         inter = [u for u in sub.elements() if m.eval(u).code == 0]
         assert (2 ** img.dim) * len(inter) == 2 ** sub.dim
@@ -281,7 +324,7 @@ def test_gcd_degree_counts_common_kernel():
     rng = random.Random(6)
     for _ in range(25):
         a = vanishing_poly(Subspace(F16, [F16.from_code(rng.randrange(1, 16))
-                                          for _ in range(rng.randint(0, 3))], strict=False))
+                                          for _ in range(rng.randint(0, 3))]))
         b = LinearizedPoly.from_codes(F16, [rng.randrange(16) for _ in range(3)])
         if b.is_zero():
             continue
@@ -295,8 +338,7 @@ def test_subspace_basics():
     assert sub.dim == 2
     assert sub.contains(F16.from_code(3) + F16.from_code(5))
     assert len(sub.elements()) == 4
-    with pytest.raises(PreconditionError):
-        Subspace(F16, [F16.one, F16.one], strict=True)
+    assert Subspace(F16, [F16.one, F16.one]).dim == 1  # dependent generators are skipped
     # reduce is constant on cosets and zero exactly on members
     v = F16.from_code(9)
     key = sub.coset_key(v)
@@ -321,3 +363,17 @@ def test_subspaces_refuse_other_fields(case):
             Subspace(F8, [F8.one]).contains(F9.from_code(1))
         else:
             F8.from_code(3) in Subspace.full(F4)
+
+
+@pytest.mark.parametrize("kind", [Poly, LinearizedPoly], ids=lambda k: k.__name__)
+@pytest.mark.parametrize("case", ["wider", "narrower", "zero"])
+def test_coefficient_vectors_refuse_other_fields(kind, case):
+    """A polynomial never reads an element of another field as a code of
+    its own: a code out of range, one that names another element, or zero."""
+    with pytest.raises(PreconditionError):
+        if case == "wider":
+            kind(F4, [F16.from_code(9), F4.one])
+        elif case == "narrower":
+            kind(F16, [F4.from_code(3), F16.one])
+        else:
+            kind(F8, [F8.one, F4.zero])
