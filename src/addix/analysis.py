@@ -21,6 +21,14 @@ from .linearized import (LinearizedPoly, Subspace, compose_quotient,
 from .poly import Poly, lagrange_interpolate, poly_gcd
 
 
+def _same_field(first, *others) -> Field:
+    """The field all operands share; the scans below read bare codes."""
+    field = first.field
+    if any(o.field is not field and o.field != field for o in others):
+        raise PreconditionError("operands belong to different fields")
+    return field
+
+
 # ---------------------------------------------------------------------------
 # Value sets
 
@@ -161,6 +169,7 @@ def quotient_pp_criterion(outer: Poly, base: LinearizedPoly,
     y -> base(outer(y)) + N(y) is injective on base's image, where
     N o base = base o linear_part.
     """
+    field = _same_field(base, linear_part, outer)
     require_splitting_monic(base)
     try:
         quotient_map = compose_quotient(base.compose(linear_part), base)
@@ -170,8 +179,9 @@ def quotient_pp_criterion(outer: Poly, base: LinearizedPoly,
     g = poly_gcd(base.to_poly(), linear_part.to_poly())
     if g.degree != 1:
         return False
-    image = image_elements(base)
-    mapped = {(base.eval(outer.eval(s)) + quotient_map.eval(s)).code for s in image}
+    image = [s.code for s in image_elements(base)]
+    mapped = set(map(field.add, base.values_at(outer.values_at(image)),
+                     quotient_map.values_at(image)))
     return len(mapped) == len(image)
 
 
@@ -197,15 +207,13 @@ def inverse_pp(poly: Poly) -> Poly:
     base0 = vanishing_poly(dec.image_subspace)
     pairs = [(dec.linear_part.eval(b), b) for b in dec.kernel.basis]
     inv_linear = linearized_interpolate(field, pairs, dec.kernel.dim)
-    points = []
-    seen = set()
-    for z in dec.coset_reps:
-        image = field.from_code(values[z.code])
-        abscissa = base0.eval(image)
-        if abscissa.code in seen:
-            raise InvariantViolation("coset images collided while inverting a permutation")
-        seen.add(abscissa.code)
-        points.append((abscissa, z - inv_linear.eval(image)))
+    images = [values[z.code] for z in dec.coset_reps]
+    abscissae = list(base0.values_at(images))
+    if len(set(abscissae)) != len(abscissae):
+        raise InvariantViolation("coset images collided while inverting a permutation")
+    from_code = field.from_code
+    points = [(from_code(a), z - from_code(c)) for a, z, c
+              in zip(abscissae, dec.coset_reps, inv_linear.values_at(images))]
     outer0 = lagrange_interpolate(field, points)
     return outer0.compose(base0.to_poly()) + inv_linear.to_poly()
 
@@ -213,8 +221,7 @@ def inverse_pp(poly: Poly) -> Poly:
 def round_trips(f: Poly, g: Poly) -> bool:
     """Brute check that f(g(y)) == y at every field element y: f's values
     are tabulated once and g's scanned up to the first miss."""
-    if f.field != g.field:
-        raise PreconditionError("polynomials over different fields")
+    _same_field(f, g)
     table = list(f.values())
     return all(table[v] == y for y, v in enumerate(g.values()))
 
@@ -251,16 +258,13 @@ def translation_pp(base: LinearizedPoly, outer: Poly) -> tuple[Poly, Counter]:
     then the permutation has t * deg(base) fixed points for t the number of
     image-set roots of outer, and all other cycles have length p.
     """
-    field = outer.field
+    field = _same_field(base, outer)
     require_splitting_monic(base)
-    roots = 0
-    for s in image_elements(base):
-        value = outer.eval(s)
-        if base.eval(value).code != 0:
-            raise PreconditionError(
-                "hypothesis fails: base o outer does not vanish on the image set")
-        if value.code == 0:
-            roots += 1
+    values = list(outer.values_at([s.code for s in image_elements(base)]))
+    if any(base.values_at(values)):
+        raise PreconditionError(
+            "hypothesis fails: base o outer does not vanish on the image set")
+    roots = values.count(0)
     perm = outer.compose(base.to_poly()) + Poly.x(field)
     fixed = roots * base.degree
     predicted: Counter = Counter()
@@ -324,10 +328,10 @@ def is_involution(poly: Poly) -> InvolutionReport:
         raise PreconditionError("involution test needs degree >= 1")
     dec = maximal_decomposition(poly)
     image_ok = dec.image_subspace == dec.kernel
-    order_two = all(dec.linear_part.eval(dec.linear_part.eval(b)) == b
-                    for b in dec.kernel.basis)
-    reps_ok = all(dec.poly.eval(dec.poly.eval(z)) == z
-                  for z in dec.coset_reps)
+    lin, basis = dec.linear_part, [b.code for b in dec.kernel.basis]
+    order_two = list(lin.values_at(lin.values_at(basis))) == basis
+    reps = [z.code for z in dec.coset_reps]
+    reps_ok = list(dec.poly.values_at(dec.poly.values_at(reps))) == reps
     return InvolutionReport(
         is_involution=image_ok and order_two and reps_ok,
         image_equals_kernel=image_ok,
@@ -362,31 +366,28 @@ def _translator_values(spec: TranslatorSpec) -> list[int] | None:
     """Codes of g's values in code order when spec passes the exhaustive
     translator check over field x subspace (plus the closed-form shape for
     the named kinds), else None."""
-    field = spec.g.field
+    field = _same_field(spec.g, spec.subspace, spec.translate)
     members = spec.subspace.elements()
+    codes = [u.code for u in members]
     values = list(spec.g.values())
     if spec.kind == "general":
         # the definition asks for a map into the subspace, so straying
         # values already disqualify g
-        if any(not spec.subspace.contains(field.from_code(v)) for v in values):
+        if not set(codes).issuperset(values):
             return None
-    if spec.kind == "b_linear":
+    moved = list(spec.translate.values_at(codes))
+    if spec.kind in ("b_linear", "frobenius"):
         if spec.gamma is None or spec.scale is None:
-            raise PreconditionError("b_linear kind needs gamma and scale")
-        ginv = spec.gamma.inv()
-        if any(spec.translate.eval(u) != ginv * spec.scale * u for u in members):
-            return None
-    elif spec.kind == "frobenius":
-        if spec.gamma is None or spec.scale is None:
-            raise PreconditionError("frobenius kind needs gamma and scale")
-        pi = field.p ** (spec.frob_power % field.n)
-        gfac = (spec.gamma ** pi).inv()
-        if any(spec.translate.eval(u) != gfac * spec.scale * u ** pi for u in members):
+            raise PreconditionError(f"{spec.kind} kind needs gamma and scale")
+        # b_linear is the Frobenius shape at power p^0
+        pi = field.p ** (spec.frob_power % field.n) if spec.kind == "frobenius" else 1
+        factor = (spec.gamma ** pi).inv() * spec.scale
+        if any(m != (factor * u ** pi).code for u, m in zip(members, moved)):
             return None
     elif spec.kind != "general":
         raise PreconditionError(f"unknown translator kind {spec.kind!r}")
     add = field.add
-    shifts = [(u.code, spec.translate.eval(u).code) for u in members]
+    shifts = list(zip(codes, moved))
     for a, ga in enumerate(values):
         for u, mu in shifts:
             if values[add(a, u)] != add(ga, mu):
@@ -411,26 +412,27 @@ def translator_pp(spec: TranslatorSpec, adjust: Poly) -> tuple[bool, bool]:
     Requires g onto the subspace, adjust mapping the subspace into itself,
     and the spec to pass is_linear_translator.
     """
-    field = spec.g.field
-    members = spec.subspace.elements()
-    member_codes = {m.code for m in members}
+    field = _same_field(spec.g, adjust)
+    codes = [m.code for m in spec.subspace.elements()]
+    member_codes = set(codes)
     g_values = _translator_values(spec)
     if g_values is None:
         raise PreconditionError("spec is not a linear translator")
     if set(g_values) != member_codes:
         raise PreconditionError("g must map onto the subspace")
-    adjusted = {u.code: adjust.eval(u) for u in members}
-    if any(v.code not in member_codes for v in adjusted.values()):
+    moved = list(adjust.values_at(codes))
+    if not member_codes.issuperset(moved):
         raise PreconditionError("adjust must map the subspace into itself")
-    small = {(u + spec.translate.eval(adjusted[u.code])).code for u in members}
-    small_bijective = len(small) == len(members)
     add = field.add
-    big = {add(a, adjusted[ga].code) for a, ga in enumerate(g_values)}
+    small = set(map(add, codes, spec.translate.values_at(moved)))
+    small_bijective = len(small) == len(codes)
+    adjusted = dict(zip(codes, moved))
+    big = {add(a, adjusted[ga]) for a, ga in enumerate(g_values)}
     big_bijective = len(big) == field.q
     if small_bijective != big_bijective:
         raise InvariantViolation(
             "subspace-side verdict disagrees with the full permutation scan")
-    doubled = {add(add(a, a), adjusted[ga].code) for a, ga in enumerate(g_values)}
+    doubled = {add(add(a, a), adjusted[ga]) for a, ga in enumerate(g_values)}
     return big_bijective, len(doubled) == field.q
 
 

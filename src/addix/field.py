@@ -9,7 +9,8 @@ through tables built lazily once per field beside a canonical primitive
 element g: exp/log serve mul, pow and inv, and the Zech logarithm Z,
 defined by 1 + g^m = g^Z[m], turns addition into g^a + g^b = g^(a + Z[b - a])
 with one rule for every p.  The fused kernels on code vectors are part of
-that one arithmetic: Horner scans (horner_plan, horner) and one
+that one arithmetic: Horner scans planned from (exponent, code) terms, so
+dense and linearized polynomials share them (horner_plan, horner), and one
 multiply-add row shared by long division, the schoolbook product and the
 shift x -> x + y (divmod_codes, mul_codes, shift_codes) run whole loops on
 discrete logs with the same tables, so no module but this one reads them.
@@ -395,20 +396,21 @@ class Field:
             self._ensure_tables()
         return self._exp, self._log, self._zech, self.q - 1
 
-    def horner_plan(self, codes) -> tuple:
-        """Log-domain Horner plan of a code vector (constant term first):
-        (value at 0, low, log of the leading coefficient, steps).  steps
-        holds one (gap, log c) pair per lower nonzero term c x^e, descending,
-        gap being the distance in exponent from the term before; low is the
-        lowest exponent with a nonzero coefficient.  A polynomial's cost is
-        then its nonzero terms, not its degree.  steps is a list: as tuples
-        of every length they would outlive their polynomials in the
-        interpreter's per-length tuple free lists, raising peak memory."""
+    def horner_plan(self, terms) -> tuple:
+        """Log-domain Horner plan of sum(c x^e) over terms, (e, c) pairs
+        ascending by exponent: (value at 0, low, log of the leading
+        coefficient, steps).  steps holds one (gap, log c) pair per lower
+        nonzero term c x^e, descending, gap being the distance in exponent
+        from the term before; low is the lowest exponent with a nonzero
+        coefficient.  A polynomial's cost is then its nonzero terms, not its
+        degree.  steps is a list: as tuples of every length they would
+        outlive their polynomials in the interpreter's per-length tuple free
+        lists, raising peak memory."""
         log = self._logs()[1]
-        terms = [(e, c) for e, c in enumerate(codes) if c][::-1] or [(0, 0)]
+        terms = [(e, c) for e, c in terms if c][::-1] or [(0, 0)]
         steps = [(high - e, log[c]) for (high, _), (e, c) in zip(terms, terms[1:])]
-        low = terms[-1][0]
-        return (codes[0] if codes else 0), low, log[terms[0][1]], steps
+        low, last = terms[-1]
+        return (last if low == 0 else 0), low, log[terms[0][1]], steps
 
     def horner(self, plan, points):
         """Codes of the planned polynomial at each code in points.  The

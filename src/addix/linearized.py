@@ -2,14 +2,16 @@
 
 A linearized polynomial sum(a_i x^{p^i}) induces an F_p-linear map on the
 field.  It holds the codes of its p-power coefficient vector on the core it
-shares with Poly; lin_coeffs is a read-only Elt view.  Every F_p-subspace
-has a monic linearized vanishing polynomial dividing x^q - x, and conversely
-the kernel of such a polynomial is a subspace; both directions live here,
-along with expansion in a polynomial base, composition quotients and
-complements, linearized interpolation, coset representatives and image
-subspaces.  A subspace's canonical coset representatives are the codes whose
-pivot digits are zero: reduce, coset_key and coset_reps share that one rule,
-and one span routine lists value tables, members and representatives.
+shares with Poly; lin_coeffs is a read-only Elt view.  Its values come
+from that core's one Horner scan, planned from its terms (p^i, a_i).  Every
+F_p-subspace has a monic linearized vanishing polynomial dividing x^q - x,
+and conversely the kernel of such a polynomial is a subspace; both
+directions live here, along with expansion in a polynomial base,
+composition quotients and complements, linearized interpolation, coset
+representatives and image subspaces.  A subspace's canonical coset
+representatives are the codes whose pivot digits are zero: reduce,
+coset_key and coset_reps share that one rule, and one span routine lists
+value tables, members and representatives.
 """
 
 from __future__ import annotations
@@ -19,22 +21,6 @@ import itertools
 from .errors import InvariantViolation, PreconditionError
 from .field import Elt, Field
 from .poly import CodeVector, Poly
-
-
-def _is_p_power_exp(e: int, p: int) -> bool:
-    if e < 1:
-        return False
-    while e % p == 0:
-        e //= p
-    return e == 1
-
-
-def _p_power_index(e: int, p: int) -> int:
-    i = 0
-    while e > 1:
-        e //= p
-        i += 1
-    return i
 
 
 def _span(field: Field, gens) -> list[int]:
@@ -78,32 +64,24 @@ class LinearizedPoly(CodeVector):
         """Nonzero coefficient at x itself, i.e. no repeated roots."""
         return bool(self.codes) and self.codes[0] != 0
 
+    def _terms(self):
+        p = self.field.p
+        return ((p ** i, c) for i, c in enumerate(self.codes))
+
     def eval(self, point: Elt) -> Elt:
-        field = self.field
-        add, mul, power, p = field.add, field.mul, field.pow, field.p
-        acc = 0
-        t = self._code(point)
-        for c in self.codes:
-            if c:
-                acc = add(acc, mul(c, t))
-            t = power(t, p)
-        return field.from_code(acc)
+        return self.field.from_code(next(self.values_at((self._code(point),))))
 
     def values(self) -> list[int]:
         """Codes of self at every field element, in code order, by linearity:
         the span of its values on the basis e_i = p^i, so the table costs
         q - 1 adds after n evaluations."""
         field = self.field
-        return _span(field, [self.eval(field.from_code(field.p ** i)).code
-                             for i in range(field.n)])
+        return _span(field, self.values_at([field.p ** i for i in range(field.n)]))
 
     def to_poly(self) -> Poly:
-        if not self.codes:
-            return Poly.zero(self.field)
-        p = self.field.p
-        dense = [0] * (p ** (len(self.codes) - 1) + 1)
-        for i, c in enumerate(self.codes):
-            dense[p ** i] = c
+        dense = [0] * (self.degree + 1)
+        for e, c in self._terms():
+            dense[e] = c
         return Poly._new(self.field, dense)
 
     def compose(self, inner: "LinearizedPoly") -> "LinearizedPoly":
@@ -146,20 +124,17 @@ def is_linearized(poly: Poly) -> LinearizedPoly | None:
     """Linearized view of a dense polynomial, or None.
 
     Requires every monomial exponent to be a power of p and a zero constant
-    term; the zero polynomial qualifies.
+    term; the zero polynomial qualifies.  The view reads the codes at the
+    exponents p^i, so it holds every nonzero code exactly when poly qualifies.
     """
-    p = poly.field.p
-    lin: dict[int, int] = {}
-    for e, c in enumerate(poly.codes):
-        if c == 0:
-            continue
-        if not _is_p_power_exp(e, p):
-            return None
-        lin[_p_power_index(e, p)] = c
-    out = [0] * (max(lin) + 1 if lin else 0)
-    for i, c in lin.items():
-        out[i] = c
-    return LinearizedPoly._new(poly.field, out)
+    codes, p = poly.codes, poly.field.p
+    lin, e = [], 1
+    while e < len(codes):
+        lin.append(codes[e])
+        e *= p
+    if sum(map(bool, codes)) != sum(map(bool, lin)):
+        return None
+    return LinearizedPoly._new(poly.field, lin)
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +274,8 @@ def kernel(linpoly: LinearizedPoly) -> Subspace:
     p, add, mul = field.p, field.add, field.mul
     rows: list[tuple[int, int, int]] = []  # (pivot p^i, left code, right code)
     zeros = []
-    for i in range(field.n):
-        left, right = linpoly.eval(field.from_code(p ** i)).code, p ** i
+    units = [p ** i for i in range(field.n)]
+    for left, right in zip(linpoly.values_at(units), units):
         for piv, row_left, row_right in rows:
             d = left // piv % p
             if d:
@@ -416,6 +391,8 @@ def linearized_interpolate(field: Field, pairs, bound: int) -> LinearizedPoly:
     pts = list(pairs)
     if len(pts) != bound:
         raise PreconditionError("need exactly `bound` interpolation pairs")
+    if any(e.field != field for pair in pts for e in pair):
+        raise PreconditionError("interpolation pairs belong to a different field")
     add, mul, p = field.add, field.mul, field.p
     rows = [[field.pow(u.code, p ** i) for i in range(bound)] + [w.code]
             for u, w in pts]

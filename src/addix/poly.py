@@ -4,7 +4,8 @@ Coefficients are stored as element codes, constant-term first with no
 trailing zeros; the zero polynomial is the empty vector and reports degree
 -1.  Inner loops run on codes, the hot ones (evaluation, division, products,
 shifts) as fused kernels of Field; Elt is the API boundary (constructors take
-Elt sequences, coeffs is a read-only Elt view).  Includes Euclidean
+Elt sequences, coeffs is a read-only Elt view).  CodeVector.values_at is the
+one Horner scan of both polynomial kinds.  Includes Euclidean
 division and monic gcd, composition, the additive shift expansion
 P0(x+y) - P0(x) - P0(y) = sum_i F_i(y) x^i, Lagrange interpolation, and the
 text grammar shared with the CLI.
@@ -21,9 +22,10 @@ from .field import Elt, Field
 class CodeVector:
     """Coefficient vector over one field as a tuple of element codes with no
     trailing zeros: the core Poly and LinearizedPoly share for construction,
-    the additive group, scaling, equality and hashing."""
+    the additive group, scaling, equality, hashing and evaluation."""
 
-    __slots__ = ("field", "codes")
+    # _plan memoises the horner_plan of values_at, unset until first use
+    __slots__ = ("field", "codes", "_plan")
 
     def __init__(self, field: Field, coeffs=()):
         self.field = field
@@ -99,12 +101,22 @@ class CodeVector:
     def __hash__(self):
         return hash(self.codes)
 
+    def values_at(self, points):
+        """Codes of self at each code in points, by Field.horner over the
+        nonzero (exponent, code) terms that each kind lists in _terms, so
+        cost follows the terms, not the degree.  The plan is built once per
+        vector.  Lazy: a scan that decides early stops early."""
+        try:
+            plan = self._plan
+        except AttributeError:
+            plan = self._plan = self.field.horner_plan(self._terms())
+        return self.field.horner(plan, points)
+
 
 class Poly(CodeVector):
-    # Memos of this immutable object, unset until first use: _plan holds
-    # the Field.horner_plan that values_at runs, _decomposition the
+    # Memo of this immutable object, unset until first use: the
     # AdditiveDecomposition that decompose.maximal_decomposition returns.
-    __slots__ = ("_plan", "_decomposition")
+    __slots__ = ("_decomposition",)
 
     # -- constructors
 
@@ -122,11 +134,11 @@ class Poly(CodeVector):
 
     @classmethod
     def constant(cls, field, value: Elt):
-        return cls._new(field, (value.code,))
+        return cls(field, (value,))
 
     @classmethod
     def monomial(cls, field, coeff: Elt, exp: int):
-        return cls._new(field, (0,) * exp + (coeff.code,))
+        return cls._new(field, (0,) * exp + cls.constant(field, coeff).codes)
 
     # -- structure
 
@@ -199,23 +211,15 @@ class Poly(CodeVector):
             return self
         return self.scale(self.leading().inv())
 
+    def _terms(self):
+        return enumerate(self.codes)
+
     def eval(self, point: Elt) -> Elt:
         return self.field.from_code(next(self.values_at((self._code(point),))))
 
     def values(self):
         """Codes of self at every field element, in code order (lazy)."""
         return self.values_at(range(self.field.q))
-
-    def values_at(self, points):
-        """Codes of self at each code in points, by Field.horner over the
-        nonzero terms, so a sparse polynomial costs by its terms, not its
-        degree.  The plan is built once per polynomial, so eval pays for it
-        once.  Lazy: a scan that decides early stops early."""
-        try:
-            plan = self._plan
-        except AttributeError:
-            plan = self._plan = self.field.horner_plan(self.codes)
-        return self.field.horner(plan, points)
 
     def compose(self, inner: "Poly") -> "Poly":
         """self(inner(x))."""

@@ -118,6 +118,27 @@ def test_quotient_pp_criterion():
         quotient_pp_criterion(Poly.x(F16), base, m)
 
 
+@pytest.mark.parametrize("case", ["translation_pp", "quotient_pp_criterion",
+                                  "is_linear_translator", "translator_pp"])
+def test_mixed_fields_refused(case):
+    """These routines scan codes, which carry no field, so operands over
+    different fields are refused at entry rather than read as codes."""
+    base = is_linearized(parse_poly("x^2+x", F16))
+    spec = TranslatorSpec(g=parse_poly("x^3+x", F9), subspace=subfield(F9, 1),
+                          translate=is_linearized(parse_poly("2*x", F9)))
+    with pytest.raises(PreconditionError, match="different fields"):
+        if case == "translation_pp":
+            translation_pp(base, Poly.x(F8))
+        elif case == "quotient_pp_criterion":
+            quotient_pp_criterion(Poly.x(F8), base, LinearizedPoly.identity(F16))
+        elif case == "is_linear_translator":
+            is_linear_translator(TranslatorSpec(
+                g=spec.g, subspace=spec.subspace,
+                translate=LinearizedPoly.identity(Field(3, 3))))
+        else:
+            translator_pp(spec, Poly.x(F4))
+
+
 # -- inverses
 
 

@@ -130,10 +130,11 @@ def ref_dense(field, lin):
 
 
 def ref_lin_eval(lin, x):
-    field = x.field
-    acc = field.zero
-    for i, c in enumerate(lin):
-        acc = add(acc, c * x ** (field.p ** i))
+    """sum lin[i] x^{p^i}, raising x to the p once per coefficient."""
+    acc, t = x.field.zero, x
+    for c in lin:
+        acc = add(acc, c * t)
+        t = t ** x.field.p
     return acc
 
 
@@ -317,7 +318,8 @@ def test_horner_kernel_matches_reference(field):
         poly = Poly.from_codes(field, codes)
         ac = list(poly.coeffs)
         expected = [ref_eval(field, ac, x).code for x in field.elements()]
-        assert list(field.horner(field.horner_plan(poly.codes), range(field.q))) == expected
+        plan = field.horner_plan(enumerate(poly.codes))
+        assert list(field.horner(plan, range(field.q))) == expected
         assert list(poly.values()) == expected
         assert [poly.eval(x).code for x in field.elements()] == expected
         if a is not None:
@@ -416,6 +418,24 @@ def test_linearized_operations_match_reference(field):
             x = field.from_code(rng.randrange(field.q))
             assert a.eval(x) == ref_lin_eval(a.lin_coeffs, x)
         assert a.values() == [ref_lin_eval(a.lin_coeffs, x).code for x in field.elements()]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+def test_linearized_eval_matches_reference(field):
+    """LinearizedPoly is evaluated by the Horner plan of its p-power terms:
+    eval, values_at and the value table agree with the p-power loop at
+    every point, for the zero map, the identity, a map without an x term
+    (whose plan starts at x^p), the single top term and random maps."""
+    rng = random.Random(field.q + 9)
+    n, c = field.n, lambda: rng.randrange(1, field.q)  # noqa: E731
+    maps = [[], [1], [0, c(), c()], [0] * (n - 1) + [1]]
+    maps += [rand_codes(rng, field, rng.randint(1, n)) for _ in range(3)]
+    for codes in maps:
+        lin = LinearizedPoly.from_codes(field, codes)
+        expected = [ref_lin_eval(lin.lin_coeffs, x).code for x in field.elements()]
+        assert [lin.eval(x).code for x in field.elements()] == expected
+        assert list(lin.values_at(range(field.q))) == expected
+        assert lin.values() == expected
 
 
 @pytest.mark.parametrize("field", FIELDS[:4], ids=IDS[:4])

@@ -365,15 +365,34 @@ def test_subspaces_refuse_other_fields(case):
             F8.from_code(3) in Subspace.full(F4)
 
 
-@pytest.mark.parametrize("kind", [Poly, LinearizedPoly], ids=lambda k: k.__name__)
-@pytest.mark.parametrize("case", ["wider", "narrower", "zero"])
-def test_coefficient_vectors_refuse_other_fields(kind, case):
+@pytest.mark.parametrize(
+    "case, kind",
+    [(case, kind) for case in ("wider", "narrower", "zero")
+     for kind in (Poly, LinearizedPoly)] + [("constant", Poly), ("monomial", Poly)],
+    ids=lambda v: getattr(v, "__name__", v))
+def test_coefficient_vectors_refuse_other_fields(case, kind):
     """A polynomial never reads an element of another field as a code of
-    its own: a code out of range, one that names another element, or zero."""
+    its own: a code out of range, one that names another element, or zero,
+    through its constructor or the constant and monomial builders."""
     with pytest.raises(PreconditionError):
         if case == "wider":
             kind(F4, [F16.from_code(9), F4.one])
         elif case == "narrower":
             kind(F16, [F4.from_code(3), F16.one])
-        else:
+        elif case == "zero":
             kind(F8, [F8.one, F4.zero])
+        elif case == "constant":
+            kind.constant(F8, F16.from_code(9))
+        else:
+            kind.monomial(F8, F16.from_code(9), 3)
+
+
+@pytest.mark.parametrize("case", ["wider", "narrower"])
+def test_linearized_interpolate_refuses_other_fields(case):
+    """The pairs are read as codes, so an element of another field is
+    refused rather than read out of range or as a different element."""
+    with pytest.raises(PreconditionError, match="different field"):
+        if case == "wider":
+            linearized_interpolate(F8, [(F16.from_code(9), F16.from_code(9))], 1)
+        else:
+            linearized_interpolate(F16, [(F16.one, F8.one)], 1)
