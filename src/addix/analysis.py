@@ -17,8 +17,9 @@ from .errors import InvariantViolation, PreconditionError
 from .field import Elt, Field
 from .linearized import (LinearizedPoly, Subspace, compose_quotient,
                          image_elements, linearized_interpolate,
-                         require_splitting_monic, vanishing_poly)
-from .poly import Poly, lagrange_interpolate, poly_gcd
+                         require_splitting_monic, subspace_image,
+                         vanishing_poly)
+from .poly import Poly, lagrange_interpolate
 
 
 def _same_field(first, *others) -> Field:
@@ -165,19 +166,18 @@ def quotient_pp_criterion(outer: Poly, base: LinearizedPoly,
     the image set of base.
 
     Needs base monic, splitting, and dividing base o linear_part; then the
-    polynomial is a permutation iff gcd(base, linear_part) = x and
-    y -> base(outer(y)) + N(y) is injective on base's image, where
-    N o base = base o linear_part.
+    polynomial is a permutation iff linear_part is injective on the kernel of
+    base (gcd(base, linear_part) = x) and y -> base(outer(y)) + N(y) is
+    injective on base's image, where N o base = base o linear_part.
     """
     field = _same_field(base, linear_part, outer)
-    require_splitting_monic(base)
+    ker = require_splitting_monic(base)
     try:
         quotient_map = compose_quotient(base.compose(linear_part), base)
     except PreconditionError:
         raise PreconditionError(
             "base does not divide base o linear_part; use is_permutation instead") from None
-    g = poly_gcd(base.to_poly(), linear_part.to_poly())
-    if g.degree != 1:
+    if subspace_image(linear_part, ker).dim != ker.dim:
         return False
     image = [s.code for s in image_elements(base)]
     mapped = set(map(field.add, base.values_at(outer.values_at(image)),

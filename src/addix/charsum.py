@@ -6,8 +6,9 @@ accumulated in double precision; at the supported field sizes the rounding
 error stays far below the integer-scale gaps between the bounds.
 
 char_sum, MultChar and char_sum_affine apply the character value by value
-and are the oracle.  bound_report works from a value profile kept on the
-decomposition: the dlog histogram H of the nonzero values, so that
+and are the oracle.  bound_report takes e in the additive bound to be the
+decomposition's image_subspace.dim, and works from a value profile kept
+on the decomposition: the dlog histogram H of the nonzero values, so that
 S_j = sum_m H[m] * exp(2*pi*i*j*m/(q-1)).  Its first report sums H
 directly; from the second on, S_j for every j comes from one length-(q-1)
 DFT of H, taken by Bluestein's chirp-z reduction (jm = (j^2 + m^2 -
@@ -263,15 +264,7 @@ def bound_report(poly: Poly, chi: MultChar, *, decomposition=None,
     n, p, q = field.n, field.p, field.q
     dec = decomposition if decomposition is not None else maximal_decomposition(poly)
     profile = _value_profile(field, dec, values)
-    gd = dec.gcd_degree  # both share the root 0, so gd >= 1 and is a p-power
-    m = 0
-    t = gd
-    while t > 1:
-        t //= p
-        m += 1
-    if p ** m != gd:
-        raise InvariantViolation("gcd of linearized polynomials has non-p-power degree")
-    e = (n - dec.index) - m
+    e = dec.image_subspace.dim
     additive_bound = float(p ** (n - e + min(e, n / 2)))
     s = dec.outer.degree
     if s >= 1:

@@ -2,8 +2,9 @@
 
 S is the largest monic linearized divisor of x^q - x for which such a
 splitting exists, with deg(linear_part) < deg(S); the additive index counts
-how far S falls short of x^q - x: deg(S) = p^(n - index).  Also carries the
-classical multiplicative index used for bound comparisons.
+how far S falls short of x^q - x: deg(S) = p^(n - index).  gcd_degree is
+read off the cached kernel V of S and image linear_part(V) by rank-nullity.
+Also carries the classical multiplicative index used for bound comparisons.
 """
 
 from __future__ import annotations
@@ -44,9 +45,11 @@ class AdditiveDecomposition:
 
     @cached_property
     def gcd_degree(self) -> int:
-        """deg gcd(subspace_poly, linear_part); both vanish at 0, so it is
-        at least 1, and 1 is the permutation certificate's first condition."""
-        return poly_gcd(self.subspace_poly.to_poly(), self.linear_part.to_poly()).degree
+        """deg gcd(subspace_poly, linear_part) by rank-nullity: the common
+        roots are the p^(dim V - dim linear_part(V)) members of the kernel V,
+        the simple roots of subspace_poly, that linear_part sends to 0.  It
+        is at least 1, and 1 is the permutation certificate's first condition."""
+        return self.poly.field.p ** (self.kernel.dim - self.image_subspace.dim)
 
     @cached_property
     def coset_reps(self) -> tuple[Elt, ...]:

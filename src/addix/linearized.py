@@ -6,9 +6,11 @@ shares with Poly; lin_coeffs is a read-only Elt view.  Its values come
 from that core's one Horner scan, planned from its terms (p^i, a_i).  Every
 F_p-subspace has a monic linearized vanishing polynomial dividing x^q - x,
 and conversely the kernel of such a polynomial is a subspace; both
-directions live here, along with expansion in a polynomial base,
-composition quotients and complements, linearized interpolation, coset
-representatives and image subspaces.  A subspace's canonical coset
+directions live here, with expansion in a polynomial base, linearized
+interpolation, coset representatives and image subspaces.  Composition
+and its quotient share one twisted row on p-power coefficients: L divides
+T exactly when T = N o L, and N comes by right division with no dense
+polynomial.  A subspace's canonical coset
 representatives are the codes whose pivot digits are zero: reduce,
 coset_key and coset_reps share that one rule, and one span routine lists
 value tables, members and representatives.
@@ -34,6 +36,15 @@ def _span(field: Field, gens) -> list[int]:
         for _ in range(field.p - 1):
             table.extend([add(v, g) for v in table[-size:]])
     return table
+
+
+def _twisted_row(field: Field, acc, s: int, c: int, codes) -> None:
+    """acc[s + j] += c * codes[j]^(p^s) for each j, in place: the row that
+    c x^{p^s} contributes to a composition with sum(codes[j] x^{p^j})."""
+    add, mul, power, ps = field.add, field.mul, field.pow, field.p ** s
+    for j, b in enumerate(codes):
+        if b:
+            acc[s + j] = add(acc[s + j], mul(c, power(b, ps)))
 
 
 class LinearizedPoly(CodeVector):
@@ -87,21 +98,10 @@ class LinearizedPoly(CodeVector):
     def compose(self, inner: "LinearizedPoly") -> "LinearizedPoly":
         """self(inner(x)), computed on p-power coefficients."""
         bc = self._operand(inner)
-        field = self.field
-        add, mul, power, p = field.add, field.mul, field.pow, field.p
         out = [0] * (len(self.codes) + len(bc) - 1)
         for s, a in enumerate(self.codes):
-            if a:
-                for j, b in enumerate(bc):
-                    if b:
-                        out[s + j] = add(out[s + j], mul(a, power(b, p ** s)))
-        return LinearizedPoly._new(field, out)
-
-    def frobenius_twist(self) -> "LinearizedPoly":
-        """L(x)^p, again linearized: coefficients to the p, indices shifted."""
-        field = self.field
-        power, p = field.pow, field.p
-        return LinearizedPoly._new(field, [0] + [power(c, p) for c in self.codes])
+            _twisted_row(self.field, out, s, a, bc)
+        return LinearizedPoly._new(self.field, out)
 
     def __repr__(self):
         return f"LinearizedPoly({self.field!r}, codes={list(self.codes)})"
@@ -290,27 +290,28 @@ def kernel(linpoly: LinearizedPoly) -> Subspace:
     return Subspace(field, zeros)
 
 
-def require_splitting_monic(base: LinearizedPoly):
-    """Raise PreconditionError unless base is monic and splits into distinct
-    roots inside the field, i.e. divides x^q - x."""
+def require_splitting_monic(base: LinearizedPoly) -> Subspace:
+    """The kernel of base; PreconditionError unless base is monic and splits
+    into distinct roots inside the field, i.e. divides x^q - x."""
     if not base.is_monic():
         raise PreconditionError("base must be monic")
-    if base.field.p ** kernel(base).dim != base.degree:
+    ker = kernel(base)
+    if base.field.p ** ker.dim != base.degree:
         raise PreconditionError("base does not divide x^q - x")
+    return ker
 
 
 def vanishing_poly(subspace: Subspace) -> LinearizedPoly:
     """Monic linearized polynomial of degree p^dim whose roots are exactly
     the subspace.  Built incrementally: adjoining a basis vector b maps
-    V(x) -> V(x)^p - V(b)^{p-1} V(x)."""
+    V(x) -> V(x)^p - V(b)^{p-1} V(x), the composition (x^p - V(b)^{p-1} x) o V."""
     field = subspace.field
     acc = LinearizedPoly.identity(field)
-    pm1 = field.p - 1
     for b in subspace.basis:
         vb = acc.eval(b)
         if vb.code == 0:
             raise InvariantViolation("basis vector already annihilated during construction")
-        acc = acc.frobenius_twist() - acc.scale(vb ** pm1)
+        acc = LinearizedPoly(field, (-(vb ** (field.p - 1)), field.one)).compose(acc)
     return acc
 
 
@@ -344,26 +345,26 @@ def compose_quotient(target, inner: LinearizedPoly) -> LinearizedPoly:
     """The linearized polynomial N with N(inner(x)) == target(x).
 
     inner must be separable and divide target; target must be linearized.
-    Computed from the Euclidean digits of target in base inner: the zeroth
-    digit must vanish and every higher digit must be constant.
+    Right division on p-power coefficients: with m the top index of inner,
+    the top remaining index s + m fixes n_s, and the twisted row of
+    n_s x^{p^s} o inner is subtracted; inner divides target when none remains.
     """
-    field = inner.field
     if not inner.is_separable():
         raise PreconditionError("inner polynomial must be separable (nonzero x coefficient)")
-    if isinstance(target, LinearizedPoly):
-        target_poly = target.to_poly()
-    else:
-        target_poly = target
-        if is_linearized(target_poly) is None:
+    if not isinstance(target, LinearizedPoly):
+        target = is_linearized(target)
+        if target is None:
             raise PreconditionError("target is not linearized")
-    digits = expand_in_base(target_poly, inner.to_poly())
-    outer = _outer_codes(digits, 0)
-    if not digits[0].is_zero() or outer is None:
+    field, ic = inner.field, inner.codes
+    acc = list(inner._operand(target))
+    m = len(ic) - 1
+    quo = [0] * max(len(acc) - m, 0)
+    for s in reversed(range(len(quo))):
+        quo[s] = field.mul(acc[s + m], field.pow(ic[m], -field.p ** s))
+        _twisted_row(field, acc, s, field.neg(quo[s]), ic)
+    if any(acc):
         raise PreconditionError("inner polynomial does not divide target")
-    view = is_linearized(Poly._new(field, outer))
-    if view is None:
-        raise InvariantViolation("composition quotient of linearized inputs is not linearized")
-    return view
+    return LinearizedPoly._new(field, quo)
 
 
 def complement(linpoly: LinearizedPoly) -> LinearizedPoly:
@@ -372,10 +373,9 @@ def complement(linpoly: LinearizedPoly) -> LinearizedPoly:
     L must be monic, linearized, and divide x^q - x; both composition orders
     are verified exactly on p-power coefficients.
     """
-    field = linpoly.field
     if not linpoly.is_monic():
         raise PreconditionError("complement needs a monic linearized polynomial")
-    whole = xq_minus_x_linearized(field)
+    whole = xq_minus_x_linearized(linpoly.field)
     try:
         comp = compose_quotient(whole, linpoly)
     except PreconditionError:
@@ -412,8 +412,11 @@ def linearized_interpolate(field: Field, pairs, bound: int) -> LinearizedPoly:
 
 
 def subspace_image(linmap: LinearizedPoly, subspace: Subspace) -> Subspace:
-    """Image of the subspace under the linear map."""
-    return Subspace(subspace.field, [linmap.eval(b) for b in subspace.basis])
+    """Image of the subspace under the linear map: its basis, mapped in one scan."""
+    field = subspace.field
+    if linmap.field is not field and linmap.field != field:
+        raise PreconditionError("operands belong to different fields")
+    return Subspace(field, map(field.from_code, linmap.values_at(subspace._rows)))
 
 
 def image_elements(linmap: LinearizedPoly) -> list[Elt]:

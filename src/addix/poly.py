@@ -346,11 +346,10 @@ def lagrange_interpolate(field: Field, points) -> Poly:
     pts = list(points)
     if not pts:
         raise PreconditionError("interpolation needs at least one point")
-    seen = set()
-    for xv, _ in pts:
-        if xv.code in seen:
-            raise PreconditionError("duplicated interpolation abscissa")
-        seen.add(xv.code)
+    if any(e.field is not field and e.field != field for pair in pts for e in pair):
+        raise PreconditionError("operands belong to different fields")
+    if len({xv.code for xv, _ in pts}) != len(pts):
+        raise PreconditionError("duplicated interpolation abscissa")
     # full product W(x) = prod (x - x_j), then per-point synthetic division
     w = Poly.one(field)
     for xv, _ in pts:

@@ -27,10 +27,11 @@ from math import comb
 import pytest
 
 from addix.decompose import maximal_decomposition
+from addix.errors import PreconditionError
 from addix.field import Field
 from addix.field import is_prime
-from addix.linearized import (LinearizedPoly, Subspace, coset_reps, kernel,
-                              vanishing_poly)
+from addix.linearized import (LinearizedPoly, Subspace, compose_quotient,
+                              coset_reps, kernel, vanishing_poly)
 from addix.poly import Poly, poly_gcd, shift_expand
 
 FIELDS = [Field(2, 4), Field(3, 3), Field(5, 2), Field(7, 2), Field(2, 10)]
@@ -136,6 +137,30 @@ def ref_lin_eval(lin, x):
         acc = add(acc, c * t)
         t = t ** x.field.p
     return acc
+
+
+def ref_compose_quotient(field, target, inner):
+    """The dense Euclid route to N with N(inner(x)) = target(x), for a dense
+    target and a p-power inner: the digits of target in base inner must
+    vanish at index zero and be constants above it, and those constants,
+    read at the indices p^i, are N's p-power coefficients.  Refusals carry
+    the messages of compose_quotient."""
+    powers = [field.p ** i for i in range(len(target).bit_length())]
+    if not inner or inner[0].code == 0:
+        raise PreconditionError("inner polynomial must be separable (nonzero x coefficient)")
+    if any(c.code and e not in powers for e, c in enumerate(target)):
+        raise PreconditionError("target is not linearized")
+    base, cur, digits = ref_dense(field, inner), trim(target), []
+    while True:
+        cur, rem = ref_divmod(field, cur, base)
+        digits.append(rem)
+        if not cur:
+            break
+    if digits[0] or any(len(d) > 1 for d in digits[1:]):
+        raise PreconditionError("inner polynomial does not divide target")
+    outer = [d[0] if d else field.zero for d in digits]
+    assert not any(c.code for e, c in enumerate(outer) if e not in powers)
+    return trim(outer[e] for e in powers if e < len(outer))
 
 
 def ref_reduce(vec, rows, pivots, p):
@@ -411,13 +436,50 @@ def test_linearized_operations_match_reference(field):
         power = [field.one]
         for _ in range(field.p):
             power = ref_mul(field, power, ad)
-        assert list(a.frobenius_twist().to_poly().coeffs) == power
+        frob = LinearizedPoly.from_codes(field, [0, 1])
+        assert list(frob.compose(a).to_poly().coeffs) == power
         assert list((a - b).to_poly().coeffs) == ref_add(
             field, ad, [neg(c) for c in bd])
         for _ in range(40):
             x = field.from_code(rng.randrange(field.q))
             assert a.eval(x) == ref_lin_eval(a.lin_coeffs, x)
         assert a.values() == [ref_lin_eval(a.lin_coeffs, x).code for x in field.elements()]
+
+
+def _quotient_or_refusal(call):
+    try:
+        return list(call())
+    except PreconditionError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+def test_compose_quotient_matches_dense_euclid(field):
+    """Right division on p-power coefficients against the dense Euclid
+    route: exact quotients of non-monic and inseparable inners, targets
+    perturbed off divisibility, dense targets and non-linearized ones agree
+    in value or in the refusal's message."""
+    rng = random.Random(field.q + 11)
+    top = 3 if field.p == 2 else 2
+    verdicts = set()
+    for _ in range(40):
+        inner = LinearizedPoly.from_codes(field, rand_codes(rng, field, rng.randint(0, top)))
+        outer = LinearizedPoly.from_codes(field, rand_codes(rng, field, rng.randint(0, top)))
+        target = outer.compose(inner)
+        if rng.random() < 0.3:
+            target = target + LinearizedPoly.from_codes(field, rand_codes(rng, field, top))
+        dense = list(target.to_poly().coeffs)
+        givens = [target, Poly(field, dense)]
+        if rng.random() < 0.2:  # a constant term, which only a dense target holds
+            dense = ref_add(field, dense, [field.from_code(rng.randrange(1, field.q))])
+            givens = [Poly(field, dense)]
+        expected = _quotient_or_refusal(
+            lambda: ref_compose_quotient(field, dense, list(inner.lin_coeffs)))
+        for given in givens:
+            got = _quotient_or_refusal(lambda: compose_quotient(given, inner).lin_coeffs)
+            assert got == expected, (inner, given)
+        verdicts.add(expected if isinstance(expected, str) else "quotient")
+    assert len(verdicts) == 4, verdicts
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=IDS)

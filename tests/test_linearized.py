@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+import addix.linearized as linearized
+from addix.decompose import maximal_decomposition
 from addix.errors import PreconditionError
 from addix.field import Field
 from addix.linearized import (LinearizedPoly, Subspace, _outer_codes,
@@ -168,6 +170,15 @@ def test_compose_quotient_examples():
         compose_quotient(lin, is_linearized(parse_poly("x^3", F9)))  # inseparable inner
 
 
+@pytest.mark.parametrize("target_field,inner_field", [(F8, F16), (F16, F8)],
+                         ids=["8-in-16", "16-in-8"])
+def test_compose_quotient_refuses_other_fields(target_field, inner_field):
+    target = xq_minus_x_linearized(target_field)
+    for given in (target, target.to_poly()):
+        with pytest.raises(PreconditionError, match="different fields"):
+            compose_quotient(given, LinearizedPoly.identity(inner_field))
+
+
 def test_outer_codes_read_constant_digits_only():
     one, x = Poly.one(F9), Poly.x(F9)
     assert _outer_codes([x, one, Poly.zero(F9), one], 5) == [5, 1, 0, 1]
@@ -202,6 +213,24 @@ def test_complement_examples():
     assert complement(frob) == LinearizedPoly(F9, (F9.one, F9.one))
     with pytest.raises(PreconditionError):
         complement(is_linearized(parse_poly("x^3", F9)))  # does not divide x^q-x
+
+
+def test_complement_reads_no_dense_polynomial(monkeypatch):
+    """At GF(2^12) the complement of a dimension-1 subspace polynomial comes
+    from right division on p-power coefficients: no dense x^q - x is built
+    or divided."""
+    field = Field(2, 12)
+    lin = vanishing_poly(Subspace(field, [field.one]))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense polynomial route entered")
+
+    monkeypatch.setattr(LinearizedPoly, "to_poly", refuse)
+    monkeypatch.setattr(linearized, "expand_in_base", refuse)
+    comp = complement(lin)
+    whole = xq_minus_x_linearized(field)
+    assert comp.compose(lin) == whole
+    assert lin.compose(comp) == whole
 
 
 def test_linearized_interpolate_examples():
@@ -293,6 +322,14 @@ def test_subspace_image_examples():
         assert (2 ** img.dim) * len(inter) == 2 ** sub.dim
 
 
+@pytest.mark.parametrize("map_field,sub_field", [(F8, F16), (F16, F8)],
+                         ids=["8-on-16", "16-on-8"])
+def test_subspace_image_refuses_other_fields(map_field, sub_field):
+    sub = Subspace(sub_field, [sub_field.one])
+    with pytest.raises(PreconditionError, match="operands belong to different fields"):
+        subspace_image(LinearizedPoly.identity(map_field), sub)
+
+
 @pytest.mark.parametrize("field", [F16, F27])
 def test_image_and_splitting_match_dense_scans(field):
     rng = random.Random(8)
@@ -331,6 +368,27 @@ def test_gcd_degree_counts_common_kernel():
         g = poly_gcd(a.to_poly(), b.to_poly())
         shared = [v for v in kernel(a).elements() if b.eval(v).code == 0]
         assert g.degree == len(shared)
+    # the decomposition reads it by rank-nullity, p^(dim V - dim M(V))
+    trivial, no_m = parse_poly("x^3", F16), parse_poly("(x^4+x)^3", F16)
+    full = parse_poly("x^4+x", F16)  # linearized: a constant residue
+    polys = [trivial, no_m, full]
+    for _ in range(20):
+        sub = Subspace(F16, [F16.from_code(rng.randrange(1, 16))
+                             for _ in range(rng.randint(0, 3))])
+        outer = Poly.from_codes(F16, [rng.randrange(16) for _ in range(rng.randint(1, 4))] + [1])
+        m = LinearizedPoly.from_codes(F16, [rng.randrange(16) for _ in range(sub.dim)])
+        polys.append(outer.compose(vanishing_poly(sub).to_poly()) + m.to_poly())
+    for poly in polys:
+        dec = maximal_decomposition(poly)
+        s, m = dec.subspace_poly, dec.linear_part
+        dense = poly_gcd(s.to_poly(), m.to_poly()).degree
+        shared = [v for v in dec.kernel.elements() if m.eval(v).code == 0]
+        assert dec.gcd_degree == dense == len(shared), poly
+    assert maximal_decomposition(trivial).kernel.dim == 0
+    assert maximal_decomposition(no_m).linear_part.is_zero()
+    assert maximal_decomposition(no_m).kernel.dim > 0
+    assert maximal_decomposition(full).kernel.is_full()
+    assert maximal_decomposition(full).gcd_degree == 4
 
 
 def test_subspace_basics():

@@ -104,6 +104,15 @@ def test_lagrange_examples():
         lagrange_interpolate(F5, [(F5.one, F5.zero), (F5.one, F5.one)])
 
 
+@pytest.mark.parametrize("pair", [(F8.one, F16.zero), (F8.one, F16.one),
+                                  (F16.one, F8.zero)], ids=["zero", "value", "abscissa"])
+def test_lagrange_refuses_other_fields(pair):
+    """Every pair is checked at entry, so a zero value from another field is
+    refused like a nonzero one instead of being skipped."""
+    with pytest.raises(PreconditionError, match="operands belong to different fields"):
+        lagrange_interpolate(F8, [pair])
+
+
 def test_interpolation_roundtrip_random():
     rng = random.Random(3)
     for _ in range(20):
