@@ -19,7 +19,6 @@ from .linearized import (LinearizedPoly, Subspace, all_subspaces, complement,
                          subfield, subspace_image, vanishing_poly,
                          xq_minus_x_linearized)
 from .poly import (Poly, lagrange_interpolate, parse_poly, poly_gcd,
-                   poly_to_str, reduce_mod_xq_minus_x, shift_expand,
-                   xq_minus_x)
+                   poly_to_str, reduce_mod_xq_minus_x, shift_expand)
 
 __version__ = "0.1.0"

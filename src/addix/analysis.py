@@ -206,7 +206,7 @@ def inverse_pp(poly: Poly) -> Poly:
         raise PreconditionError("polynomial is not a permutation")
     base0 = vanishing_poly(dec.image_subspace)
     pairs = [(dec.linear_part.eval(b), b) for b in dec.kernel.basis]
-    inv_linear = linearized_interpolate(field, pairs, dec.kernel.dim)
+    inv_linear = linearized_interpolate(field, pairs)
     images = [values[z.code] for z in dec.coset_reps]
     abscissae = list(base0.values_at(images))
     if len(set(abscissae)) != len(abscissae):

@@ -5,6 +5,9 @@ splitting exists, with deg(linear_part) < deg(S); the additive index counts
 how far S falls short of x^q - x: deg(S) = p^(n - index).  gcd_degree is
 read off the cached kernel V of S and image linear_part(V) by rank-nullity.
 Also carries the classical multiplicative index used for bound comparisons.
+Inputs of degree >= q are folded modulo x^q - x (reduce_mod_xq_minus_x)
+before kernel computations, so the identity reported is for the reduced
+polynomial.
 """
 
 from __future__ import annotations
@@ -87,14 +90,6 @@ class PartialDecomposition:
     remainder: Poly | None
 
 
-def _canonical_input(poly: Poly) -> Poly:
-    """Degrees >= q are folded modulo x^q - x before kernel computations;
-    the identity reported afterwards is for the reduced polynomial."""
-    if poly.degree >= poly.field.q:
-        return reduce_mod_xq_minus_x(poly)
-    return poly
-
-
 def _maximal_subspace_poly(poly: Poly) -> tuple[LinearizedPoly, Subspace]:
     """Subspace polynomial and kernel for an input already folded below
     degree q.  g = gcd(bands, x^q - x) is monic, squarefree and divides
@@ -132,7 +127,7 @@ def additive_kernel(poly: Poly, method: str = "gcd") -> Subspace:
     """
     if poly.degree < 1:
         raise PreconditionError("additive kernel needs degree >= 1")
-    poly = _canonical_input(poly)
+    poly = reduce_mod_xq_minus_x(poly)
     if method == "gcd":
         return _maximal_subspace_poly(poly)[1]
     if method != "brute":
@@ -193,7 +188,7 @@ def maximal_decomposition(poly: Poly) -> AdditiveDecomposition:
     # returns against a trivial kernel: poly -> dec -> poly would be a
     # reference cycle, and its q-entry value table would wait for the cyclic
     # collector instead of going with the last reference to poly
-    reduced = Poly._new(field, _canonical_input(poly).codes)
+    reduced = Poly._new(field, reduce_mod_xq_minus_x(poly).codes)
     sub_poly, ker = _maximal_subspace_poly(reduced)
     outer, linear_part = _split(reduced, sub_poly.to_poly())
     dec = AdditiveDecomposition(
@@ -216,7 +211,7 @@ def decompose_with(poly: Poly, base: LinearizedPoly) -> PartialDecomposition:
         raise PreconditionError("decomposition needs degree >= 1")
     require_splitting_monic(base)
     base_poly = base.to_poly()
-    poly = _canonical_input(poly)
+    poly = reduce_mod_xq_minus_x(poly)
     maximal, _ = _maximal_subspace_poly(poly)
     remainder = maximal.to_poly() % base_poly
     if not remainder.is_zero():

@@ -518,16 +518,6 @@ class Field:
             return self.elements()[code]
         return Elt(self, code)
 
-    def from_coeffs(self, coeffs) -> Elt:
-        p = self.p
-        cs = [int(c) % p for c in coeffs]
-        if len(cs) > self.n:
-            raise PreconditionError("coefficient vector longer than extension degree")
-        code = 0
-        for c in reversed(cs):
-            code = code * p + c
-        return self.from_code(code)
-
     def from_int(self, k: int) -> Elt:
         """Prime-subfield scalar k mod p."""
         return self.from_code(k % self.p)

@@ -7,10 +7,11 @@ from that core's one Horner scan, planned from its terms (p^i, a_i).  Every
 F_p-subspace has a monic linearized vanishing polynomial dividing x^q - x,
 and conversely the kernel of such a polynomial is a subspace; both
 directions live here, with expansion in a polynomial base, linearized
-interpolation, coset representatives and image subspaces.  Composition
-and its quotient share one twisted row on p-power coefficients: L divides
-T exactly when T = N o L, and N comes by right division with no dense
-polynomial.  A subspace's canonical coset
+interpolation by Newton's rule (its vanishing polynomial grows by
+vanishing_poly's adjoin step), coset representatives and image subspaces.
+Composition and its quotient share one twisted row on p-power
+coefficients: L divides T exactly when T = N o L, and N comes by right
+division with no dense polynomial.  A subspace's canonical coset
 representatives are the codes whose pivot digits are zero: reduce,
 coset_key and coset_reps share that one rule, and one span routine lists
 value tables, members and representatives.
@@ -301,17 +302,24 @@ def require_splitting_monic(base: LinearizedPoly) -> Subspace:
     return ker
 
 
+def _adjoin(vanish: LinearizedPoly, c: int) -> LinearizedPoly:
+    """(x^p - c^{p-1} x) o vanish, for c = vanish(b) nonzero: the vanishing
+    polynomial of the span with b adjoined, since it maps
+    V(x) -> V(x)^p - V(b)^{p-1} V(x), zero on V's roots and at b."""
+    field = vanish.field
+    step = LinearizedPoly._new(field, (field.neg(field.pow(c, field.p - 1)), 1))
+    return step.compose(vanish)
+
+
 def vanishing_poly(subspace: Subspace) -> LinearizedPoly:
     """Monic linearized polynomial of degree p^dim whose roots are exactly
-    the subspace.  Built incrementally: adjoining a basis vector b maps
-    V(x) -> V(x)^p - V(b)^{p-1} V(x), the composition (x^p - V(b)^{p-1} x) o V."""
-    field = subspace.field
-    acc = LinearizedPoly.identity(field)
+    the subspace, built by adjoining one basis vector at a time."""
+    acc = LinearizedPoly.identity(subspace.field)
     for b in subspace.basis:
         vb = acc.eval(b)
         if vb.code == 0:
             raise InvariantViolation("basis vector already annihilated during construction")
-        acc = LinearizedPoly(field, (-(vb ** (field.p - 1)), field.one)).compose(acc)
+        acc = _adjoin(acc, vb.code)
     return acc
 
 
@@ -385,30 +393,26 @@ def complement(linpoly: LinearizedPoly) -> LinearizedPoly:
     return comp
 
 
-def linearized_interpolate(field: Field, pairs, bound: int) -> LinearizedPoly:
-    """Unique sum(c_i x^{p^i}), i < bound, through the given (point, value)
-    pairs; the points must be F_p-independent and #pairs == bound."""
+def linearized_interpolate(field: Field, pairs) -> LinearizedPoly:
+    """Unique sum(c_i x^{p^i}), i < #pairs, through the given (point, value)
+    pairs; the points must be F_p-independent.
+
+    Newton's rule: with V vanishing on the span of the points so far,
+    acc + V * (w - acc(u)) / V(u) keeps every earlier value and takes w at
+    u, and V(u) is zero exactly when u is in that span.
+    """
     pts = list(pairs)
-    if len(pts) != bound:
-        raise PreconditionError("need exactly `bound` interpolation pairs")
     if any(e.field != field for pair in pts for e in pair):
         raise PreconditionError("interpolation pairs belong to a different field")
-    add, mul, p = field.add, field.mul, field.p
-    rows = [[field.pow(u.code, p ** i) for i in range(bound)] + [w.code]
-            for u, w in pts]
-    # Gaussian elimination over the big field
-    for col in range(bound):
-        piv = next((r for r in range(col, bound) if rows[r][col]), None)
-        if piv is None:
+    acc = LinearizedPoly._new(field, ())
+    vanish = LinearizedPoly.identity(field)
+    for u, w in pts:
+        vu = vanish.eval(u)
+        if not vu:
             raise PreconditionError("singular linearized interpolation system")
-        rows[col], rows[piv] = rows[piv], rows[col]
-        inv = field.inv(rows[col][col])
-        rows[col] = [mul(v, inv) for v in rows[col]]
-        for r in range(bound):
-            if r != col and rows[r][col]:
-                k = field.neg(rows[r][col])
-                rows[r] = [add(a, mul(k, b)) for a, b in zip(rows[r], rows[col])]
-    return LinearizedPoly._new(field, [row[bound] for row in rows])
+        acc = acc + vanish.scale((w - acc.eval(u)) / vu)
+        vanish = _adjoin(vanish, vu.code)
+    return acc
 
 
 def subspace_image(linmap: LinearizedPoly, subspace: Subspace) -> Subspace:

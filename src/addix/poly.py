@@ -7,8 +7,8 @@ shifts) as fused kernels of Field; Elt is the API boundary (constructors take
 Elt sequences, coeffs is a read-only Elt view).  CodeVector.values_at is the
 one Horner scan of both polynomial kinds.  Includes Euclidean
 division and monic gcd, composition, the additive shift expansion
-P0(x+y) - P0(x) - P0(y) = sum_i F_i(y) x^i, Lagrange interpolation, and the
-text grammar shared with the CLI.
+P0(x+y) - P0(x) - P0(y) = sum_i F_i(y) x^i, interpolation by Newton's
+rule, and the text grammar shared with the CLI.
 """
 
 from __future__ import annotations
@@ -138,6 +138,8 @@ class Poly(CodeVector):
 
     @classmethod
     def monomial(cls, field, coeff: Elt, exp: int):
+        if exp < 0:
+            raise PreconditionError("monomial exponent must be nonnegative")
         return cls._new(field, (0,) * exp + cls.constant(field, coeff).codes)
 
     # -- structure
@@ -248,14 +250,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic()
 
 
-def xq_minus_x(field: Field) -> Poly:
-    """The dense field equation x^q - x.  Length q+1; use sparingly."""
-    codes = [0] * (field.q + 1)
-    codes[1] = field.neg(1)
-    codes[field.q] = 1
-    return Poly._new(field, codes)
-
-
 def pow_x_mod(modpoly: Poly, e: int) -> Poly:
     """x^e mod modpoly by repeated squaring; never materializes x^e."""
     if modpoly.degree < 1:
@@ -342,25 +336,24 @@ def shift_expand(poly: Poly) -> list[Poly]:
 
 def lagrange_interpolate(field: Field, points) -> Poly:
     """Unique polynomial of degree < len(points) through the given
-    (abscissa, value) pairs; abscissae must be distinct."""
+    (abscissa, value) pairs; abscissae must be distinct.
+
+    Newton's rule: with w = prod (x - x_j) over the points so far,
+    acc + w * (y - acc(x)) / w(x) keeps every earlier value and takes y at
+    x, and w(x) is zero exactly when x repeats an earlier abscissa.
+    """
     pts = list(points)
     if not pts:
         raise PreconditionError("interpolation needs at least one point")
     if any(e.field is not field and e.field != field for pair in pts for e in pair):
         raise PreconditionError("operands belong to different fields")
-    if len({xv.code for xv, _ in pts}) != len(pts):
-        raise PreconditionError("duplicated interpolation abscissa")
-    # full product W(x) = prod (x - x_j), then per-point synthetic division
-    w = Poly.one(field)
-    for xv, _ in pts:
-        w = w * Poly(field, (-xv, field.one))
-    acc = Poly.zero(field)
+    acc, w = Poly.zero(field), Poly.one(field)
     for xv, yv in pts:
-        if yv.code == 0:
-            continue
-        quotient = w // Poly(field, (-xv, field.one))
-        denom = quotient.eval(xv)
-        acc = acc + quotient * (yv * denom.inv())
+        wx = w.eval(xv)
+        if not wx:
+            raise PreconditionError("duplicated interpolation abscissa")
+        acc = acc + w.scale((yv - acc.eval(xv)) / wx)
+        w = w * Poly(field, (-xv, field.one))
     return acc
 
 

@@ -15,7 +15,9 @@ pairs that Lucas's theorem leaves nonzero.  The decomposition's value table,
 built by linearity, is checked against Horner on the polynomial itself.
 Subspaces hold reduced-echelon rows as codes; their rows, reductions and
 kernels are checked against a digit-vector echelon reference that works on
-Elt.coeffs lists mod p.
+Elt.coeffs lists mod p.  An interpolant is unique, so both interpolations
+are checked by their values at the nodes, read by the reference evaluators,
+and their degree bounds, and their refusals by repeated or dependent nodes.
 """
 
 import gc
@@ -31,8 +33,9 @@ from addix.errors import PreconditionError
 from addix.field import Field
 from addix.field import is_prime
 from addix.linearized import (LinearizedPoly, Subspace, compose_quotient,
-                              coset_reps, kernel, vanishing_poly)
-from addix.poly import Poly, poly_gcd, shift_expand
+                              coset_reps, kernel, linearized_interpolate,
+                              vanishing_poly)
+from addix.poly import Poly, lagrange_interpolate, poly_gcd, shift_expand
 
 FIELDS = [Field(2, 4), Field(3, 3), Field(5, 2), Field(7, 2), Field(2, 10)]
 IDS = [repr(f) for f in FIELDS]
@@ -43,14 +46,17 @@ SMALL_FIELDS = [Field(p, n) for p in range(2, 65) if is_prime(p)
 # -- the reference: Elt lists, constant term first
 
 
+def from_digits(field, digits):
+    """The element whose base-p digits, lowest first, are digits mod p."""
+    return field.from_code(sum(d % field.p * field.p ** i for i, d in enumerate(digits)))
+
+
 def add(a, b):
-    f = a.field
-    return f.from_coeffs([(x + y) % f.p for x, y in zip(a.coeffs, b.coeffs)])
+    return from_digits(a.field, [x + y for x, y in zip(a.coeffs, b.coeffs)])
 
 
 def neg(a):
-    f = a.field
-    return f.from_coeffs([-x % f.p for x in a.coeffs])
+    return from_digits(a.field, [-x for x in a.coeffs])
 
 
 def trim(cs):
@@ -625,7 +631,7 @@ def test_code_reduce_matches_echelon_reference(field):
         for v in field.elements():
             ref = ref_reduce(list(v.coeffs), rows, pivots, p)
             assert list(sub.reduce(v).coeffs) == ref
-            assert sub.coset_key(v) == field.from_coeffs(ref).code
+            assert sub.coset_key(v) == from_digits(field, ref).code
             assert sub.contains(v) == (not any(ref))
 
 
@@ -659,3 +665,72 @@ def test_code_echelon_matches_digit_reference(field):
         assert [list(b.coeffs) for b in ker.basis] == ref_echelon(field, roots)[0]
         dims.add(ker.dim)
     assert len(dims) > 1
+
+
+# -- interpolation: the interpolant is unique, so its values at the nodes
+# and its degree bound check it completely
+
+
+@pytest.mark.parametrize("field", SMALL_FIELDS, ids=[repr(f) for f in SMALL_FIELDS])
+def test_lagrange_hits_every_node(field):
+    rng = random.Random(field.q + 8)
+    for size in sorted({min(k, field.q) for k in (1, 2, 3, field.q // 2, field.q)}):
+        for _ in range(3):
+            xs = [field.from_code(c) for c in rng.sample(range(field.q), size)]
+            pts = [(x, field.from_code(rng.randrange(field.q))) for x in xs]
+            out = lagrange_interpolate(field, pts)
+            assert out.degree < size
+            assert all(ref_eval(field, out.coeffs, x) == y for x, y in pts)
+
+
+@pytest.mark.parametrize("field", SMALL_FIELDS, ids=[repr(f) for f in SMALL_FIELDS])
+def test_lagrange_refuses_a_repeated_abscissa(field):
+    """A copy of the first, a middle or the last node right after it, with
+    the same value, is refused all the same."""
+    rng = random.Random(field.q + 9)
+    xs = [field.from_code(c) for c in rng.sample(range(field.q), min(field.q, 5))]
+    pts = [(x, field.from_code(rng.randrange(field.q))) for x in xs]
+    for pos in (0, len(pts) // 2, len(pts) - 1):
+        with pytest.raises(PreconditionError, match="duplicated interpolation abscissa"):
+            lagrange_interpolate(field, pts[:pos + 1] + pts[pos:])
+
+
+def independent(rng, field, k):
+    """k random F_p-independent points."""
+    sub = Subspace(field, ())
+    pts = []
+    while len(pts) < k:
+        u = field.from_code(rng.randrange(1, field.q))
+        if u not in sub:
+            pts.append(u)
+            sub = Subspace(field, pts)
+    return pts
+
+
+@pytest.mark.parametrize("field", SMALL_FIELDS, ids=[repr(f) for f in SMALL_FIELDS])
+def test_linearized_interpolate_hits_every_node(field):
+    rng = random.Random(field.q + 10)
+    for k in range(field.n + 1):
+        for _ in range(3):
+            us = independent(rng, field, k)
+            ws = [field.from_code(rng.randrange(field.q)) for _ in us]
+            out = linearized_interpolate(field, list(zip(us, ws)))
+            assert len(out.codes) <= k
+            assert all(ref_lin_eval(out.lin_coeffs, u) == w for u, w in zip(us, ws))
+            image = {ref_lin_eval(out.lin_coeffs, v) for v in Subspace(field, us).elements()}
+            assert image == set(Subspace(field, ws).elements())
+
+
+@pytest.mark.parametrize("field", SMALL_FIELDS, ids=[repr(f) for f in SMALL_FIELDS])
+def test_linearized_interpolate_refuses_dependent_points(field):
+    rng = random.Random(field.q + 11)
+    us = independent(rng, field, min(field.n, 3))
+    scalar = field.from_int(rng.randrange(1, field.p))
+    dependent = [field.zero, us[0], scalar * us[-1]]
+    if len(us) > 1:
+        dependent.append(us[0] + us[1])
+    for d in dependent:
+        pts = list(us)
+        pts.insert(rng.randint(0, len(pts)), d)
+        with pytest.raises(PreconditionError, match="singular linearized interpolation system"):
+            linearized_interpolate(field, [(u, rng.choice(field.elements())) for u in pts])

@@ -14,7 +14,7 @@ from addix.linearized import (LinearizedPoly, Subspace, _outer_codes,
                               require_splitting_monic, subfield,
                               subspace_image, vanishing_poly,
                               xq_minus_x_linearized)
-from addix.poly import Poly, parse_poly, poly_gcd, xq_minus_x
+from addix.poly import Poly, parse_poly, poly_gcd
 
 F4 = Field(2, 2)
 F8 = Field(2, 3)
@@ -136,7 +136,7 @@ def test_kernel_vanishing_duality_all_subspaces_f16():
         v = vanishing_poly(sub)
         assert v.is_monic()
         assert is_linearized(v.to_poly()) is not None
-        assert xq_minus_x(F16) % v.to_poly() == Poly.zero(F16)
+        assert xq_minus_x_linearized(F16).to_poly() % v.to_poly() == Poly.zero(F16)
         assert kernel(v) == sub
         count += 1
     assert count == 67
@@ -147,7 +147,7 @@ def test_expand_in_base_examples():
     assert expand_in_base(base, base) == [Poly.zero(F9), Poly.one(F9)]
     small = parse_poly("x^2+1", F9)
     assert expand_in_base(small, base) == [small]
-    digits = expand_in_base(xq_minus_x(F9), base)
+    digits = expand_in_base(xq_minus_x_linearized(F9).to_poly(), base)
     assert [d.is_zero() for d in digits] == [True, False, True, False]
     # reconstruction and determinism
     acc = Poly.zero(F9)
@@ -155,8 +155,8 @@ def test_expand_in_base_examples():
     for d in digits:
         acc = acc + d * power
         power = power * base
-    assert acc == xq_minus_x(F9)
-    assert expand_in_base(xq_minus_x(F9), base) == digits
+    assert acc == xq_minus_x_linearized(F9).to_poly()
+    assert expand_in_base(xq_minus_x_linearized(F9).to_poly(), base) == digits
 
 
 def test_compose_quotient_examples():
@@ -234,20 +234,20 @@ def test_complement_reads_no_dense_polynomial(monkeypatch):
 
 
 def test_linearized_interpolate_examples():
-    m = linearized_interpolate(F9, [(F9.one, F9.one)], 1)
+    m = linearized_interpolate(F9, [(F9.one, F9.one)])
     assert m == LinearizedPoly.identity(F9)
     u = F16.from_code(5)
     c = F16.from_code(7)
-    m = linearized_interpolate(F16, [(u, c * u)], 1)
+    m = linearized_interpolate(F16, [(u, c * u)])
     assert m.eval(u) == c * u
     sub = subfield(F16, 2)
     pairs = [(b, b ** 2) for b in sub.basis]
-    m = linearized_interpolate(F16, pairs, 2)
+    m = linearized_interpolate(F16, pairs)
     for v in sub.elements():
         assert m.eval(v) == v ** 2
     with pytest.raises(PreconditionError):
         dep = [F9.one, F9.from_code(2)]  # dependent over F_3
-        linearized_interpolate(F9, [(d, d) for d in dep], 2)
+        linearized_interpolate(F9, [(d, d) for d in dep])
 
 
 def test_coset_reps_examples():
@@ -451,6 +451,6 @@ def test_linearized_interpolate_refuses_other_fields(case):
     refused rather than read out of range or as a different element."""
     with pytest.raises(PreconditionError, match="different field"):
         if case == "wider":
-            linearized_interpolate(F8, [(F16.from_code(9), F16.from_code(9))], 1)
+            linearized_interpolate(F8, [(F16.from_code(9), F16.from_code(9))])
         else:
-            linearized_interpolate(F16, [(F16.one, F8.one)], 1)
+            linearized_interpolate(F16, [(F16.one, F8.one)])
