@@ -2,12 +2,15 @@
 
 S is the largest monic linearized divisor of x^q - x for which such a
 splitting exists, with deg(linear_part) < deg(S); the additive index counts
-how far S falls short of x^q - x: deg(S) = p^(n - index).  gcd_degree is
-read off the cached kernel V of S and image linear_part(V) by rank-nullity.
-Also carries the classical multiplicative index used for bound comparisons.
-Inputs of degree >= q are folded modulo x^q - x (reduce_mod_xq_minus_x)
-before kernel computations, so the identity reported is for the reduced
-polynomial.
+how far S falls short of x^q - x: deg(S) = p^(n - index).  The roots of S,
+the additive kernel V, come from the shift-expansion bands folded from the
+lowest degree, stopping at a gcd whose roots every band is checked to
+vanish on; outer and linear_part are the digits of P - P(0) in base S,
+found by halving.  gcd_degree is read off the cached kernel V of S and
+image linear_part(V) by rank-nullity.  Also carries the classical
+multiplicative index used for bound comparisons.  Inputs of degree >= q are
+folded modulo x^q - x (reduce_mod_xq_minus_x) before kernel computations,
+so the identity reported is for the reduced polynomial.
 """
 
 from __future__ import annotations
@@ -91,31 +94,49 @@ class PartialDecomposition:
 
 
 def _maximal_subspace_poly(poly: Poly) -> tuple[LinearizedPoly, Subspace]:
-    """Subspace polynomial and kernel for an input already folded below
-    degree q.  g = gcd(bands, x^q - x) is monic, squarefree and divides
-    x^q - x, so it is linearized and is the subspace polynomial of its own
-    roots; the kernel is read off it by F_p-linear algebra.  A constant
-    residue satisfies the defining identity everywhere, so its kernel is the
-    whole field."""
+    """Subspace polynomial and kernel V for an input already folded below
+    degree q, by a verified fold of the bands from the lowest degree.
+
+    Every band vanishes on V and has no constant term, so a degree-1 band
+    proves V = {0} at once.  Otherwise h starts as gcd(smallest band,
+    x^q - x), monic and squarefree, and only shrinks as bands are folded
+    into it.  While h is not linearized, or does not split, the next band
+    is folded (the smallest band is itself linearized, by the cocycle
+    identity of the bands, so the first h always is).  Once it is, its
+    roots V' are read off by F_p-linear algebra, and V' contains V.  V is
+    closed under addition, so when every band not yet folded vanishes at
+    V''s basis, V' = V; the first band that fails is folded, and each such
+    round drops the dimension.  With every band folded h is the gcd of them
+    all, so a non-linearized or non-splitting h then breaks an invariant.
+    A constant residue satisfies the defining identity everywhere, so its
+    kernel is the whole field."""
     field = poly.field
-    bands = [f for f in shift_expand(poly) if not f.is_zero()]
-    if not bands:
+    rest = sorted((f for f in shift_expand(poly) if not f.is_zero()),
+                  key=lambda f: f.degree, reverse=True)
+    if not rest:
         return xq_minus_x_linearized(field), Subspace.full(field)
-    g = bands[0]
-    for band in bands[1:]:
-        if g.degree == 1:
-            break  # every band is divisible by x, so the gcd is x already
-        g = poly_gcd(g, band)
-    if g.degree == 1:  # c*x divides x^q - x: the kernel is trivial
-        return LinearizedPoly.identity(field), Subspace(field, ())
-    g = gcd_with_xq_minus_x(g)
-    sub_poly = is_linearized(g)
-    if sub_poly is None:
-        raise InvariantViolation("gcd of the bands with x^q - x is not linearized")
-    ker = kernel(sub_poly)
-    if field.p ** ker.dim != g.degree:
-        raise InvariantViolation("gcd of the bands with x^q - x does not split into distinct roots")
-    return sub_poly, ker
+    h = rest.pop()
+    if h.degree > 1:
+        h = gcd_with_xq_minus_x(h)
+    while h.degree != 1:
+        sub_poly = is_linearized(h)
+        if sub_poly is not None:
+            ker = kernel(sub_poly)
+            if field.p ** ker.dim == h.degree:
+                failed = next((f for f in reversed(rest)
+                               if any(f.values_at(ker._rows))), None)
+                if failed is None:
+                    return sub_poly, ker
+                rest.remove(failed)
+                h = poly_gcd(h, failed)
+                continue
+        if not rest:
+            raise InvariantViolation(
+                "gcd of the bands with x^q - x is not linearized" if sub_poly is None
+                else "gcd of the bands with x^q - x does not split into distinct roots")
+        h = poly_gcd(h, rest.pop())
+    # c*x divides x^q - x: the kernel is trivial
+    return LinearizedPoly.identity(field), Subspace(field, ())
 
 
 def additive_kernel(poly: Poly, method: str = "gcd") -> Subspace:

@@ -14,6 +14,8 @@ rule, and the text grammar shared with the CLI.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
+from itertools import compress, count
 
 from .errors import ParseError, PreconditionError
 from .field import Elt, Field
@@ -214,7 +216,10 @@ class Poly(CodeVector):
         return self.scale(self.leading().inv())
 
     def _terms(self):
-        return enumerate(self.codes)
+        """Nonzero (exponent, code) terms, picked out at C speed, so a
+        plan for a sparse polynomial costs its terms, not its length."""
+        codes = self.codes
+        return zip(compress(count(), codes), filter(None, codes))
 
     def eval(self, point: Elt) -> Elt:
         return self.field.from_code(next(self.values_at((self._code(point),))))
@@ -293,15 +298,41 @@ def reduce_mod_xq_minus_x(a: Poly) -> Poly:
     return Poly._new(field, out)
 
 
+# Entries of the Lucas-term cache, one per (exponent, p).  The decompose
+# benchmark's request mix reads 132 of them.  An entry for e holds
+# prod(digit + 1) - 2 pairs over e's base-p digits; shift_expand walks the
+# exponents downward, so between calls the cache keeps the lowest ones.
+_LUCAS_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=_LUCAS_CACHE_SIZE)
+def _lucas_terms(e: int, p: int) -> tuple[tuple[int, int], ...]:
+    """(i, C(e, i) mod p) for the 0 < i < e with C(e, i) nonzero mod p,
+    ascending in i.  By Lucas's theorem C(e, i) mod p is the product of the
+    binomials of the base-p digits of e and i, nonzero exactly when no digit
+    of i exceeds the matching digit of e; the terms are built digit by
+    digit, lowest first."""
+    terms, rest, weight = [(0, 1)], e, 1
+    while rest:
+        rest, digit = divmod(rest, p)
+        if digit:
+            row = [1]   # C(digit, k), k = 0 .. digit, by a running product
+            for k in range(digit):
+                row.append(row[-1] * (digit - k) // (k + 1))
+            terms = [(i + k * weight, b * r % p)
+                     for k, r in enumerate(row) for i, b in terms]
+        weight *= p
+    # ascending, so i = 0 comes first and i = e last
+    return tuple(terms[1:-1])
+
+
 def shift_expand(poly: Poly) -> list[Poly]:
     """Polynomials F_1, ..., F_{d-1} with
     P0(x+y) - P0(x) - P0(y) = sum_{i=1}^{d-1} F_i(y) x^i for P0 = poly - poly(0).
 
-    F_i(y) = sum_{t>=1} C(i+t, i) c_{i+t} y^t.  By Lucas's theorem C(e, i)
-    mod p is the product of the binomials of the base-p digits of e and i,
-    nonzero exactly when no digit of i exceeds the matching digit of e.  So
-    each nonzero c_e is written only at those i (power t = e - i of band i),
-    and the cost follows the nonzero terms and their digits, not d^2.  Each
+    F_i(y) = sum_{t>=1} C(i+t, i) c_{i+t} y^t.  Each nonzero c_e is written
+    only at the i that _lucas_terms(e, p) lists (power t = e - i of band i),
+    so the cost follows the nonzero terms and their digits, not d^2.  Each
     (i, t) comes from the single e = i + t.  Constant input yields the empty
     list.
     """
@@ -314,23 +345,12 @@ def shift_expand(poly: Poly) -> list[Poly]:
         c = poly.codes[e]
         if not c:
             continue
-        # (i, C(e, i) mod p) over the i dominated by e, digit by digit
-        terms, rest, weight = [(0, 1)], e, 1
-        while rest:
-            rest, digit = divmod(rest, p)
-            row = [1]   # C(digit, k), k = 0 .. digit, by a running product
-            for k in range(digit):
-                row.append(row[-1] * (digit - k) // (k + 1))
-            terms = [(i + k * weight, b * r % p)
-                     for i, b in terms for k, r in enumerate(row)]
-            weight *= p
-        for i, b in terms:
-            if 0 < i < e:
-                band = bands[i]
-                if band is None:
-                    band = bands[i] = [0] * (e - i + 1)
-                # a binomial mod p is a prime-subfield scalar: its own code
-                band[e - i] = mul(c, b)
+        for i, b in _lucas_terms(e, p):
+            band = bands[i]
+            if band is None:
+                band = bands[i] = [0] * (e - i + 1)
+            # a binomial mod p is a prime-subfield scalar: its own code
+            band[e - i] = c if b == 1 else mul(c, b)
     return [Poly._new(field, bands[i] or ()) for i in range(1, d)]
 
 

@@ -57,6 +57,25 @@ def test_decompose_with_base(capsys):
     assert code == 0 and record["ok"] is True
 
 
+def test_decompose_with_base_output_is_pinned(capsys):
+    """Records of `decompose --base`, byte for byte, for bases that divide
+    the maximal subspace polynomial (many digits among them) and bases
+    that do not."""
+    cases = [
+        (("3^2", "(x^3-x)^2+x", "2,0,1"), '{"ok": false, "remainder": "x^3 + 2*x"}'),
+        (("3^2", "(x^3-x)^2+x", "1"), '{"M": "0", "f": "x^6 + x^4 + x^2 + x", "ok": true}'),
+        (("2^4", "(x^4+x)^3+(x^4+x)+x", "6,1"),
+         '{"M": "x", "f": "x^6 + [7]*x^5 + [6]*x^4 + x^3 + x^2 + [7]*x", "ok": true}'),
+        (("2^8", "(x^16+x)^5+x^3+[7]*x^2+x", "1,1"), '{"ok": false, "remainder": "x"}'),
+        (("5^2", "(x^5-x)^4+[7]*x^5", "4,1"), '{"M": "[7]*x", "f": "x^4 + [7]*x", "ok": true}'),
+        (("2^10", "(x^2+x)^40+x^4+x", "1,1"), '{"M": "0", "f": "x^40 + x^2 + x", "ok": true}'),
+        (("3^3", "(x^3-x)^11+x^9+x", "2,1"), '{"M": "2*x", "f": "2*x^5 + x", "ok": true}'),
+    ]
+    for (field, poly, base), record in cases:
+        code, out = run(capsys, "decompose", "--field", field, "--poly", poly, "--base", base)
+        assert code == 0 and out == record + "\n"
+
+
 def test_valueset_both_methods(capsys):
     code, record = run_json(capsys, "valueset", "--field", "3^2", "--poly", "x^2")
     assert code == 0

@@ -11,7 +11,10 @@ are checked against it on inputs chosen to reach their edge cases: the
 point 0, polynomials with few terms or none, and sums that cancel to zero
 mid-loop.  The shift-expansion bands are checked against the
 dense formula over every pair (i, t), and their cost against the count of
-pairs that Lucas's theorem leaves nonzero.  The decomposition's value table,
+pairs that Lucas's theorem leaves nonzero, and the cached Lucas terms
+against math.comb.  The verified kernel fold and the digits by halving are
+checked against the index-order fold and one division per digit (ref_fold,
+ref_expand_in_base), which they replaced.  The decomposition's value table,
 built by linearity, is checked against Horner on the polynomial itself.
 Subspaces hold reduced-echelon rows as codes; their rows, reductions and
 kernels are checked against a digit-vector echelon reference that works on
@@ -28,14 +31,17 @@ from math import comb
 
 import pytest
 
-from addix.decompose import maximal_decomposition
+from addix.decompose import decompose_with, maximal_decomposition
 from addix.errors import PreconditionError
 from addix.field import Field
 from addix.field import is_prime
 from addix.linearized import (LinearizedPoly, Subspace, compose_quotient,
-                              coset_reps, kernel, linearized_interpolate,
-                              vanishing_poly)
-from addix.poly import Poly, lagrange_interpolate, poly_gcd, shift_expand
+                              coset_reps, expand_in_base, is_linearized,
+                              kernel, linearized_interpolate, vanishing_poly,
+                              xq_minus_x_linearized)
+from addix.poly import (Poly, _lucas_terms, gcd_with_xq_minus_x,
+                        lagrange_interpolate, poly_gcd, reduce_mod_xq_minus_x,
+                        shift_expand)
 
 FIELDS = [Field(2, 4), Field(3, 3), Field(5, 2), Field(7, 2), Field(2, 10)]
 IDS = [repr(f) for f in FIELDS]
@@ -167,6 +173,48 @@ def ref_compose_quotient(field, target, inner):
     outer = [d[0] if d else field.zero for d in digits]
     assert not any(c.code for e, c in enumerate(outer) if e not in powers)
     return trim(outer[e] for e in powers if e < len(outer))
+
+
+def ref_fold(poly):
+    """The index-order fold: g = gcd(F_1, F_2, ...), stopping once it is
+    c*x, then gcd(g, x^q - x), whose roots are the kernel."""
+    field = poly.field
+    bands = [f for f in shift_expand(poly) if not f.is_zero()]
+    if not bands:
+        return xq_minus_x_linearized(field), Subspace.full(field)
+    g = bands[0]
+    for band in bands[1:]:
+        if g.degree == 1:
+            break
+        g = poly_gcd(g, band)
+    if g.degree == 1:
+        return LinearizedPoly.identity(field), Subspace(field, ())
+    sub_poly = is_linearized(gcd_with_xq_minus_x(g))
+    ker = kernel(sub_poly)
+    assert field.p ** ker.dim == sub_poly.degree
+    return sub_poly, ker
+
+
+def ref_expand_in_base(poly, base):
+    """Euclidean digits in base, one divmod per digit."""
+    digits, cur = [], poly
+    while True:
+        cur, rem = divmod(cur, base)
+        digits.append(rem)
+        if cur.is_zero():
+            return digits
+
+
+def ref_split(poly, base):
+    """(outer, linear_part) read off ref_expand_in_base: the zeroth digit
+    is the linear part and the constants above it, after poly(0), the
+    outer's coefficients."""
+    field = poly.field
+    const = poly.constant_term()
+    digits = ref_expand_in_base(poly - Poly.constant(field, const), base)
+    assert all(d.degree <= 0 for d in digits[1:])
+    outer = Poly(field, [const] + [d.constant_term() for d in digits[1:]])
+    return outer, is_linearized(digits[0])
 
 
 def ref_reduce(vec, rows, pivots, p):
@@ -550,6 +598,97 @@ def test_sparse_3072_decomposes(sparse_3072):
     dec = maximal_decomposition(poly)
     assert dec.compose() == poly
     assert all(dec.kernel.contains(v) for v in sub.basis)
+
+
+def test_lucas_terms_match_binomials():
+    for p in (2, 3, 5, 7):
+        for e in range(3 ** 5):
+            assert list(_lucas_terms(e, p)) == [(i, comb(e, i) % p) for i in range(1, e)
+                                                if comb(e, i) % p]
+
+
+@pytest.mark.parametrize("field", SMALL_FIELDS, ids=[repr(f) for f in SMALL_FIELDS])
+def test_smallest_band_is_linearized(field):
+    """F_i(y + z) - F_i(y) - F_i(z) = sum over j > i of C(j, i) F_j(z) y^(j-i),
+    the x^i coefficient of the bands' cocycle identity.  For a band F_i of
+    least degree the left side has degree below deg F_i in z, while each
+    F_j on the right, at its own power of y, is zero or of degree at least
+    deg F_i; so both sides vanish: F_i is additive, hence linearized, and
+    the verified fold starts from a linearized gcd."""
+    rng = random.Random(field.q + 13)
+    for _ in range(12):
+        codes = [rng.randrange(field.q) if rng.random() < 0.5 else 0
+                 for _ in range(rng.randint(2, 40))]
+        bands = [f for f in shift_expand(Poly.from_codes(field, codes + [1])) if not f.is_zero()]
+        if bands:
+            assert is_linearized(min(bands, key=lambda f: f.degree)) is not None
+
+
+def decomposition_inputs(rng, field):
+    """Dense, structured (every kernel dimension, with an outer of degree
+    p + 1, so not linearized) and degree >= q inputs."""
+    q, top = field.q, min(field.q, 64)
+    yield Poly.from_codes(field, rand_codes(rng, field, rng.randint(2, top)) + [1])
+    for dim in range(1, field.n + 1):
+        yield structured(rng, field, dim, field.p + 1)[1]
+    yield Poly.from_codes(field, rand_codes(rng, field, q + rng.randint(1, 40)) + [1])
+    high = Poly.from_codes(field, [0] * rng.randint(q, q + 40) + [1])
+    yield high + structured(rng, field, 1, field.p + 1)[1]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+def test_decomposition_matches_index_order_fold(field):
+    """The verified fold from the lowest band and the digits by halving
+    give what the index-order fold and per-digit division give."""
+    rng = random.Random(field.q + 17)
+    for poly in decomposition_inputs(rng, field):
+        dec = maximal_decomposition(poly)
+        reduced = reduce_mod_xq_minus_x(poly)
+        sub_poly, ker = ref_fold(reduced)
+        assert dec.subspace_poly == sub_poly
+        assert dec.kernel == ker
+        assert dec.index == field.n - ker.dim
+        assert (dec.outer, dec.linear_part) == ref_split(reduced, sub_poly.to_poly())
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+def test_expand_in_base_matches_per_digit_division(field):
+    rng = random.Random(field.q + 19)
+    bases = [Poly.x(field)]
+    bases += [Poly.from_codes(field, rand_codes(rng, field, k) + [rng.randrange(1, field.q)])
+              for k in (1, 2, 5)]
+    bases += [vanishing_poly(structured(rng, field, dim, 1)[0]).to_poly()
+              for dim in range(1, min(field.n, 4) + 1)]
+    polys = [Poly.zero(field), Poly.one(field)]
+    polys += [Poly.from_codes(field, rand_codes(rng, field, k) + [1]) for k in (3, 40, 150)]
+    for base in bases:
+        for poly in polys:
+            digits = expand_in_base(poly, base)
+            assert digits == ref_expand_in_base(poly, base)
+            assert all(d.degree < base.degree for d in digits)
+
+
+@pytest.mark.parametrize("field", FIELDS[:4], ids=IDS[:4])
+def test_decompose_with_matches_reference(field):
+    """A base that divides the maximal subspace polynomial splits as
+    per-digit division does; one that does not returns the remainder of
+    the index-order fold's subspace polynomial."""
+    rng = random.Random(field.q + 23)
+    for dim in range(field.n + 1):
+        poly = reduce_mod_xq_minus_x(structured(rng, field, dim, 3)[1])
+        maximal, ker = ref_fold(poly)
+        for k in range(ker.dim + 1):
+            base = vanishing_poly(Subspace(field, ker.basis[:k]))
+            result = decompose_with(poly, base)
+            assert result.ok and result.remainder.is_zero()
+            assert (result.outer, result.linear_part) == ref_split(poly, base.to_poly())
+        outside = [v for v in field.elements() if v not in ker]
+        for v in rng.sample(outside, min(3, len(outside))):
+            base = vanishing_poly(Subspace(field, ker.basis[:-1] + (v,)))
+            result = decompose_with(poly, base)
+            assert not result.ok and result.outer is None and result.linear_part is None
+            assert result.remainder == maximal.to_poly() % base.to_poly()
+            assert not result.remainder.is_zero()
 
 
 def table_inputs(rng, field):

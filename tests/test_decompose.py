@@ -2,16 +2,18 @@ import random
 
 import pytest
 
+import addix.decompose
+import addix.linearized
 import addix.poly
 from addix.decompose import (_split, additive_index, additive_kernel,
                              decompose_with, maximal_decomposition,
                              multiplicative_index)
-from addix.errors import PreconditionError
+from addix.errors import InvariantViolation, PreconditionError
 from addix.field import Field
 from addix.linearized import (LinearizedPoly, Subspace, expand_in_base,
                               is_linearized, kernel, require_splitting_monic,
                               subfield, vanishing_poly, xq_minus_x_linearized)
-from addix.poly import Poly, parse_poly
+from addix.poly import Poly, parse_poly, shift_expand
 
 F4 = Field(2, 2)
 F8 = Field(2, 3)
@@ -235,3 +237,106 @@ def test_trivial_kernel_skips_the_xq_gcd(monkeypatch):
     assert dec.kernel == kernel(LinearizedPoly.identity(field))
     dec = maximal_decomposition(parse_poly("(x^4+x)^3+(x^4+x)+x", field))
     assert dec.index == 6 and calls
+
+
+def record_fold(monkeypatch, linear_view=None):
+    """Log the verified fold's steps: "lin" or "nonlin" for each verdict on
+    whether h is linearized, "gcd" for each band folded into h.
+    linear_view(call number, true view) may replace a verdict."""
+    events = []
+    # the originals, so that a second call in one test wraps them afresh
+    is_lin, gcd = addix.linearized.is_linearized, addix.poly.poly_gcd
+
+    def viewed(poly):
+        view = is_lin(poly)
+        if linear_view is not None:
+            view = linear_view(events.count("lin") + events.count("nonlin"), view)
+        events.append("nonlin" if view is None else "lin")
+        return view
+
+    def folded(a, b):
+        events.append("gcd")
+        return gcd(a, b)
+
+    monkeypatch.setattr(addix.decompose, "is_linearized", viewed)
+    monkeypatch.setattr(addix.decompose, "poly_gcd", folded)
+    return events
+
+
+def test_verified_fold_branches(monkeypatch):
+    """Each branch of the verified fold, reached on handcrafted inputs,
+    ends at the kernel that the brute oracle finds."""
+    # V' = V at once: the roots of the smallest band pass every band
+    poly = parse_poly("(x^4+x)^3+(x^4+x)+x", F16)
+    events = record_fold(monkeypatch)
+    assert additive_kernel(poly) == additive_kernel(poly, "brute")
+    assert events == ["lin"]
+    # a band fails at a basis vector of V', is folded, and V'' passes
+    poly = parse_poly("x^12 + x^9 + x^5", F16)
+    events = record_fold(monkeypatch)
+    ker = additive_kernel(poly)
+    assert events == ["lin", "gcd", "lin"]
+    assert ker == additive_kernel(poly, "brute") and ker.dim == 1
+    # a failing band leaves gcd x: the kernel is trivial
+    poly = parse_poly("x^6 + [2]*x^5 + [6]*x^2", F8)
+    events = record_fold(monkeypatch)
+    ker = additive_kernel(poly)
+    assert events == ["lin", "gcd"] and ker.dim == 0
+    assert ker == additive_kernel(poly, "brute")
+    # an h that is not linearized (its roots no subspace) has the next band
+    # folded in; the smallest band is always linearized, so the first
+    # verdict is hidden here
+    poly = parse_poly("(x^4+x)^3+(x^4+x)+x", F16)
+    events = record_fold(monkeypatch, lambda k, view: None if k == 0 else view)
+    assert additive_kernel(poly) == additive_kernel(poly, "brute")
+    assert events == ["nonlin", "gcd", "lin"]
+
+
+def test_verified_fold_breaks_invariants_only_after_every_band(monkeypatch):
+    poly = parse_poly("(x^4+x)^3+(x^4+x)+x", F16)
+    folds = sum(not f.is_zero() for f in shift_expand(poly)) - 1
+    events = record_fold(monkeypatch, lambda k, view: None)
+    with pytest.raises(InvariantViolation, match="is not linearized"):
+        additive_kernel(poly)
+    assert events.count("gcd") == folds
+    monkeypatch.undo()
+    events = record_fold(monkeypatch)
+    monkeypatch.setattr(addix.decompose, "kernel", lambda lin: Subspace(lin.field, ()))
+    with pytest.raises(InvariantViolation, match="does not split into distinct roots"):
+        additive_kernel(poly)
+    assert events.count("gcd") == folds
+
+
+def test_split_refuses_a_broken_digit_contract():
+    """Against a base that does not divide the maximal subspace polynomial
+    the digits break the contract, and the split says so."""
+    with pytest.raises(InvariantViolation, match="higher digit of the expansion is not constant"):
+        _split(parse_poly("x^3+x", F8), parse_poly("x^2+x", F8))
+    with pytest.raises(InvariantViolation, match="zeroth digit of the expansion is not linearized"):
+        _split(parse_poly("x^4+x^2", F9), parse_poly("x^3-x", F9))
+
+
+@pytest.mark.parametrize("p, n, degree", [(2, 8, 63), (3, 5, 61), (5, 3, 62)])
+def test_degree_one_top_band_folds_nothing(monkeypatch, p, n, degree):
+    """A dense input whose degree d is prime to p has the top band
+    F_(d-1) = d*c_d*y of degree 1, which proves V = {0}: no band gcd and no
+    x^q mod anything.  Folding from F_1, of degree d - 1, would not."""
+    field = Field(p, n)
+    rng = random.Random(degree)
+    poly = Poly.from_codes(field, [rng.randrange(field.q) for _ in range(degree)] + [1])
+    assert shift_expand(poly)[-1].degree == 1
+    calls = []
+
+    def counted(name, real):
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+        return call
+
+    gcd = counted("poly_gcd", addix.poly.poly_gcd)
+    monkeypatch.setattr(addix.poly, "poly_gcd", gcd)
+    monkeypatch.setattr(addix.decompose, "poly_gcd", gcd)
+    monkeypatch.setattr(addix.poly, "pow_x_mod", counted("pow_x_mod", addix.poly.pow_x_mod))
+    dec = maximal_decomposition(poly)
+    assert calls == []
+    assert dec.index == n and dec.subspace_poly == LinearizedPoly.identity(field)
