@@ -5,12 +5,12 @@ splitting exists, with deg(linear_part) < deg(S); the additive index counts
 how far S falls short of x^q - x: deg(S) = p^(n - index).  The roots of S,
 the additive kernel V, come from the shift-expansion bands folded from the
 lowest degree, stopping at a gcd whose roots every band is checked to
-vanish on; outer and linear_part are the digits of P - P(0) in base S,
-found by halving.  gcd_degree is read off the cached kernel V of S and
-image linear_part(V) by rank-nullity.  Also carries the classical
-multiplicative index used for bound comparisons.  Inputs of degree >= q are
-folded modulo x^q - x (reduce_mod_xq_minus_x) before kernel computations,
-so the identity reported is for the reduced polynomial.
+vanish on; outer and linear_part are read off the digits of P - P(0) in
+base S.  gcd_degree is read off the cached kernel V of S and image
+linear_part(V) by rank-nullity.  Also carries the classical multiplicative
+index used for bound comparisons.  Inputs of degree >= q are folded modulo
+x^q - x (reduce_mod_xq_minus_x) before kernel computations, so the identity
+reported is for the reduced polynomial.
 """
 
 from __future__ import annotations
@@ -123,8 +123,8 @@ def _maximal_subspace_poly(poly: Poly) -> tuple[LinearizedPoly, Subspace]:
         if sub_poly is not None:
             ker = kernel(sub_poly)
             if field.p ** ker.dim == h.degree:
-                failed = next((f for f in reversed(rest)
-                               if any(f.values_at(ker._rows))), None)
+                basis = [v.code for v in ker.basis]
+                failed = next((f for f in reversed(rest) if any(f.values_at(basis))), None)
                 if failed is None:
                     return sub_poly, ker
                 rest.remove(failed)

@@ -324,42 +324,17 @@ def vanishing_poly(subspace: Subspace) -> LinearizedPoly:
 
 
 def expand_in_base(poly: Poly, base: Poly) -> list[Poly]:
-    """Euclidean digits: poly = sum digits[i] * base^i with deg(digit) <
-    deg(base), one digit per power up to the top nonzero one ([0] for zero).
-
-    By halving on p-th powers, top level first: at level t each piece, of
-    fewer than p^(t+1) digits, is cut into p pieces of p^t digits by
-    division by base^(p^t), and a piece below that degree is its own lowest
-    piece.  base^(p^t) is base with its codes raised to p^t at exponents
-    times p^t (Frobenius), so it has no more nonzero terms than base, and
-    each division costs the dividend's degree times those terms."""
+    """Euclidean digits: poly = sum digits[i] * base^i with deg(digit) < deg(base)."""
     if base.degree < 1:
         raise PreconditionError("expansion base must have degree >= 1")
-    poly._operand(base)   # same field, or PreconditionError
-    field, p = base.field, base.field.p
-    count = max(poly.degree, 0) // base.degree + 1
-    powers = [base]   # powers[t] = base^(p^t)
-    while p ** len(powers) < count:
-        prev = powers[-1]
-        frob = [0] * (prev.degree * p + 1)
-        for e, c in enumerate(prev.codes):
-            if c:
-                frob[e * p] = field.pow(c, p)
-        powers.append(Poly._new(field, frob))
-    zero = Poly.zero(field)
-    digits = [poly]
-    for power in reversed(powers):
-        pieces = []
-        for piece in digits:
-            if piece.degree < power.degree:
-                pieces += [piece] + [zero] * (p - 1)
-                continue
-            for _ in range(p - 1):
-                piece, low = divmod(piece, power)
-                pieces.append(low)
-            pieces.append(piece)
-        digits = pieces
-    return digits[:count]
+    digits = []
+    cur = poly
+    while True:
+        cur, rem = divmod(cur, base)
+        digits.append(rem)
+        if cur.is_zero():
+            break
+    return digits
 
 
 def _outer_codes(digits, constant: int) -> list[int] | None:

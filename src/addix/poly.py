@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from itertools import compress, count
 
 from .errors import ParseError, PreconditionError
 from .field import Elt, Field
@@ -216,10 +215,7 @@ class Poly(CodeVector):
         return self.scale(self.leading().inv())
 
     def _terms(self):
-        """Nonzero (exponent, code) terms, picked out at C speed, so a
-        plan for a sparse polynomial costs its terms, not its length."""
-        codes = self.codes
-        return zip(compress(count(), codes), filter(None, codes))
+        return enumerate(self.codes)
 
     def eval(self, point: Elt) -> Elt:
         return self.field.from_code(next(self.values_at((self._code(point),))))
@@ -298,14 +294,6 @@ def reduce_mod_xq_minus_x(a: Poly) -> Poly:
     return Poly._new(field, out)
 
 
-# Entries of the Lucas-term cache, one per (exponent, p).  The decompose
-# benchmark's request mix reads 132 of them.  An entry for e holds
-# prod(digit + 1) - 2 pairs over e's base-p digits; shift_expand walks the
-# exponents downward, so between calls the cache keeps the lowest ones.
-_LUCAS_CACHE_SIZE = 256
-
-
-@lru_cache(maxsize=_LUCAS_CACHE_SIZE)
 def _lucas_terms(e: int, p: int) -> tuple[tuple[int, int], ...]:
     """(i, C(e, i) mod p) for the 0 < i < e with C(e, i) nonzero mod p,
     ascending in i.  By Lucas's theorem C(e, i) mod p is the product of the
@@ -324,6 +312,17 @@ def _lucas_terms(e: int, p: int) -> tuple[tuple[int, int], ...]:
         weight *= p
     # ascending, so i = 0 comes first and i = e last
     return tuple(terms[1:-1])
+
+
+# The Lucas terms of the exponents below _LUCAS_CACHE_SIZE are cached on
+# (e, p), in as many entries.  An entry for e holds prod(digit + 1) - 2 < e
+# pairs over e's base-p digits, so at most 254, and the cache under 65,000
+# pairs at any mix of primes.  The decompose benchmark's inputs have degree
+# at most 96 and read 132 keys.  Higher exponents, met only on inputs of
+# degree 256 and up, are built afresh, since their entries would hold up to
+# 2^popcount(e) pairs at p = 2.
+_LUCAS_CACHE_SIZE = 256
+_cached_lucas_terms = lru_cache(maxsize=_LUCAS_CACHE_SIZE)(_lucas_terms)
 
 
 def shift_expand(poly: Poly) -> list[Poly]:
@@ -345,7 +344,8 @@ def shift_expand(poly: Poly) -> list[Poly]:
         c = poly.codes[e]
         if not c:
             continue
-        for i, b in _lucas_terms(e, p):
+        terms = _cached_lucas_terms(e, p) if e < _LUCAS_CACHE_SIZE else _lucas_terms(e, p)
+        for i, b in terms:
             band = bands[i]
             if band is None:
                 band = bands[i] = [0] * (e - i + 1)

@@ -12,9 +12,8 @@ point 0, polynomials with few terms or none, and sums that cancel to zero
 mid-loop.  The shift-expansion bands are checked against the
 dense formula over every pair (i, t), and their cost against the count of
 pairs that Lucas's theorem leaves nonzero, and the cached Lucas terms
-against math.comb.  The verified kernel fold and the digits by halving are
-checked against the index-order fold and one division per digit (ref_fold,
-ref_expand_in_base), which they replaced.  The decomposition's value table,
+against math.comb.  The verified kernel fold is checked against the
+index-order fold it replaced (ref_fold).  The decomposition's value table,
 built by linearity, is checked against Horner on the polynomial itself.
 Subspaces hold reduced-echelon rows as codes; their rows, reductions and
 kernels are checked against a digit-vector echelon reference that works on
@@ -39,9 +38,9 @@ from addix.linearized import (LinearizedPoly, Subspace, compose_quotient,
                               coset_reps, expand_in_base, is_linearized,
                               kernel, linearized_interpolate, vanishing_poly,
                               xq_minus_x_linearized)
-from addix.poly import (Poly, _lucas_terms, gcd_with_xq_minus_x,
-                        lagrange_interpolate, poly_gcd, reduce_mod_xq_minus_x,
-                        shift_expand)
+from addix.poly import (_LUCAS_CACHE_SIZE, Poly, _cached_lucas_terms,
+                        gcd_with_xq_minus_x, lagrange_interpolate, poly_gcd,
+                        reduce_mod_xq_minus_x, shift_expand)
 
 FIELDS = [Field(2, 4), Field(3, 3), Field(5, 2), Field(7, 2), Field(2, 10)]
 IDS = [repr(f) for f in FIELDS]
@@ -195,23 +194,13 @@ def ref_fold(poly):
     return sub_poly, ker
 
 
-def ref_expand_in_base(poly, base):
-    """Euclidean digits in base, one divmod per digit."""
-    digits, cur = [], poly
-    while True:
-        cur, rem = divmod(cur, base)
-        digits.append(rem)
-        if cur.is_zero():
-            return digits
-
-
 def ref_split(poly, base):
-    """(outer, linear_part) read off ref_expand_in_base: the zeroth digit
+    """(outer, linear_part) read off the digits in base: the zeroth digit
     is the linear part and the constants above it, after poly(0), the
     outer's coefficients."""
     field = poly.field
     const = poly.constant_term()
-    digits = ref_expand_in_base(poly - Poly.constant(field, const), base)
+    digits = expand_in_base(poly - Poly.constant(field, const), base)
     assert all(d.degree <= 0 for d in digits[1:])
     outer = Poly(field, [const] + [d.constant_term() for d in digits[1:]])
     return outer, is_linearized(digits[0])
@@ -603,8 +592,20 @@ def test_sparse_3072_decomposes(sparse_3072):
 def test_lucas_terms_match_binomials():
     for p in (2, 3, 5, 7):
         for e in range(3 ** 5):
-            assert list(_lucas_terms(e, p)) == [(i, comb(e, i) % p) for i in range(1, e)
-                                                if comb(e, i) % p]
+            assert list(_cached_lucas_terms(e, p)) == [(i, comb(e, i) % p) for i in range(1, e)
+                                                       if comb(e, i) % p]
+
+
+def test_lucas_cache_holds_low_exponents_only():
+    """Only exponents below _LUCAS_CACHE_SIZE reach the cache, whose
+    entries for e hold fewer than e pairs; higher ones are built afresh."""
+    field = Field(2, 10)
+    codes = rand_codes(random.Random(5), field, 600) + [1]
+    _cached_lucas_terms.cache_clear()
+    shift_expand(Poly.from_codes(field, codes))
+    info = _cached_lucas_terms.cache_info()
+    assert info.misses == sum(1 for e in range(2, _LUCAS_CACHE_SIZE) if codes[e])
+    assert info.currsize <= _LUCAS_CACHE_SIZE
 
 
 @pytest.mark.parametrize("field", SMALL_FIELDS, ids=[repr(f) for f in SMALL_FIELDS])
@@ -638,8 +639,8 @@ def decomposition_inputs(rng, field):
 
 @pytest.mark.parametrize("field", FIELDS, ids=IDS)
 def test_decomposition_matches_index_order_fold(field):
-    """The verified fold from the lowest band and the digits by halving
-    give what the index-order fold and per-digit division give."""
+    """The verified fold from the lowest band gives the subspace
+    polynomial, kernel and split that the index-order fold gives."""
     rng = random.Random(field.q + 17)
     for poly in decomposition_inputs(rng, field):
         dec = maximal_decomposition(poly)
@@ -649,23 +650,6 @@ def test_decomposition_matches_index_order_fold(field):
         assert dec.kernel == ker
         assert dec.index == field.n - ker.dim
         assert (dec.outer, dec.linear_part) == ref_split(reduced, sub_poly.to_poly())
-
-
-@pytest.mark.parametrize("field", FIELDS, ids=IDS)
-def test_expand_in_base_matches_per_digit_division(field):
-    rng = random.Random(field.q + 19)
-    bases = [Poly.x(field)]
-    bases += [Poly.from_codes(field, rand_codes(rng, field, k) + [rng.randrange(1, field.q)])
-              for k in (1, 2, 5)]
-    bases += [vanishing_poly(structured(rng, field, dim, 1)[0]).to_poly()
-              for dim in range(1, min(field.n, 4) + 1)]
-    polys = [Poly.zero(field), Poly.one(field)]
-    polys += [Poly.from_codes(field, rand_codes(rng, field, k) + [1]) for k in (3, 40, 150)]
-    for base in bases:
-        for poly in polys:
-            digits = expand_in_base(poly, base)
-            assert digits == ref_expand_in_base(poly, base)
-            assert all(d.degree < base.degree for d in digits)
 
 
 @pytest.mark.parametrize("field", FIELDS[:4], ids=IDS[:4])
