@@ -8,6 +8,7 @@ involutions, linear translators and the commutative-diagram bijection check.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 
@@ -37,9 +38,8 @@ def _same_field(first, *others) -> Field:
 def _coset_count(dec: AdditiveDecomposition) -> int:
     """Number of cosets of W that poly's image meets, read off its value
     table at the kernel's canonical coset representatives."""
-    values, from_code = dec.values, dec.poly.field.from_code
-    return len({dec.image_subspace.coset_key(from_code(values[z.code]))
-                for z in dec.coset_reps})
+    values = dec.values
+    return len(set(dec.image_subspace.coset_keys([values[z.code] for z in dec.coset_reps])))
 
 
 def value_set_size(poly: Poly, method: str = "theorem") -> tuple[int, int]:
@@ -59,7 +59,7 @@ def value_set_size(poly: Poly, method: str = "theorem") -> tuple[int, int]:
         return c * poly.field.p ** w.dim, c
     if method == "brute":
         image = set(dec.poly.values())
-        classes = {w.coset_key(poly.field.from_code(v)) for v in image}
+        classes = set(w.coset_keys(image))
         return len(image), len(classes)
     raise PreconditionError(f"unknown method {method!r}")
 
@@ -180,8 +180,8 @@ def quotient_pp_criterion(outer: Poly, base: LinearizedPoly,
     if subspace_image(linear_part, ker).dim != ker.dim:
         return False
     image = [s.code for s in image_elements(base)]
-    mapped = set(map(field.add, base.values_at(outer.values_at(image)),
-                     quotient_map.values_at(image)))
+    mapped = set(field.add_codes(base.values_at(outer.values_at(image)),
+                                 quotient_map.values_at(image)))
     return len(mapped) == len(image)
 
 
@@ -386,12 +386,12 @@ def _translator_values(spec: TranslatorSpec) -> list[int] | None:
             return None
     elif spec.kind != "general":
         raise PreconditionError(f"unknown translator kind {spec.kind!r}")
-    add = field.add
-    shifts = list(zip(codes, moved))
-    for a, ga in enumerate(values):
-        for u, mu in shifts:
-            if values[add(a, u)] != add(ga, mu):
-                return None
+    # one row per shift u: g(x + u) against g(x) + M(u) at every x
+    points = range(field.q)
+    for u, mu in zip(codes, moved):
+        shifted = field.add_codes(points, itertools.repeat(u))
+        if [values[x] for x in shifted] != field.add_codes(values, itertools.repeat(mu)):
+            return None
     return values
 
 
@@ -423,16 +423,17 @@ def translator_pp(spec: TranslatorSpec, adjust: Poly) -> tuple[bool, bool]:
     moved = list(adjust.values_at(codes))
     if not member_codes.issuperset(moved):
         raise PreconditionError("adjust must map the subspace into itself")
-    add = field.add
-    small = set(map(add, codes, spec.translate.values_at(moved)))
+    small = set(field.add_codes(codes, spec.translate.values_at(moved)))
     small_bijective = len(small) == len(codes)
     adjusted = dict(zip(codes, moved))
-    big = {add(a, adjusted[ga]) for a, ga in enumerate(g_values)}
+    points = range(field.q)
+    adjusted_g = [adjusted[ga] for ga in g_values]
+    big = set(field.add_codes(points, adjusted_g))
     big_bijective = len(big) == field.q
     if small_bijective != big_bijective:
         raise InvariantViolation(
             "subspace-side verdict disagrees with the full permutation scan")
-    doubled = {add(add(a, a), adjusted[ga]) for a, ga in enumerate(g_values)}
+    doubled = set(field.add_codes(field.add_codes(points, points), adjusted_g))
     return big_bijective, len(doubled) == field.q
 
 

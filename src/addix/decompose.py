@@ -75,9 +75,8 @@ class AdditiveDecomposition:
         s_table = self.subspace_poly.values()
         points = list(dict.fromkeys(s_table))
         outer_at = dict(zip(points, self.outer.values_at(points)))
-        add = self.poly.field.add
-        return [add(outer_at[s], m)
-                for s, m in zip(s_table, self.linear_part.values())]
+        return self.poly.field.add_codes(map(outer_at.__getitem__, s_table),
+                                         self.linear_part.values())
 
 
 @dataclass(frozen=True)

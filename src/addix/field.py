@@ -14,6 +14,11 @@ dense and linearized polynomials share them (horner_plan, horner), and one
 multiply-add row shared by long division, the schoolbook product and the
 shift x -> x + y (divmod_codes, mul_codes, shift_codes) run whole loops on
 discrete logs with the same tables, so no module but this one reads them.
+The addition kernels join them: elementwise sums of code vectors
+(add_codes) and the F_p-span of generator codes (span_codes), from which
+value tables, subspace members and coset tables are read.  Codes are
+F_p-digit vectors, so at p = 2 their sum is XOR; that choice is made here
+and nowhere else, and odd p keeps the Zech rule inlined.
 Polynomials hold codes; Elt is the API boundary and its operators delegate
 here.  The _fp_* helpers on plain coefficient lists are the one F_p[x]
 arithmetic: they validate and select the modulus, find the primitive
@@ -22,6 +27,7 @@ element and build the exp table.
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
 
@@ -505,6 +511,42 @@ class Field:
             while rem and rem[-1] < 0:
                 rem.pop()
         return quo, self._to_codes(rem)
+
+    # -- addition kernels on code vectors
+    #
+    # A code is the F_p-digit vector of its element, so at p = 2 a sum is the
+    # XOR of codes; at odd p it is one Zech lookup on logs, inlined.
+
+    def add_codes(self, xs, ys) -> list[int]:
+        """Codes of x + y for each pair of codes from xs and ys, up to the
+        shorter of the two."""
+        if self.p == 2:
+            return [x ^ y for x, y in zip(xs, ys)]
+        exp, log, zech, m = self._logs()
+        out = []
+        append = out.append
+        for x, y in zip(xs, ys):
+            if not x:
+                append(y)
+            elif not y:
+                append(x)
+            else:
+                la = log[x]
+                z = zech[log[y] - la]
+                append(0 if z < 0 else exp[(la + z) % m])
+        return out
+
+    def span_codes(self, gens) -> list[int]:
+        """Codes of every F_p-combination sum(d_i * gens[i]), the one with
+        digits d_i at index sum(d_i * p^i): the first generator varies
+        fastest, and the entries below p^(i+1) are those below p^i plus
+        d * gens[i] for each d, each block the one before it plus gens[i]."""
+        table = [0]
+        for g in gens:
+            size = len(table)
+            for _ in range(self.p - 1):
+                table += self.add_codes(table[-size:], itertools.repeat(g))
+        return table
 
     # -- element construction
 

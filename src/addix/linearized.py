@@ -13,8 +13,9 @@ Composition and its quotient share one twisted row on p-power
 coefficients: L divides T exactly when T = N o L, and N comes by right
 division with no dense polynomial.  A subspace's canonical coset
 representatives are the codes whose pivot digits are zero: reduce,
-coset_key and coset_reps share that one rule, and one span routine lists
-value tables, members and representatives.
+coset_key, coset_keys and coset_reps share that one rule.  Value tables,
+members, representatives and the coset-key tables are spans of generator
+codes, listed by Field.span_codes, the field's own addition kernel.
 """
 
 from __future__ import annotations
@@ -24,19 +25,6 @@ import itertools
 from .errors import InvariantViolation, PreconditionError
 from .field import Elt, Field
 from .poly import CodeVector, Poly
-
-
-def _span(field: Field, gens) -> list[int]:
-    """Codes of every F_p-combination sum(d_i * gens[i]), the one with digits
-    d_i at index sum(d_i * p^i): the first generator varies fastest, and the
-    entries below p^(i+1) are those below p^i plus d * gens[i] for each d."""
-    add = field.add
-    table = [0]
-    for g in gens:
-        size = len(table)
-        for _ in range(field.p - 1):
-            table.extend([add(v, g) for v in table[-size:]])
-    return table
 
 
 def _twisted_row(field: Field, acc, s: int, c: int, codes) -> None:
@@ -88,7 +76,7 @@ class LinearizedPoly(CodeVector):
         the span of its values on the basis e_i = p^i, so the table costs
         q - 1 adds after n evaluations."""
         field = self.field
-        return _span(field, self.values_at([field.p ** i for i in range(field.n)]))
+        return field.span_codes(self.values_at([field.p ** i for i in range(field.n)]))
 
     def to_poly(self) -> Poly:
         dense = [0] * (self.degree + 1)
@@ -173,7 +161,8 @@ class Subspace:
     are kept as the place values p^i of their digits.
     """
 
-    __slots__ = ("field", "_rows", "_pivots")
+    # _keys memoises the (low, high) tables of coset_keys, unset until first use
+    __slots__ = ("field", "_rows", "_pivots", "_keys")
 
     def __init__(self, field: Field, generators=()):
         """Span of the generators; one that clears to zero against the rows
@@ -229,6 +218,37 @@ class Subspace:
     def coset_key(self, v: Elt) -> int:
         return _clear(self.field, self._code(v), self._rows, self._pivots)
 
+    def coset_keys(self, codes) -> list[int]:
+        """The coset_key of each code in codes, a list or set, in its order.
+        The key is F_p-linear, so with h = n // 2 a code v has the key
+        low[v mod p^h] + high[v div p^h], the two tables being built once per
+        subspace.  A batch no larger than the two tables together is cleared
+        code by code instead, and the zero subspace keys each code to itself."""
+        field, rows = self.field, self._rows
+        if not rows:
+            return list(codes)
+        split = field.p ** (field.n // 2)
+        if len(codes) <= split + field.q // split:
+            return [_clear(field, v, rows, self._pivots) for v in codes]
+        try:
+            low, high = self._keys
+        except AttributeError:
+            low, high = self._keys = self._key_tables()
+        return field.add_codes([low[v % split] for v in codes],
+                               [high[v // split] for v in codes])
+
+    def _key_tables(self) -> tuple[list[int], list[int]]:
+        """The keys of the codes below p^h and of the multiples of p^h, the
+        spans of the keys of the unit codes p^i below and above p^h.  A
+        pivot's key is the pivot minus its row, whose other pivot digits are
+        zero; every other unit code is its own key."""
+        field = self.field
+        minus = dict(zip(self._pivots, map(field.neg, self._rows)))
+        units = [field.p ** i for i in range(field.n)]
+        keys = field.add_codes(units, [minus.get(u, 0) for u in units])
+        h = field.n // 2
+        return field.span_codes(keys[:h]), field.span_codes(keys[h:])
+
     def contains(self, v: Elt) -> bool:
         return self.coset_key(v) == 0
 
@@ -237,7 +257,7 @@ class Subspace:
     def elements(self) -> list[Elt]:
         """All p^dim members, ascending code order."""
         field = self.field
-        return [field.from_code(c) for c in sorted(_span(field, self._rows))]
+        return [field.from_code(c) for c in sorted(field.span_codes(self._rows))]
 
     def __eq__(self, other):
         if isinstance(other, Subspace):
@@ -258,7 +278,7 @@ def coset_reps(subspace: Subspace) -> tuple[Elt, ...]:
     field = subspace.field
     pivots = set(subspace._pivots)
     units = [w for w in (field.p ** i for i in range(field.n)) if w not in pivots]
-    return tuple([field.from_code(c) for c in _span(field, units)])
+    return tuple([field.from_code(c) for c in field.span_codes(units)])
 
 
 def kernel(linpoly: LinearizedPoly) -> Subspace:

@@ -70,14 +70,10 @@ class CodeVector:
         b = self._operand(other)
         if b is None:
             return NotImplemented
-        add = self.field.add
         a = self.codes
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = add(out[i], c)
-        return self._new(self.field, out)
+        return self._new(self.field, self.field.add_codes(a, b) + list(a[len(b):]))
 
     def __sub__(self, other):
         if self._operand(other) is None:

@@ -2,7 +2,8 @@
 
 Poly and LinearizedPoly hold element codes and run their loops through the
 field's code arithmetic: Horner scans, division, products and shifts through
-the fused log-domain kernels of Field, the rest through Field.add/mul.  The
+the fused log-domain kernels of Field, sums of code vectors and spans
+through its addition kernels, the rest through Field.add/mul.  The
 reference below works on Elt objects instead, with textbook algorithms.  Its
 addition adds digit vectors mod p and its multiplication is Elt * (exp/log,
 checked against schoolbook F_p[x] in test_field), so it shares neither the
@@ -15,6 +16,11 @@ pairs that Lucas's theorem leaves nonzero, and the cached Lucas terms
 against math.comb.  The verified kernel fold is checked against the
 index-order fold it replaced (ref_fold).  The decomposition's value table,
 built by linearity, is checked against Horner on the polynomial itself.
+The addition kernels are checked against Field.add, the digit-vector sum
+and the span loop they replaced (ref_span), and batch coset keys against
+coset_key on both sides of their per-code/table switch; with Field.add and
+the per-code clearing patched to raise, value tables and a brute value-set
+count must still finish.
 Subspaces hold reduced-echelon rows as codes; their rows, reductions and
 kernels are checked against a digit-vector echelon reference that works on
 Elt.coeffs lists mod p.  An interpolant is unique, so both interpolations
@@ -30,6 +36,8 @@ from math import comb
 
 import pytest
 
+import addix.linearized
+from addix.analysis import value_set_size
 from addix.decompose import decompose_with, maximal_decomposition
 from addix.errors import PreconditionError
 from addix.field import Field
@@ -139,6 +147,17 @@ def ref_dense(field, lin):
     for i, c in enumerate(lin):
         out = ref_add(field, out, [field.zero] * field.p ** i + [c])
     return out
+
+
+def ref_span(field, gens):
+    """The span loop that Field.span_codes replaced, one Field.add per entry:
+    the entries below p^(i+1) are those below p^i plus d * gens[i]."""
+    table = [0]
+    for g in gens:
+        size = len(table)
+        for _ in range(field.p - 1):
+            table.extend([field.add(v, g) for v in table[-size:]])
+    return table
 
 
 def ref_lin_eval(lin, x):
@@ -788,6 +807,95 @@ def test_code_echelon_matches_digit_reference(field):
         assert [list(b.coeffs) for b in ker.basis] == ref_echelon(field, roots)[0]
         dims.add(ker.dim)
     assert len(dims) > 1
+
+
+# -- the addition kernels: elementwise sums, spans and batch coset keys
+
+ADD_FIELDS = SMALL_FIELDS + [Field(2, 10)]
+
+
+@pytest.mark.parametrize("field", ADD_FIELDS, ids=[repr(f) for f in ADD_FIELDS])
+def test_add_codes_matches_field_add(field):
+    """Every code against a shuffle of them, against zero on either side,
+    and against its own negative, which must cancel."""
+    q = field.q
+    codes = list(range(q))
+    shuffled = random.Random(q + 11).sample(codes, q)
+    xs = codes + [0] * q + shuffled
+    ys = shuffled + codes + [0] * q
+    sums = field.add_codes(xs, ys)
+    assert sums == list(map(field.add, xs, ys))
+    assert sums == [add(field.from_code(x), field.from_code(y)).code for x, y in zip(xs, ys)]
+    assert field.add_codes(codes, map(field.neg, codes)) == [0] * q
+
+
+@pytest.mark.parametrize("field", ADD_FIELDS, ids=[repr(f) for f in ADD_FIELDS])
+def test_span_codes_matches_span_loop(field):
+    """Independent, dependent, repeated and zero generators, up to one more
+    than the dimension."""
+    rng = random.Random(field.q + 12)
+    for k in range(field.n + 2):
+        gens = rand_codes(rng, field, k)
+        assert field.span_codes(gens) == ref_span(field, gens)
+    for gens in ([], [0], [1, 1], [0, 1, 0], [field.p ** i for i in range(field.n)]):
+        assert field.span_codes(gens) == ref_span(field, gens)
+
+
+KEY_FIELDS = [Field(2, 6), Field(2, 7), Field(3, 4), Field(5, 3)]
+
+
+@pytest.mark.parametrize("field", KEY_FIELDS, ids=[repr(f) for f in KEY_FIELDS])
+def test_coset_keys_match_coset_key(field):
+    """Random subspaces of every dimension, the full field among them, on
+    batches at the per-code/table switch (as many codes as the two tables
+    hold), one past it, the whole field and a set."""
+    rng = random.Random(field.q + 13)
+    split = field.p ** (field.n // 2)
+    switch = split + field.q // split
+    subs = [Subspace(field, independent(rng, field, dim)) for dim in range(field.n + 1)]
+    for sub in subs + [Subspace.full(field)]:
+        def key(v):
+            return sub.coset_key(field.from_code(v))
+
+        small = rand_codes(rng, field, switch)
+        assert sub.coset_keys(small) == list(map(key, small))
+        assert not hasattr(sub, "_keys")
+        large = rand_codes(rng, field, switch + 1)
+        assert sub.coset_keys(large) == list(map(key, large))
+        assert hasattr(sub, "_keys") == (sub.dim > 0)
+        assert sub.coset_keys(list(range(field.q))) == list(map(key, range(field.q)))
+        members = set(rand_codes(rng, field, field.q))
+        assert sub.coset_keys(members) == list(map(key, members))
+
+
+@pytest.mark.parametrize("p, n", [(2, 8), (3, 5)])
+def test_tables_and_keys_make_no_per_element_add(monkeypatch, p, n):
+    """A decomposition's values, a linearized map's values and a brute
+    value-set count run in Field's addition kernels: with Field.add and the
+    per-code clearing patched to raise, they still finish.  Only the
+    decomposition and its image subspace W, whose echelon rows do call
+    them, are built beforehand; the image is larger than W's key tables."""
+    field = Field(p, n)
+    rng = random.Random(field.q + 14)
+    _, poly = structured(rng, field, 2, 2)
+    dec = maximal_decomposition(poly)
+    w = dec.image_subspace
+    values = list(poly.values())
+    image = set(values)
+    split = p ** (n // 2)
+    assert w.dim > 0 and len(image) > split + field.q // split
+    counted = (len(image), len({w.coset_key(field.from_code(v)) for v in image}))
+    lin = LinearizedPoly.from_codes(field, rand_codes(rng, field, n))
+    lin_values = list(lin.values_at(range(field.q)))
+
+    def refuse(*args):
+        raise AssertionError("per-element addition")
+
+    monkeypatch.setattr(Field, "add", refuse)
+    monkeypatch.setattr(addix.linearized, "_clear", refuse)
+    assert dec.values == values
+    assert lin.values() == lin_values
+    assert value_set_size(poly, "brute") == counted
 
 
 # -- interpolation: the interpolant is unique, so its values at the nodes
