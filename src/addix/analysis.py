@@ -386,9 +386,10 @@ def _translator_values(spec: TranslatorSpec) -> list[int] | None:
             return None
     elif spec.kind != "general":
         raise PreconditionError(f"unknown translator kind {spec.kind!r}")
-    # one row per shift u: g(x + u) against g(x) + M(u) at every x
+    # one row per shift u: g(x + u) against g(x) + M(u) at every x; the
+    # first member is u = 0, whose row holds trivially as M(0) = 0
     points = range(field.q)
-    for u, mu in zip(codes, moved):
+    for u, mu in zip(codes[1:], moved[1:]):
         shifted = field.add_codes(points, itertools.repeat(u))
         if [values[x] for x in shifted] != field.add_codes(values, itertools.repeat(mu)):
             return None

@@ -222,14 +222,11 @@ class Subspace:
         """The coset_key of each code in codes, a list or set, in its order.
         The key is F_p-linear, so with h = n // 2 a code v has the key
         low[v mod p^h] + high[v div p^h], the two tables being built once per
-        subspace.  A batch no larger than the two tables together is cleared
-        code by code instead, and the zero subspace keys each code to itself."""
-        field, rows = self.field, self._rows
-        if not rows:
+        subspace.  The zero subspace keys each code to itself."""
+        field = self.field
+        if not self._rows:
             return list(codes)
         split = field.p ** (field.n // 2)
-        if len(codes) <= split + field.q // split:
-            return [_clear(field, v, rows, self._pivots) for v in codes]
         try:
             low, high = self._keys
         except AttributeError:
