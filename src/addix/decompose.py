@@ -3,10 +3,11 @@
 S is the largest monic linearized divisor of x^q - x for which such a
 splitting exists, with deg(linear_part) < deg(S); the additive index counts
 how far S falls short of x^q - x: deg(S) = p^(n - index).  The roots of S,
-the additive kernel V, come from the shift-expansion bands folded from the
-lowest degree, stopping at a gcd whose roots every band is checked to
-vanish on; outer and linear_part are read off the digits of P - P(0) in
-base S.  gcd_degree is read off the cached kernel V of S and image
+the additive kernel V, are read by F_p-linear algebra as the kernel of the
+shift-expansion band of least degree, checked at its basis against every
+other band, and S is their vanishing polynomial; a band that fails is
+folded in by Euclid.  outer and linear_part are read off the digits of
+P - P(0) in base S.  gcd_degree is read off the cached kernel V of S and image
 linear_part(V) by rank-nullity.  Also carries the classical multiplicative
 index used for bound comparisons.  Inputs of degree >= q are folded modulo
 x^q - x (reduce_mod_xq_minus_x) before kernel computations, so the identity
@@ -24,9 +25,8 @@ from .field import Elt
 from .linearized import (LinearizedPoly, Subspace, _outer_codes, coset_reps,
                          expand_in_base, is_linearized, kernel,
                          require_splitting_monic, subspace_image,
-                         xq_minus_x_linearized)
-from .poly import (Poly, gcd_with_xq_minus_x, poly_gcd, reduce_mod_xq_minus_x,
-                   shift_expand)
+                         vanishing_poly, xq_minus_x_linearized)
+from .poly import Poly, poly_gcd, reduce_mod_xq_minus_x, shift_expand
 
 
 @dataclass(frozen=True)
@@ -92,58 +92,71 @@ class PartialDecomposition:
     remainder: Poly | None
 
 
-def _maximal_subspace_poly(poly: Poly) -> tuple[LinearizedPoly, Subspace]:
-    """Subspace polynomial and kernel V for an input already folded below
-    degree q, by a verified fold of the bands from the lowest degree.
-
-    Every band vanishes on V and has no constant term, so a degree-1 band
-    proves V = {0} at once.  Otherwise h starts as gcd(smallest band,
-    x^q - x), monic and squarefree, and only shrinks as bands are folded
-    into it.  While h is not linearized, or does not split, the next band
-    is folded (the smallest band is itself linearized, by the cocycle
-    identity of the bands, so the first h always is).  Once it is, its
-    roots V' are read off by F_p-linear algebra, and V' contains V.  V is
-    closed under addition, so when every band not yet folded vanishes at
-    V''s basis, V' = V; the first band that fails is folded, and each such
-    round drops the dimension.  With every band folded h is the gcd of them
-    all, so a non-linearized or non-splitting h then breaks an invariant.
-    A constant residue satisfies the defining identity everywhere, so its
-    kernel is the whole field."""
-    field = poly.field
-    rest = sorted((f for f in shift_expand(poly) if not f.is_zero()),
-                  key=lambda f: f.degree, reverse=True)
-    if not rest:
-        return xq_minus_x_linearized(field), Subspace.full(field)
-    h = rest.pop()
-    if h.degree > 1:
-        h = gcd_with_xq_minus_x(h)
-    while h.degree != 1:
+def _refold(h: Poly, rest: list[Poly]) -> Subspace:
+    """Roots of h, a monic divisor of x^q - x folded from the bands, once
+    they form a subspace: while h is not linearized, or does not split into
+    distinct roots, the band of least degree left in rest is folded in.
+    With every band folded h is the gcd of them all, so either verdict then
+    breaks an invariant."""
+    field = h.field
+    while h.degree > 1:
         sub_poly = is_linearized(h)
         if sub_poly is not None:
             ker = kernel(sub_poly)
             if field.p ** ker.dim == h.degree:
-                basis = [v.code for v in ker.basis]
-                failed = next((f for f in reversed(rest) if any(f.values_at(basis))), None)
-                if failed is None:
-                    return sub_poly, ker
-                rest.remove(failed)
-                h = poly_gcd(h, failed)
-                continue
+                return ker
         if not rest:
             raise InvariantViolation(
                 "gcd of the bands with x^q - x is not linearized" if sub_poly is None
                 else "gcd of the bands with x^q - x does not split into distinct roots")
         h = poly_gcd(h, rest.pop())
     # c*x divides x^q - x: the kernel is trivial
-    return LinearizedPoly.identity(field), Subspace(field, ())
+    return Subspace(field, ())
+
+
+def _maximal_subspace_poly(poly: Poly) -> tuple[LinearizedPoly, Subspace]:
+    """Subspace polynomial and kernel V for an input already folded below
+    degree q, by a verified fold of the bands from the lowest degree.
+
+    Every band vanishes on V and has no constant term, so a degree-1 band
+    proves V = {0} at once.  Otherwise the band of least degree is
+    linearized, by the cocycle identity of the bands, and its kernel, read
+    by F_p-linear algebra, is its root set V', which contains V.  V is
+    closed under addition, so when every band not yet folded vanishes at
+    V''s basis, V' = V and S is the vanishing polynomial of V'; a trivial
+    V' needs no check.  The first band that fails is folded into that
+    polynomial by Euclid (_refold), and each such round drops the
+    dimension.  A constant residue satisfies the defining identity
+    everywhere, so its kernel is the whole field."""
+    field = poly.field
+    rest = sorted((f for f in shift_expand(poly) if not f.is_zero()),
+                  key=lambda f: f.degree, reverse=True)
+    if not rest:
+        return xq_minus_x_linearized(field), Subspace.full(field)
+    band = rest.pop()
+    if band.degree == 1:
+        return LinearizedPoly.identity(field), Subspace(field, ())
+    sub_poly = is_linearized(band)
+    if sub_poly is None:
+        raise InvariantViolation("the band of least degree is not linearized")
+    ker = kernel(sub_poly)
+    while ker.dim:
+        basis = [v.code for v in ker.basis]
+        failed = next((f for f in reversed(rest) if any(f.values_at(basis))), None)
+        if failed is None:
+            break
+        rest.remove(failed)
+        ker = _refold(poly_gcd(vanishing_poly(ker).to_poly(), failed), rest)
+    return vanishing_poly(ker), ker
 
 
 def additive_kernel(poly: Poly, method: str = "gcd") -> Subspace:
     """Elements y for which P0(x+y) = P0(x) + P0(y) holds identically.
 
-    The gcd method intersects the shift-expansion bands with x^q - x and
-    reads the kernel off that gcd by F_p-linear algebra; brute tests the
-    polynomial identity for every y.  Both yield the same subspace.
+    The gcd method reads the kernel of the least-degree shift-expansion
+    band by F_p-linear algebra and checks the other bands at its basis,
+    folding a band that fails in by Euclid; brute tests the polynomial
+    identity for every y.  Both yield the same subspace.
     """
     if poly.degree < 1:
         raise PreconditionError("additive kernel needs degree >= 1")

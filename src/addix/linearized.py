@@ -330,13 +330,13 @@ def _adjoin(vanish: LinearizedPoly, c: int) -> LinearizedPoly:
 
 def vanishing_poly(subspace: Subspace) -> LinearizedPoly:
     """Monic linearized polynomial of degree p^dim whose roots are exactly
-    the subspace, built by adjoining one basis vector at a time."""
+    the subspace, built by adjoining one echelon row at a time."""
     acc = LinearizedPoly.identity(subspace.field)
-    for b in subspace.basis:
-        vb = acc.eval(b)
-        if vb.code == 0:
+    for row in subspace._rows:
+        c = next(acc.values_at((row,)))
+        if not c:
             raise InvariantViolation("basis vector already annihilated during construction")
-        acc = _adjoin(acc, vb.code)
+        acc = _adjoin(acc, c)
     return acc
 
 

@@ -247,33 +247,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic()
 
 
-def pow_x_mod(modpoly: Poly, e: int) -> Poly:
-    """x^e mod modpoly by repeated squaring; never materializes x^e."""
-    if modpoly.degree < 1:
-        raise PreconditionError("modulus must have degree >= 1")
-    field = modpoly.field
-    result = Poly.one(field) % modpoly
-    base = Poly.x(field) % modpoly
-    while e:
-        if e & 1:
-            result = (result * base) % modpoly
-        base = (base * base) % modpoly
-        e >>= 1
-    return result
-
-
-def gcd_with_xq_minus_x(a: Poly) -> Poly:
-    """gcd(a, x^q - x), reducing x^q mod a first so q-length vectors never
-    appear.  a must be nonzero."""
-    if a.is_zero():
-        raise PreconditionError("gcd_with_xq_minus_x needs a nonzero polynomial")
-    field = a.field
-    if a.degree == 0:
-        return Poly.one(field)
-    folded = pow_x_mod(a, field.q) - Poly.x(field)
-    return poly_gcd(a, folded % a)
-
-
 def reduce_mod_xq_minus_x(a: Poly) -> Poly:
     """Remainder of a modulo x^q - x: exponents e >= q fold to
     ((e - 1) mod (q - 1)) + 1.  Preserves the induced map on the field."""

@@ -14,7 +14,8 @@ mid-loop.  The shift-expansion bands are checked against the
 dense formula over every pair (i, t), and their cost against the count of
 pairs that Lucas's theorem leaves nonzero, and the cached Lucas terms
 against math.comb.  The verified kernel fold is checked against the
-index-order fold it replaced (ref_fold).  The decomposition's value table,
+index-order fold it replaced (ref_fold), which ends with its own Euclid
+against x^q - x (ref_xq_gcd).  The decomposition's value table,
 built by linearity, is checked against Horner on the polynomial itself.
 The addition kernels are checked against Field.add, the digit-vector sum
 and the span loop they replaced (ref_span), and batch coset keys against
@@ -46,8 +47,8 @@ from addix.linearized import (LinearizedPoly, Subspace, compose_quotient,
                               kernel, linearized_interpolate, vanishing_poly,
                               xq_minus_x_linearized)
 from addix.poly import (_LUCAS_CACHE_SIZE, Poly, _cached_lucas_terms,
-                        gcd_with_xq_minus_x, lagrange_interpolate, poly_gcd,
-                        reduce_mod_xq_minus_x, shift_expand)
+                        lagrange_interpolate, poly_gcd, reduce_mod_xq_minus_x,
+                        shift_expand)
 
 FIELDS = [Field(2, 4), Field(3, 3), Field(5, 2), Field(7, 2), Field(2, 10)]
 IDS = [repr(f) for f in FIELDS]
@@ -192,6 +193,18 @@ def ref_compose_quotient(field, target, inner):
     return trim(outer[e] for e in powers if e < len(outer))
 
 
+def ref_xq_gcd(g):
+    """gcd(g, x^q - x) by Euclid, x^q reduced mod g by repeated squaring."""
+    field = g.field
+    power, base, e = Poly.one(field), Poly.x(field), field.q
+    while e:
+        if e & 1:
+            power = power * base % g
+        base = base * base % g
+        e >>= 1
+    return poly_gcd(g, (power - Poly.x(field)) % g)
+
+
 def ref_fold(poly):
     """The index-order fold: g = gcd(F_1, F_2, ...), stopping once it is
     c*x, then gcd(g, x^q - x), whose roots are the kernel."""
@@ -206,7 +219,7 @@ def ref_fold(poly):
         g = poly_gcd(g, band)
     if g.degree == 1:
         return LinearizedPoly.identity(field), Subspace(field, ())
-    sub_poly = is_linearized(gcd_with_xq_minus_x(g))
+    sub_poly = is_linearized(ref_xq_gcd(g))
     ker = kernel(sub_poly)
     assert field.p ** ker.dim == sub_poly.degree
     return sub_poly, ker

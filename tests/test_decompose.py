@@ -219,24 +219,45 @@ def test_trivial_kernel_split_matches_digits(p, n):
             assert dec.outer == poly and dec.linear_part.is_zero()
 
 
-def test_trivial_kernel_skips_the_xq_gcd(monkeypatch):
-    """A band gcd of degree 1 is c*x, which divides x^q - x, so a trivial
-    kernel is read off it with no x^q mod g; a larger gcd still needs one."""
-    calls = []
-    real = addix.poly.pow_x_mod
+@pytest.mark.parametrize("p, n, dim", [(2, 8, None), (3, 5, 2), (2, 12, 3)])
+def test_first_kernel_is_read_with_no_division(monkeypatch, p, n, dim):
+    """When the roots V' of the band of least degree pass every other band,
+    V' is read by linear algebra on that band and S is built from V''s
+    basis: with polynomial division patched to fail, the kernel is still
+    the brute one."""
+    field = Field(p, n)
+    if dim is None:
+        poly = parse_poly("(x^4+x)^3+(x^4+x)+x", field)
+    else:
+        rng = random.Random(p * n)
+        sub = Subspace(field, [field.from_code(rng.randrange(1, field.q)) for _ in range(dim)])
+        outer = Poly.from_codes(field, [rng.randrange(field.q) for _ in range(p + 1)] + [1])
+        linear = LinearizedPoly.from_codes(field, [rng.randrange(field.q) for _ in range(dim)])
+        poly = outer.compose(vanishing_poly(sub).to_poly()) + linear.to_poly()
+        assert any(not f.is_zero() for f in shift_expand(poly))
+    brute = additive_kernel(poly, "brute")
+    assert brute.dim > 0
 
-    def counting(modpoly, e):
-        calls.append(modpoly.degree)
-        return real(modpoly, e)
+    def refuse(*args):
+        raise AssertionError("polynomial division")
 
-    monkeypatch.setattr(addix.poly, "pow_x_mod", counting)
+    monkeypatch.setattr(Field, "divmod_codes", refuse)
+    assert additive_kernel(poly) == brute
+
+
+def test_trivial_first_kernel_checks_no_band(monkeypatch):
+    """x^10 + x^3 over GF(2^8) has a least-degree band of degree 2 whose
+    kernel is {0}: that is V, so no other band is evaluated."""
     field = Field(2, 8)
-    dec = maximal_decomposition(parse_poly("x^3+x+1", field))
-    assert dec.index == 8 and calls == []
-    assert dec.subspace_poly == LinearizedPoly.identity(field)
-    assert dec.kernel == kernel(LinearizedPoly.identity(field))
-    dec = maximal_decomposition(parse_poly("(x^4+x)^3+(x^4+x)+x", field))
-    assert dec.index == 6 and calls
+    poly = parse_poly("x^10+x^3", field)
+    assert min(f.degree for f in shift_expand(poly) if not f.is_zero()) == 2
+
+    def refuse(*args):
+        raise AssertionError("band evaluated")
+
+    monkeypatch.setattr(Poly, "values_at", refuse)
+    dec = maximal_decomposition(poly)
+    assert dec.index == 8 and dec.subspace_poly == LinearizedPoly.identity(field)
 
 
 def record_fold(monkeypatch, linear_view=None):
@@ -283,25 +304,34 @@ def test_verified_fold_branches(monkeypatch):
     ker = additive_kernel(poly)
     assert events == ["lin", "gcd"] and ker.dim == 0
     assert ker == additive_kernel(poly, "brute")
-    # an h that is not linearized (its roots no subspace) has the next band
-    # folded in; the smallest band is always linearized, so the first
-    # verdict is hidden here
-    poly = parse_poly("(x^4+x)^3+(x^4+x)+x", F16)
-    events = record_fold(monkeypatch, lambda k, view: None if k == 0 else view)
+    # a refolded h that is not linearized (its roots no subspace) has the
+    # next band folded in; no input found so far reaches this, so the
+    # verdict on the first refold is hidden here
+    poly = parse_poly("x^12 + x^9 + x^5", F16)
+    events = record_fold(monkeypatch, lambda k, view: None if k == 1 else view)
     assert additive_kernel(poly) == additive_kernel(poly, "brute")
-    assert events == ["nonlin", "gcd", "lin"]
+    assert events == ["lin", "gcd", "nonlin", "gcd", "lin"]
 
 
 def test_verified_fold_breaks_invariants_only_after_every_band(monkeypatch):
-    poly = parse_poly("(x^4+x)^3+(x^4+x)+x", F16)
+    """The band of least degree is linearized, so a verdict otherwise on it
+    raises at once; a refolded h raises only once every band is folded."""
+    poly = parse_poly("x^12 + x^9 + x^5", F16)
     folds = sum(not f.is_zero() for f in shift_expand(poly)) - 1
     events = record_fold(monkeypatch, lambda k, view: None)
+    with pytest.raises(InvariantViolation, match="band of least degree is not linearized"):
+        additive_kernel(poly)
+    assert events == ["nonlin"]
+    monkeypatch.undo()
+    events = record_fold(monkeypatch, lambda k, view: None if k else view)
     with pytest.raises(InvariantViolation, match="is not linearized"):
         additive_kernel(poly)
     assert events.count("gcd") == folds
     monkeypatch.undo()
     events = record_fold(monkeypatch)
-    monkeypatch.setattr(addix.decompose, "kernel", lambda lin: Subspace(lin.field, ()))
+    real = kernel
+    monkeypatch.setattr(addix.decompose, "kernel",
+                        lambda lin: real(lin) if events == ["lin"] else Subspace(lin.field, ()))
     with pytest.raises(InvariantViolation, match="does not split into distinct roots"):
         additive_kernel(poly)
     assert events.count("gcd") == folds
@@ -319,8 +349,8 @@ def test_split_refuses_a_broken_digit_contract():
 @pytest.mark.parametrize("p, n, degree", [(2, 8, 63), (3, 5, 61), (5, 3, 62)])
 def test_degree_one_top_band_folds_nothing(monkeypatch, p, n, degree):
     """A dense input whose degree d is prime to p has the top band
-    F_(d-1) = d*c_d*y of degree 1, which proves V = {0}: no band gcd and no
-    x^q mod anything.  Folding from F_1, of degree d - 1, would not."""
+    F_(d-1) = d*c_d*y of degree 1, which proves V = {0}: no band gcd.
+    Folding from F_1, of degree d - 1, would not."""
     field = Field(p, n)
     rng = random.Random(degree)
     poly = Poly.from_codes(field, [rng.randrange(field.q) for _ in range(degree)] + [1])
@@ -336,7 +366,6 @@ def test_degree_one_top_band_folds_nothing(monkeypatch, p, n, degree):
     gcd = counted("poly_gcd", addix.poly.poly_gcd)
     monkeypatch.setattr(addix.poly, "poly_gcd", gcd)
     monkeypatch.setattr(addix.decompose, "poly_gcd", gcd)
-    monkeypatch.setattr(addix.poly, "pow_x_mod", counted("pow_x_mod", addix.poly.pow_x_mod))
     dec = maximal_decomposition(poly)
     assert calls == []
     assert dec.index == n and dec.subspace_poly == LinearizedPoly.identity(field)

@@ -6,8 +6,7 @@ from addix.errors import ParseError, PreconditionError
 from addix.field import Field
 from addix.linearized import xq_minus_x_linearized
 from addix.poly import (Poly, lagrange_interpolate, parse_poly, poly_gcd,
-                        poly_to_str, pow_x_mod, reduce_mod_xq_minus_x,
-                        shift_expand)
+                        poly_to_str, reduce_mod_xq_minus_x, shift_expand)
 
 F5 = Field(5, 1)
 F8 = Field(2, 3)
@@ -127,13 +126,6 @@ def test_monomial_refuses_a_negative_exponent():
     assert Poly.monomial(F9, F9.one, 0) == Poly.one(F9)
     with pytest.raises(PreconditionError, match="nonnegative"):
         Poly.monomial(F9, F9.one, -1)
-
-
-def test_pow_x_mod_matches_dense():
-    mod = parse_poly("x^3+x+1", F9)
-    dense = xq_minus_x_linearized(F9).to_poly() % mod
-    folded = pow_x_mod(mod, F9.q) - Poly.x(F9)
-    assert folded % mod == dense
 
 
 def test_reduce_mod_xq_minus_x():
