@@ -3,14 +3,15 @@
 S is the largest monic linearized divisor of x^q - x for which such a
 splitting exists, with deg(linear_part) < deg(S); the additive index counts
 how far S falls short of x^q - x: deg(S) = p^(n - index).  The roots of S,
-the additive kernel V, are read by F_p-linear algebra as the kernel of the
-shift-expansion band of least degree, checked at its basis against every
-other band, and S is their vanishing polynomial; a band that fails is
-folded in by Euclid.  outer and linear_part are read off the digits of
-P - P(0) in base S.  gcd_degree is read off the cached kernel V of S and image
-linear_part(V) by rank-nullity.  Also carries the classical multiplicative
-index used for bound comparisons.  Inputs of degree >= q are folded modulo
-x^q - x (reduce_mod_xq_minus_x) before kernel computations, so the identity
+the additive kernel V, are the common zeros of the shift-expansion bands,
+read by F_p-linear algebra: from the whole field, each band from the top
+index down cuts the subspace so far to its kernel there, on which the bands
+above make it linear, and S is the vanishing polynomial of what is left.
+outer and linear_part are read off the digits of P - P(0) in base S.
+gcd_degree is read off the cached kernel V of S and image linear_part(V) by
+rank-nullity.  Also carries the classical multiplicative index used for
+bound comparisons.  Inputs of degree >= q are folded modulo x^q - x
+(reduce_mod_xq_minus_x) before kernel computations, so the identity
 reported is for the reduced polynomial.
 """
 
@@ -23,10 +24,10 @@ from math import gcd as int_gcd
 from .errors import InvariantViolation, PreconditionError
 from .field import Elt
 from .linearized import (LinearizedPoly, Subspace, _outer_codes, coset_reps,
-                         expand_in_base, is_linearized, kernel,
-                         require_splitting_monic, subspace_image,
-                         vanishing_poly, xq_minus_x_linearized)
-from .poly import Poly, poly_gcd, reduce_mod_xq_minus_x, shift_expand
+                         expand_in_base, is_linearized, require_splitting_monic,
+                         restricted_kernel, subspace_image, vanishing_poly,
+                         xq_minus_x_linearized)
+from .poly import Poly, reduce_mod_xq_minus_x, shift_expand
 
 
 @dataclass(frozen=True)
@@ -92,71 +93,41 @@ class PartialDecomposition:
     remainder: Poly | None
 
 
-def _refold(h: Poly, rest: list[Poly]) -> Subspace:
-    """Roots of h, a monic divisor of x^q - x folded from the bands, once
-    they form a subspace: while h is not linearized, or does not split into
-    distinct roots, the band of least degree left in rest is folded in.
-    With every band folded h is the gcd of them all, so either verdict then
-    breaks an invariant."""
-    field = h.field
-    while h.degree > 1:
-        sub_poly = is_linearized(h)
-        if sub_poly is not None:
-            ker = kernel(sub_poly)
-            if field.p ** ker.dim == h.degree:
-                return ker
-        if not rest:
-            raise InvariantViolation(
-                "gcd of the bands with x^q - x is not linearized" if sub_poly is None
-                else "gcd of the bands with x^q - x does not split into distinct roots")
-        h = poly_gcd(h, rest.pop())
-    # c*x divides x^q - x: the kernel is trivial
-    return Subspace(field, ())
-
-
 def _maximal_subspace_poly(poly: Poly) -> tuple[LinearizedPoly, Subspace]:
     """Subspace polynomial and kernel V for an input already folded below
-    degree q, by a verified fold of the bands from the lowest degree.
+    degree q, by restricting the field band by band from the top index.
 
-    Every band vanishes on V and has no constant term, so a degree-1 band
-    proves V = {0} at once.  Otherwise the band of least degree is
-    linearized, by the cocycle identity of the bands, and its kernel, read
-    by F_p-linear algebra, is its root set V', which contains V.  V is
-    closed under addition, so when every band not yet folded vanishes at
-    V''s basis, V' = V and S is the vanishing polynomial of V'; a trivial
-    V' needs no check.  The first band that fails is folded into that
-    polynomial by Euclid (_refold), and each such round drops the
-    dimension.  A constant residue satisfies the defining identity
-    everywhere, so its kernel is the whole field."""
+    V is the common zero set of the bands F_i.  Their cocycle identity,
+    F_i(y + z) - F_i(y) - F_i(z) = sum over j > i of C(j, i) F_j(z) y^(j-i),
+    makes F_i F_p-linear on any subspace U where every band above it
+    vanishes.  So, from U = the field and the top index down, each band
+    cuts U to its restricted kernel, read by F_p-linear algebra from its
+    values at U's rows, and the last U is V.  A band has no constant term,
+    so one of degree 1 proves V = {0} at once.  A constant residue (no
+    band) satisfies the defining identity everywhere."""
     field = poly.field
-    rest = sorted((f for f in shift_expand(poly) if not f.is_zero()),
-                  key=lambda f: f.degree, reverse=True)
-    if not rest:
-        return xq_minus_x_linearized(field), Subspace.full(field)
-    band = rest.pop()
-    if band.degree == 1:
-        return LinearizedPoly.identity(field), Subspace(field, ())
-    sub_poly = is_linearized(band)
-    if sub_poly is None:
-        raise InvariantViolation("the band of least degree is not linearized")
-    ker = kernel(sub_poly)
-    while ker.dim:
-        basis = [v.code for v in ker.basis]
-        failed = next((f for f in reversed(rest) if any(f.values_at(basis))), None)
-        if failed is None:
+    ker = Subspace.full(field)
+    for band in reversed(shift_expand(poly)):
+        if band.degree == 1:
+            ker = Subspace(field, ())
+        elif not band.is_zero():
+            values = list(band.values_at(ker.rows))
+            if any(values):
+                ker = restricted_kernel(ker, values)
+        if not ker.dim:
             break
-        rest.remove(failed)
-        ker = _refold(poly_gcd(vanishing_poly(ker).to_poly(), failed), rest)
+    if ker.is_full():
+        return xq_minus_x_linearized(field), ker
     return vanishing_poly(ker), ker
 
 
 def additive_kernel(poly: Poly, method: str = "gcd") -> Subspace:
     """Elements y for which P0(x+y) = P0(x) + P0(y) holds identically.
 
-    The gcd method reads the kernel of the least-degree shift-expansion
-    band by F_p-linear algebra and checks the other bands at its basis,
-    folding a band that fails in by Euclid; brute tests the polynomial
-    identity for every y.  Both yield the same subspace.
+    The gcd method finds the roots of the gcd of the shift-expansion bands
+    and x^q - x with no polynomial division: it cuts the field by each band
+    in turn, from the top index down, by F_p-linear algebra.  brute tests
+    the polynomial identity for every y.  Both yield the same subspace.
     """
     if poly.degree < 1:
         raise PreconditionError("additive kernel needs degree >= 1")

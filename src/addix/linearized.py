@@ -5,10 +5,12 @@ field.  It holds the codes of its p-power coefficient vector on the core it
 shares with Poly; lin_coeffs is a read-only Elt view.  Its values come
 from that core's one Horner scan, planned from its terms (p^i, a_i).  Every
 F_p-subspace has a monic linearized vanishing polynomial dividing x^q - x,
-and conversely the kernel of such a polynomial is a subspace; both
-directions live here, with expansion in a polynomial base, linearized
-interpolation by Newton's rule (its vanishing polynomial grows by
-vanishing_poly's adjoin step), coset representatives and image subspaces.
+and conversely the kernel of such a polynomial is a subspace, read by the
+one elimination that restricted_kernel runs for any map F_p-linear on a
+subspace; both directions live here, with expansion in a polynomial base,
+linearized interpolation by Newton's rule (its vanishing polynomial grows
+by vanishing_poly's adjoin step), coset representatives and image
+subspaces.
 Composition and its quotient share one twisted row on p-power
 coefficients: L divides T exactly when T = N o L, and N comes by right
 division with no dense polynomial.  A subspace's canonical coset
@@ -195,6 +197,11 @@ class Subspace:
         return sub
 
     @property
+    def rows(self) -> tuple[int, ...]:
+        """The codes of the echelon rows, ascending by pivot."""
+        return self._rows
+
+    @property
     def basis(self) -> tuple[Elt, ...]:
         """The echelon rows as elements, ascending by pivot."""
         return tuple(map(self.field.from_code, self._rows))
@@ -278,22 +285,20 @@ def coset_reps(subspace: Subspace) -> tuple[Elt, ...]:
     return tuple([field.from_code(c) for c in field.span_codes(units)])
 
 
-def kernel(linpoly: LinearizedPoly) -> Subspace:
-    """Roots of a nonzero linearized polynomial inside the field: the
-    F_p-nullspace of its matrix on the coordinate basis e_i = p^i.
+def restricted_kernel(subspace: Subspace, values) -> Subspace:
+    """The members of the subspace that a map sends to 0, given the codes of
+    its values at the subspace's echelon rows, in order; the map must be
+    F_p-linear on the subspace.
 
-    The pairs (L(e_i), e_i) are eliminated on their left codes; the right
+    The pairs (value, row) are eliminated on their left codes; the right
     codes of the pairs whose left codes vanish span the kernel.  That costs
-    n evaluations and O(n^2) code operations, not q evaluations.
+    O(dim^2) code operations and no evaluation.
     """
-    if linpoly.is_zero():
-        raise PreconditionError("kernel of the zero map is everything")
-    field = linpoly.field
+    field = subspace.field
     p, add, mul = field.p, field.add, field.mul
     rows: list[tuple[int, int, int]] = []  # (pivot p^i, left code, right code)
     zeros = []
-    units = [p ** i for i in range(field.n)]
-    for left, right in zip(linpoly.values_at(units), units):
+    for left, right in zip(values, subspace._rows):
         for piv, row_left, row_right in rows:
             d = left // piv % p
             if d:
@@ -306,6 +311,16 @@ def kernel(linpoly: LinearizedPoly) -> Subspace:
         else:
             zeros.append(field.from_code(right))
     return Subspace(field, zeros)
+
+
+def kernel(linpoly: LinearizedPoly) -> Subspace:
+    """Roots of a nonzero linearized polynomial inside the field: its
+    restricted kernel on the whole field, from its n values on the
+    coordinate basis e_i = p^i, not q evaluations."""
+    if linpoly.is_zero():
+        raise PreconditionError("kernel of the zero map is everything")
+    full = Subspace.full(linpoly.field)
+    return restricted_kernel(full, linpoly.values_at(full.rows))
 
 
 def require_splitting_monic(base: LinearizedPoly) -> Subspace:

@@ -645,8 +645,9 @@ def test_smallest_band_is_linearized(field):
     the x^i coefficient of the bands' cocycle identity.  For a band F_i of
     least degree the left side has degree below deg F_i in z, while each
     F_j on the right, at its own power of y, is zero or of degree at least
-    deg F_i; so both sides vanish: F_i is additive, hence linearized, and
-    the verified fold starts from a linearized gcd."""
+    deg F_i; so both sides vanish: F_i is additive, hence linearized.  The
+    same identity makes every band F_p-linear where the bands above it
+    vanish, which the decomposition's cut from the top index relies on."""
     rng = random.Random(field.q + 13)
     for _ in range(12):
         codes = [rng.randrange(field.q) if rng.random() < 0.5 else 0

@@ -3,8 +3,6 @@ import random
 import pytest
 
 import addix.decompose
-import addix.linearized
-import addix.poly
 from addix.decompose import (_split, additive_index, additive_kernel,
                              decompose_with, maximal_decomposition,
                              multiplicative_index)
@@ -221,10 +219,9 @@ def test_trivial_kernel_split_matches_digits(p, n):
 
 @pytest.mark.parametrize("p, n, dim", [(2, 8, None), (3, 5, 2), (2, 12, 3)])
 def test_first_kernel_is_read_with_no_division(monkeypatch, p, n, dim):
-    """When the roots V' of the band of least degree pass every other band,
-    V' is read by linear algebra on that band and S is built from V''s
-    basis: with polynomial division patched to fail, the kernel is still
-    the brute one."""
+    """A nontrivial kernel is read by linear algebra on the bands' values at
+    the rows of each restriction, and S is built from its basis: with
+    polynomial division patched to fail, the kernel is still the brute one."""
     field = Field(p, n)
     if dim is None:
         poly = parse_poly("(x^4+x)^3+(x^4+x)+x", field)
@@ -245,96 +242,45 @@ def test_first_kernel_is_read_with_no_division(monkeypatch, p, n, dim):
     assert additive_kernel(poly) == brute
 
 
-def test_trivial_first_kernel_checks_no_band(monkeypatch):
-    """x^10 + x^3 over GF(2^8) has a least-degree band of degree 2 whose
-    kernel is {0}: that is V, so no other band is evaluated."""
-    field = Field(2, 8)
-    poly = parse_poly("x^10+x^3", field)
-    assert min(f.degree for f in shift_expand(poly) if not f.is_zero()) == 2
+@pytest.mark.parametrize("field, text, dim", [(F16, "x^12 + x^9 + x^5", 1),
+                                              (F8, "x^6 + [2]*x^5 + [6]*x^2", 0)],
+                         ids=["GF(2^4)", "GF(2^3)"])
+def test_kernel_needs_no_division_where_a_band_fails_the_least_one(monkeypatch, field,
+                                                                  text, dim):
+    """On these inputs the roots of the band of least degree are not V: a
+    band above fails at one of them.  Cut from the top index, each band is
+    linear where the bands above vanish, so no gcd repairs anything; with
+    polynomial division patched to fail, the kernel is still the brute one."""
+    poly = parse_poly(text, field)
+    brute = additive_kernel(poly, "brute")
+    least = min((f for f in shift_expand(poly) if not f.is_zero()), key=lambda f: f.degree)
+    assert kernel(is_linearized(least)) != brute and brute.dim == dim
 
     def refuse(*args):
-        raise AssertionError("band evaluated")
+        raise AssertionError("polynomial division")
 
-    monkeypatch.setattr(Poly, "values_at", refuse)
+    monkeypatch.setattr(Field, "divmod_codes", refuse)
+    assert additive_kernel(poly) == brute
+
+
+def test_trivial_first_kernel_checks_no_band(monkeypatch):
+    """x^10 + x^3 over GF(2^8) has the top band F_8 = y^2, whose kernel on
+    the field is {0}: that is V, so no band below it is evaluated."""
+    field = Field(2, 8)
+    poly = parse_poly("x^10+x^3", field)
+    top = shift_expand(poly)[7:]  # F_8 and the zero band F_9
+    assert top == [parse_poly("x^2", field), Poly.zero(field)]
+    calls = []
+    real = Poly.values_at
+
+    def counted(self, points):
+        calls.append(self)
+        return real(self, points)
+
+    monkeypatch.setattr(Poly, "values_at", counted)
     dec = maximal_decomposition(poly)
+    assert calls == top[:1]
     assert dec.index == 8 and dec.subspace_poly == LinearizedPoly.identity(field)
-
-
-def record_fold(monkeypatch, linear_view=None):
-    """Log the verified fold's steps: "lin" or "nonlin" for each verdict on
-    whether h is linearized, "gcd" for each band folded into h.
-    linear_view(call number, true view) may replace a verdict."""
-    events = []
-    # the originals, so that a second call in one test wraps them afresh
-    is_lin, gcd = addix.linearized.is_linearized, addix.poly.poly_gcd
-
-    def viewed(poly):
-        view = is_lin(poly)
-        if linear_view is not None:
-            view = linear_view(events.count("lin") + events.count("nonlin"), view)
-        events.append("nonlin" if view is None else "lin")
-        return view
-
-    def folded(a, b):
-        events.append("gcd")
-        return gcd(a, b)
-
-    monkeypatch.setattr(addix.decompose, "is_linearized", viewed)
-    monkeypatch.setattr(addix.decompose, "poly_gcd", folded)
-    return events
-
-
-def test_verified_fold_branches(monkeypatch):
-    """Each branch of the verified fold, reached on handcrafted inputs,
-    ends at the kernel that the brute oracle finds."""
-    # V' = V at once: the roots of the smallest band pass every band
-    poly = parse_poly("(x^4+x)^3+(x^4+x)+x", F16)
-    events = record_fold(monkeypatch)
-    assert additive_kernel(poly) == additive_kernel(poly, "brute")
-    assert events == ["lin"]
-    # a band fails at a basis vector of V', is folded, and V'' passes
-    poly = parse_poly("x^12 + x^9 + x^5", F16)
-    events = record_fold(monkeypatch)
-    ker = additive_kernel(poly)
-    assert events == ["lin", "gcd", "lin"]
-    assert ker == additive_kernel(poly, "brute") and ker.dim == 1
-    # a failing band leaves gcd x: the kernel is trivial
-    poly = parse_poly("x^6 + [2]*x^5 + [6]*x^2", F8)
-    events = record_fold(monkeypatch)
-    ker = additive_kernel(poly)
-    assert events == ["lin", "gcd"] and ker.dim == 0
-    assert ker == additive_kernel(poly, "brute")
-    # a refolded h that is not linearized (its roots no subspace) has the
-    # next band folded in; no input found so far reaches this, so the
-    # verdict on the first refold is hidden here
-    poly = parse_poly("x^12 + x^9 + x^5", F16)
-    events = record_fold(monkeypatch, lambda k, view: None if k == 1 else view)
-    assert additive_kernel(poly) == additive_kernel(poly, "brute")
-    assert events == ["lin", "gcd", "nonlin", "gcd", "lin"]
-
-
-def test_verified_fold_breaks_invariants_only_after_every_band(monkeypatch):
-    """The band of least degree is linearized, so a verdict otherwise on it
-    raises at once; a refolded h raises only once every band is folded."""
-    poly = parse_poly("x^12 + x^9 + x^5", F16)
-    folds = sum(not f.is_zero() for f in shift_expand(poly)) - 1
-    events = record_fold(monkeypatch, lambda k, view: None)
-    with pytest.raises(InvariantViolation, match="band of least degree is not linearized"):
-        additive_kernel(poly)
-    assert events == ["nonlin"]
-    monkeypatch.undo()
-    events = record_fold(monkeypatch, lambda k, view: None if k else view)
-    with pytest.raises(InvariantViolation, match="is not linearized"):
-        additive_kernel(poly)
-    assert events.count("gcd") == folds
-    monkeypatch.undo()
-    events = record_fold(monkeypatch)
-    real = kernel
-    monkeypatch.setattr(addix.decompose, "kernel",
-                        lambda lin: real(lin) if events == ["lin"] else Subspace(lin.field, ()))
-    with pytest.raises(InvariantViolation, match="does not split into distinct roots"):
-        additive_kernel(poly)
-    assert events.count("gcd") == folds
 
 
 def test_split_refuses_a_broken_digit_contract():
@@ -349,23 +295,16 @@ def test_split_refuses_a_broken_digit_contract():
 @pytest.mark.parametrize("p, n, degree", [(2, 8, 63), (3, 5, 61), (5, 3, 62)])
 def test_degree_one_top_band_folds_nothing(monkeypatch, p, n, degree):
     """A dense input whose degree d is prime to p has the top band
-    F_(d-1) = d*c_d*y of degree 1, which proves V = {0}: no band gcd.
-    Folding from F_1, of degree d - 1, would not."""
+    F_(d-1) = d*c_d*y of degree 1, which proves V = {0}: no restricted
+    kernel is read.  Cutting from F_1, of degree d - 1, would read one."""
     field = Field(p, n)
     rng = random.Random(degree)
     poly = Poly.from_codes(field, [rng.randrange(field.q) for _ in range(degree)] + [1])
     assert shift_expand(poly)[-1].degree == 1
-    calls = []
 
-    def counted(name, real):
-        def call(*args):
-            calls.append(name)
-            return real(*args)
-        return call
+    def refuse(*args):
+        raise AssertionError("restricted kernel")
 
-    gcd = counted("poly_gcd", addix.poly.poly_gcd)
-    monkeypatch.setattr(addix.poly, "poly_gcd", gcd)
-    monkeypatch.setattr(addix.decompose, "poly_gcd", gcd)
+    monkeypatch.setattr(addix.decompose, "restricted_kernel", refuse)
     dec = maximal_decomposition(poly)
-    assert calls == []
     assert dec.index == n and dec.subspace_poly == LinearizedPoly.identity(field)

@@ -7,25 +7,33 @@ outer(S(x)) + M(x), outer of degree 3, with S vanishing on a subspace
 spanned by at most n - 1 drawn elements, so that kernels strictly between
 {0} and the field are common.  For each input the verified kernel equals
 the brute one, the decomposition reassembles to the reduced input, and its
-subspace polynomial has exactly its kernel as roots.
+subspace polynomial has exactly its kernel as roots.  The theorem behind
+the kernel route is checked too: the bands' cocycle identity at drawn
+points, and, walking the bands from the top index, each band's additivity
+on the subspace the bands above it leave and its restricted kernel there.
+The value table, the permutation certificate and the text form are checked
+against their plain counterparts.
 
-The run is derandomized, so tier-1 sees the same examples every time; the
-fixed-seed criteria and comparisons of the other modules stand beside it.
+The examples come from the profile that tests/conftest.py loads: the
+derandomized tier1 by default, so tier-1 sees the same examples every time;
+the fixed-seed criteria and comparisons of the other modules stand beside it.
 """
 
+from math import comb
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
+from addix.analysis import is_permutation
 from addix.decompose import additive_kernel, maximal_decomposition
 from addix.field import Field, is_prime
-from addix.linearized import LinearizedPoly, Subspace, kernel, vanishing_poly
-from addix.poly import Poly
+from addix.linearized import (LinearizedPoly, Subspace, kernel, restricted_kernel,
+                              vanishing_poly)
+from addix.poly import Poly, parse_poly, poly_to_str, reduce_mod_xq_minus_x, shift_expand
 
 FIELDS = [Field(p, n) for p in range(2, 65) if is_prime(p)
           for n in range(1, 7) if p ** n <= 64]
-
-TIER1 = settings(derandomize=True, database=None, deadline=None, max_examples=25)
 
 
 @st.composite
@@ -44,8 +52,10 @@ def inputs(draw, field):
     return poly if poly.degree >= 1 else poly + Poly.x(field)
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=[repr(f) for f in FIELDS])
-@TIER1
+EACH_FIELD = pytest.mark.parametrize("field", FIELDS, ids=[repr(f) for f in FIELDS])
+
+
+@EACH_FIELD
 @given(data=st.data())
 def test_kernel_and_decomposition_properties(field, data):
     poly = data.draw(inputs(field))
@@ -53,3 +63,39 @@ def test_kernel_and_decomposition_properties(field, data):
     dec = maximal_decomposition(poly)
     assert dec.compose() == dec.poly
     assert kernel(dec.subspace_poly) == dec.kernel
+    assert dec.values == list(dec.poly.values())
+    assert is_permutation(poly).is_pp == is_permutation(poly, "brute").is_pp
+    assert parse_poly(poly_to_str(poly), field) == poly
+
+
+@EACH_FIELD
+@given(data=st.data())
+def test_bands_cut_the_field_from_the_top(field, data):
+    """The theorem of the kernel route.  At a drawn pair (y, z) every band
+    of the reduced input satisfies the cocycle identity
+    F_i(y + z) - F_i(y) - F_i(z) = sum over j > i of C(j, i) F_j(z) y^(j-i).
+    So from the whole field and the top index down, each band is additive on
+    the subspace U that the bands above it leave, and its restricted kernel
+    there is {u in U : F_i(u) = 0}, found by evaluating every member; the
+    last U is the kernel."""
+    poly = data.draw(inputs(field))
+    bands = shift_expand(reduce_mod_xq_minus_x(poly))
+    y, z = (field.from_code(data.draw(st.integers(0, field.q - 1))) for _ in "yz")
+    at_z = [f.eval(z) for f in bands]
+    for i, band in enumerate(bands, 1):
+        cross = field.zero
+        for j in range(i + 1, len(bands) + 1):
+            if at_z[j - 1] and comb(j, i) % field.p:
+                cross += comb(j, i) * at_z[j - 1] * y ** (j - i)
+        assert band.eval(y + z) - band.eval(y) - band.eval(z) == cross
+    sub = Subspace.full(field)
+    for band in reversed(bands):
+        members = field.span_codes(sub.rows)
+        table = dict(zip(members, band.values_at(members)))
+        # additive on the span once it is additive against each row
+        for row in sub.rows:
+            assert all(table[field.add(u, row)] == field.add(table[u], table[row])
+                       for u in members)
+        sub = restricted_kernel(sub, [table[row] for row in sub.rows])
+        assert [v.code for v in sub.elements()] == sorted(u for u in members if not table[u])
+    assert sub == maximal_decomposition(poly).kernel
