@@ -298,7 +298,7 @@ def construct_prescribed_cycles(field: Field, fixed_count: int) -> Poly:
     while u % p == 0:
         u //= p
         j += 1
-    target = Subspace(field, [field.from_code(p ** i) for i in range(j)])
+    target = Subspace._from_codes(field, [p ** i for i in range(j)])
     base = vanishing_poly(target)
     image = image_elements(base)
     filler = target.elements()[1] if len(image) > u else None

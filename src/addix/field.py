@@ -14,9 +14,10 @@ dense and linearized polynomials share them (horner_plan, horner), and one
 multiply-add row shared by long division, the schoolbook product and the
 shift x -> x + y (divmod_codes, mul_codes, shift_codes) run whole loops on
 discrete logs with the same tables, so no module but this one reads them.
-The addition kernels join them: elementwise sums of code vectors
-(add_codes) and the F_p-span of generator codes (span_codes), from which
-value tables, subspace members and coset tables are read.  Codes are
+The addition kernels join them: sums of code vectors (add_codes), the
+F_p-span of generator codes (span_codes), from which value tables, subspace
+members and coset tables are read, and code - d * row, the row operation of
+every echelon elimination and, at d = p - 1, of add (sub_row).  Codes are
 F_p-digit vectors, so at p = 2 their sum is XOR; that choice is made here
 and nowhere else, and odd p keeps the Zech rule inlined.
 Polynomials hold codes; Elt is the API boundary and its operators delegate
@@ -351,19 +352,8 @@ class Field:
     # -- arithmetic on codes
 
     def add(self, a: int, b: int) -> int:
-        """Code of a + b: g^la + g^lb = g^(la + Z[lb - la])."""
-        if not a:
-            return b
-        if not b:
-            return a
-        if self._exp is None:
-            self._ensure_tables()
-        log = self._log
-        la = log[a]
-        z = self._zech[(log[b] - la) % (self.q - 1)]
-        if z < 0:
-            return 0
-        return self._exp[(la + z) % (self.q - 1)]
+        """Code of a + b = a - (p - 1) * b, by the row kernel sub_row."""
+        return self.sub_row(a, self.p - 1, b) if b else a
 
     def neg(self, a: int) -> int:
         return self.mul(a, self.p - 1)
@@ -547,6 +537,18 @@ class Field:
             for _ in range(self.p - 1):
                 table += self.add_codes(table[-size:], itertools.repeat(g))
         return table
+
+    def sub_row(self, code: int, d: int, row: int) -> int:
+        """Code of code - d * row for a digit 0 < d < p and a nonzero row:
+        XOR at p = 2; at odd p one sum of logs for -d * row, one Zech lookup."""
+        if self.p == 2:
+            return code ^ row
+        exp, log, zech, m = self._logs()
+        lr = (log[row] + log[self.p - d]) % m  # -d * row
+        if not code:
+            return exp[lr]
+        z = zech[lr - log[code]]
+        return 0 if z < 0 else exp[(log[code] + z) % m]
 
     # -- element construction
 

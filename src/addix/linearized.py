@@ -5,19 +5,22 @@ field.  It holds the codes of its p-power coefficient vector on the core it
 shares with Poly; lin_coeffs is a read-only Elt view.  Its values come
 from that core's one Horner scan, planned from its terms (p^i, a_i).  Every
 F_p-subspace has a monic linearized vanishing polynomial dividing x^q - x,
-and conversely the kernel of such a polynomial is a subspace, read by the
-one elimination that restricted_kernel runs for any map F_p-linear on a
-subspace; both directions live here, with expansion in a polynomial base,
-linearized interpolation by Newton's rule (its vanishing polynomial grows
-by vanishing_poly's adjoin step), coset representatives and image
-subspaces.
+and conversely the kernel of such a polynomial is a subspace, read by
+restricted_kernel for any map F_p-linear on a subspace; both directions
+live here, with expansion in a polynomial base, linearized interpolation by
+Newton's rule (its vanishing polynomial grows by vanishing_poly's adjoin
+step), coset representatives and image subspaces.
 Composition and its quotient share one twisted row on p-power
 coefficients: L divides T exactly when T = N o L, and N comes by right
-division with no dense polynomial.  A subspace's canonical coset
-representatives are the codes whose pivot digits are zero: reduce,
-coset_key, coset_keys and coset_reps share that one rule.  Value tables,
-members, representatives and the coset-key tables are spans of generator
-codes, listed by Field.span_codes, the field's own addition kernel.
+division with no dense polynomial.
+Subspaces hold reduced echelon rows of codes from one Gaussian elimination
+on (left, right) code pairs by the row kernel Field.sub_row: spans
+eliminate generator codes, restricted_kernel eliminates (value, row) pairs
+and spans the rows whose values clear to zero, with no Elt, and coset_key
+clears one code.  The canonical coset representatives are the codes whose pivot
+digits are zero: reduce, coset_key, coset_keys and coset_reps share that
+one rule.  Value tables, members, representatives and the coset-key tables
+are spans of generator codes, listed by Field.span_codes.
 """
 
 from __future__ import annotations
@@ -129,29 +132,38 @@ def is_linearized(poly: Poly) -> LinearizedPoly | None:
 
 
 # ---------------------------------------------------------------------------
-# F_p-subspaces, canonical reduced-echelon bases held as codes.
+# F_p-subspaces, canonical reduced-echelon bases held as codes, and the one
+# elimination on codes that builds them.
 
 
-def _lowest_digit(code: int, p: int) -> tuple[int, int]:
-    """(place value p^i, value) of the lowest nonzero base-p digit of a
-    nonzero code."""
-    weight = 1
-    while code // weight % p == 0:
-        weight *= p
-    return weight, code // weight % p
-
-
-def _clear(field: Field, code: int, rows, pivots) -> int:
-    """code minus, for each echelon row, its digit at that row's pivot times
-    the row; pivots are given as place values p^i.  Rows have pivot digit 1
-    and zeros at the pivots of the rows before them, so a cleared digit
-    stays cleared and the result has every pivot digit zero."""
-    p, add, mul = field.p, field.add, field.mul
-    for row, piv in zip(rows, pivots):
-        d = code // piv % p
-        if d:  # -d * row; for d = p - 1 that is the row itself
-            code = add(code, row if d == p - 1 else mul(row, p - d))
-    return code
+def _eliminate(field: Field, pairs, rows: list) -> list[tuple[int, int]]:
+    """Gaussian elimination on (left, right) code pairs by their left codes.
+    rows holds (pivot p^i, left, right) triples whose left codes have pivot
+    digit 1 and zeros at the pivots of the rows before them.  Each pair has
+    its left digit d at each pivot in turn cleared by subtracting d times
+    the row (Field.sub_row; a zero right code is skipped), so a cleared
+    digit stays cleared.  A pair left nonzero is appended to rows, scaled to
+    digit 1 at its lowest nonzero digit, its pivot.  Returns the pairs as
+    reduced, before scaling."""
+    p, sub, out = field.p, field.sub_row, []
+    for left, right in pairs:
+        for piv, row_left, row_right in rows:
+            d = left // piv % p
+            if d:
+                left = sub(left, d, row_left)
+                if row_right:
+                    right = sub(right, d, row_right)
+        out.append((left, right))
+        if left:
+            piv = 1
+            while left // piv % p == 0:
+                piv *= p
+            d = left // piv % p
+            if d != 1:
+                d = pow(d, -1, p)
+                left, right = field.mul(left, d), field.mul(right, d)
+            rows.append((piv, left, right))
+    return out
 
 
 class Subspace:
@@ -160,32 +172,34 @@ class Subspace:
     Each row is the code of a basis element whose lowest nonzero base-p
     digit, its pivot, is 1; every other row has digit 0 there, and rows
     ascend by pivot, so equal subspaces compare equal structurally.  Pivots
-    are kept as the place values p^i of their digits.
+    are kept as the place values p^i of their digits.  The rows come from
+    the one elimination on codes, of the generators that Subspace(field,
+    elements) checks and unwraps, or of the codes given to _from_codes.
     """
 
     # _keys memoises the (low, high) tables of coset_keys, unset until first use
     __slots__ = ("field", "_rows", "_pivots", "_keys")
 
     def __init__(self, field: Field, generators=()):
-        """Span of the generators; one that clears to zero against the rows
-        so far is dependent and skipped, and each new row, with its lowest
-        nonzero digit as pivot scaled to 1, is cleared out of the others."""
+        """Span of the generators; a dependent one is skipped."""
         self.field = field
-        p = field.p
-        rows: list[int] = []
-        pivots: list[int] = []
-        for g in generators:
-            code = _clear(field, self._code(g), rows, pivots)
-            if not code:
-                continue
-            piv, d = _lowest_digit(code, p)
-            row = field.mul(code, pow(d, -1, p))
-            rows = [_clear(field, r, (row,), (piv,)) for r in rows]
-            rows.append(row)
-            pivots.append(piv)
-        order = sorted(range(len(rows)), key=pivots.__getitem__)
-        self._rows = tuple(rows[i] for i in order)
-        self._pivots = tuple(pivots[i] for i in order)
+        self._span(map(self._code, generators))
+
+    @classmethod
+    def _from_codes(cls, field: Field, codes) -> "Subspace":
+        sub = cls.__new__(cls)
+        sub.field = field
+        sub._span(codes)
+        return sub
+
+    def _span(self, codes) -> None:
+        echelon, rows = [], []
+        _eliminate(self.field, ((c, 0) for c in codes), echelon)
+        # again on its rows in reverse order, clearing each out of those after it
+        _eliminate(self.field, ((row, 0) for _, row, _ in reversed(echelon)), rows)
+        rows.sort()
+        self._pivots = tuple(piv for piv, _, _ in rows)
+        self._rows = tuple(row for _, row, _ in rows)
 
     @classmethod
     def full(cls, field):
@@ -223,7 +237,8 @@ class Subspace:
         return self.field.from_code(self.coset_key(v))
 
     def coset_key(self, v: Elt) -> int:
-        return _clear(self.field, self._code(v), self._rows, self._pivots)
+        rows = list(zip(self._pivots, self._rows, itertools.repeat(0)))
+        return _eliminate(self.field, [(self._code(v), 0)], rows)[0][0]
 
     def coset_keys(self, codes) -> list[int]:
         """The coset_key of each code in codes, a list or set, in its order.
@@ -291,26 +306,11 @@ def restricted_kernel(subspace: Subspace, values) -> Subspace:
     F_p-linear on the subspace.
 
     The pairs (value, row) are eliminated on their left codes; the right
-    codes of the pairs whose left codes vanish span the kernel.  That costs
-    O(dim^2) code operations and no evaluation.
+    codes of those whose left codes vanish span the kernel, by the same
+    elimination: O(dim^2) code operations and no evaluation.
     """
-    field = subspace.field
-    p, add, mul = field.p, field.add, field.mul
-    rows: list[tuple[int, int, int]] = []  # (pivot p^i, left code, right code)
-    zeros = []
-    for left, right in zip(values, subspace._rows):
-        for piv, row_left, row_right in rows:
-            d = left // piv % p
-            if d:
-                left = add(left, mul(row_left, p - d))
-                right = add(right, mul(row_right, p - d))
-        if left:
-            piv, d = _lowest_digit(left, p)
-            inv = pow(d, -1, p)
-            rows.append((piv, mul(left, inv), mul(right, inv)))
-        else:
-            zeros.append(field.from_code(right))
-    return Subspace(field, zeros)
+    reduced = _eliminate(subspace.field, zip(values, subspace._rows), [])
+    return Subspace._from_codes(subspace.field, [right for left, right in reduced if not left])
 
 
 def kernel(linpoly: LinearizedPoly) -> Subspace:
@@ -452,7 +452,7 @@ def subspace_image(linmap: LinearizedPoly, subspace: Subspace) -> Subspace:
     field = subspace.field
     if linmap.field is not field and linmap.field != field:
         raise PreconditionError("operands belong to different fields")
-    return Subspace(field, map(field.from_code, linmap.values_at(subspace._rows)))
+    return Subspace._from_codes(field, linmap.values_at(subspace._rows))
 
 
 def image_elements(linmap: LinearizedPoly) -> list[Elt]:
@@ -473,7 +473,7 @@ def subfield(field: Field, k: int) -> Subspace:
 def all_subspaces(field: Field):
     """Every F_p-subspace, by enumerating reduced-echelon bases."""
     n, p = field.n, field.p
-    yield Subspace(field, ())
+    yield Subspace._from_codes(field, ())
     for d in range(1, n + 1):
         for pivots in itertools.combinations(range(n), d):
             pivot_set = set(pivots)
@@ -483,4 +483,4 @@ def all_subspaces(field: Field):
                 rows = [p ** piv for piv in pivots]
                 for (i, j), v in zip(free_slots, fill):
                     rows[i] += v * p ** j
-                yield Subspace(field, [field.from_code(r) for r in rows])
+                yield Subspace._from_codes(field, rows)

@@ -62,15 +62,12 @@ def _random_poly(rng: random.Random, field: Field, max_deg: int,
 
 def _random_subspace(rng: random.Random, field: Field, dim: int) -> Subspace:
     out = Subspace(field, ())
-    guard = 0
-    while out.dim < dim:
-        cand = field.from_code(rng.randrange(1, field.q))
-        if not out.contains(cand):
-            out = Subspace(field, list(out.basis) + [cand])
-        guard += 1
-        if guard > 64 * (dim + 1):
-            raise RuntimeError("subspace sampling stalled")
-    return out
+    for _ in range(64 * (dim + 1) + 1):
+        if out.dim == dim:
+            return out
+        # a draw inside out spans out again, with the same rows
+        out = Subspace._from_codes(field, out.rows + (rng.randrange(1, field.q),))
+    raise RuntimeError("subspace sampling stalled")
 
 
 def _random_linearized(rng: random.Random, field: Field, max_len: int) -> LinearizedPoly:

@@ -19,11 +19,13 @@ against x^q - x (ref_xq_gcd).  The decomposition's value table,
 built by linearity, is checked against Horner on the polynomial itself.
 The addition kernels are checked against Field.add, the digit-vector sum
 and the span loop they replaced (ref_span), and batch coset keys against
-coset_key; with Field.add and the per-code clearing patched to raise, value
-tables and a brute value-set count must still finish.
+coset_key; with Field.add and the elimination's row kernel patched to
+raise, value tables and a brute value-set count must still finish.
 Subspaces hold reduced-echelon rows as codes; their rows, reductions and
 kernels are checked against a digit-vector echelon reference that works on
-Elt.coeffs lists mod p.  An interpolant is unique, so both interpolations
+Elt.coeffs lists mod p.  Spans, restricted kernels and coset keys must
+reach the one row kernel Field.sub_row, and the kernel path must finish
+with Field.from_code patched to raise.  An interpolant is unique, so both interpolations
 are checked by their values at the nodes, read by the reference evaluators,
 and their degree bounds, and their refusals by repeated or dependent nodes.
 """
@@ -36,7 +38,6 @@ from math import comb
 
 import pytest
 
-import addix.linearized
 from addix.analysis import value_set_size
 from addix.decompose import decompose_with, maximal_decomposition
 from addix.errors import PreconditionError
@@ -44,8 +45,8 @@ from addix.field import Field
 from addix.field import is_prime
 from addix.linearized import (LinearizedPoly, Subspace, compose_quotient,
                               coset_reps, expand_in_base, is_linearized,
-                              kernel, linearized_interpolate, vanishing_poly,
-                              xq_minus_x_linearized)
+                              kernel, linearized_interpolate, restricted_kernel,
+                              vanishing_poly, xq_minus_x_linearized)
 from addix.poly import (_LUCAS_CACHE_SIZE, Poly, _cached_lucas_terms,
                         lagrange_interpolate, poly_gcd, reduce_mod_xq_minus_x,
                         shift_expand)
@@ -880,9 +881,10 @@ def test_coset_keys_match_coset_key(field):
 def test_tables_and_keys_make_no_per_element_add(monkeypatch, p, n):
     """A decomposition's values, a linearized map's values and a brute
     value-set count run in Field's addition kernels: with Field.add and the
-    per-code clearing patched to raise, they still finish.  Only the
-    decomposition and its image subspace W, whose echelon rows do call
-    them, are built beforehand; W is nonzero, so its key tables are read."""
+    elimination's row kernel Field.sub_row patched to raise, they still
+    finish.  Only the decomposition and its image subspace W, whose echelon
+    rows do call them, are built beforehand; W is nonzero, so its key
+    tables are read."""
     field = Field(p, n)
     rng = random.Random(field.q + 14)
     _, poly = structured(rng, field, 2, 2)
@@ -899,10 +901,44 @@ def test_tables_and_keys_make_no_per_element_add(monkeypatch, p, n):
         raise AssertionError("per-element addition")
 
     monkeypatch.setattr(Field, "add", refuse)
-    monkeypatch.setattr(addix.linearized, "_clear", refuse)
+    monkeypatch.setattr(Field, "sub_row", refuse)
     assert dec.values == values
     assert lin.values() == lin_values
     assert value_set_size(poly, "brute") == counted
+
+
+ROW_FIELDS = [Field(2, 6), Field(3, 3), Field(5, 2)]
+
+
+@pytest.mark.parametrize("field", ROW_FIELDS, ids=[repr(f) for f in ROW_FIELDS])
+def test_one_row_kernel_and_no_elt_on_the_kernel_path(monkeypatch, field):
+    """Spans, restricted kernels and coset keys share one elimination whose
+    row operation is Field.sub_row: with it patched to raise, a span with a
+    dependent generator, restricted_kernel at one nonzero value on every row
+    and the coset_key of a non-member with a nonzero pivot digit all raise.
+    With Field.from_code patched to raise, kernel() and restricted_kernel
+    still finish, so the kernel path builds no Elt."""
+    p, n = field.p, field.n
+    v = field.from_code(p + 1)  # digit 1 at the pivot of the line F_p, so not on it
+    line, full = Subspace(field, [field.one]), Subspace.full(field)
+    frobenius = LinearizedPoly.from_codes(field, [field.neg(1), 1])  # x^p - x
+
+    def refuse(*args):
+        raise AssertionError("row kernel")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(Field, "sub_row", refuse)
+        with pytest.raises(AssertionError, match="row kernel"):
+            Subspace(field, [v, v])
+        with pytest.raises(AssertionError, match="row kernel"):
+            restricted_kernel(full, [1] * n)
+        with pytest.raises(AssertionError, match="row kernel"):
+            line.coset_key(v)
+    monkeypatch.setattr(Field, "from_code", refuse)
+    assert kernel(frobenius).rows == (1,)
+    digit_sums = restricted_kernel(full, [1] * n)
+    assert sorted(field.span_codes(digit_sums.rows)) == [
+        c for c in range(field.q) if sum(c // p ** i % p for i in range(n)) % p == 0]
 
 
 # -- interpolation: the interpolant is unique, so its values at the nodes

@@ -12,7 +12,10 @@ the kernel route is checked too: the bands' cocycle identity at drawn
 points, and, walking the bands from the top index, each band's additivity
 on the subspace the bands above it leave and its restricted kernel there.
 The value table, the permutation certificate and the text form are checked
-against their plain counterparts.
+against their plain counterparts.  The one code elimination is checked
+against the digit-vector echelon of tests/test_code_core.py: a span's rows,
+a coset key, and the restricted kernel of a drawn linear map on a drawn
+subspace against the map's zero set, read at every member.
 
 The examples come from the profile that tests/conftest.py loads: the
 derandomized tier1 by default, so tier-1 sees the same examples every time;
@@ -31,6 +34,7 @@ from addix.field import Field, is_prime
 from addix.linearized import (LinearizedPoly, Subspace, kernel, restricted_kernel,
                               vanishing_poly)
 from addix.poly import Poly, parse_poly, poly_to_str, reduce_mod_xq_minus_x, shift_expand
+from test_code_core import from_digits, ref_echelon, ref_reduce
 
 FIELDS = [Field(p, n) for p in range(2, 65) if is_prime(p)
           for n in range(1, 7) if p ** n <= 64]
@@ -99,3 +103,30 @@ def test_bands_cut_the_field_from_the_top(field, data):
         sub = restricted_kernel(sub, [table[row] for row in sub.rows])
         assert [v.code for v in sub.elements()] == sorted(u for u in members if not table[u])
     assert sub == maximal_decomposition(poly).kernel
+
+
+@EACH_FIELD
+@given(data=st.data())
+def test_code_elimination_matches_digit_echelon(field, data):
+    """A span of drawn generators, some of them dependent or zero, has the
+    reference's reduced echelon rows, and a drawn code the reference's coset
+    key.  A linear map on that span is its values at the rows, drawn from
+    the span of at most dim codes so that kernels are often nontrivial; the
+    member of digits d is sum(d_i row_i) and maps to sum(d_i value_i), both
+    at index sum(d_i p^i) of span_codes, so the zero set is read at every
+    member, and restricted_kernel must span exactly it."""
+    codes = st.integers(0, field.q - 1)
+    gens = [field.from_code(c) for c in data.draw(st.lists(codes, max_size=field.n + 2))]
+    sub = Subspace(field, gens)
+    rows, pivots, _ = ref_echelon(field, gens)
+    assert [list(b.coeffs) for b in sub.basis] == rows
+    v = field.from_code(data.draw(codes))
+    key = ref_reduce(list(v.coeffs), rows, pivots, field.p)
+    assert sub.coset_key(v) == from_digits(field, key).code
+    targets = field.span_codes(data.draw(st.lists(codes, max_size=sub.dim)))
+    values = data.draw(st.lists(st.sampled_from(targets), min_size=sub.dim, max_size=sub.dim))
+    members = field.span_codes(sub.rows)
+    zeros = [m for m, w in zip(members, field.span_codes(values)) if not w]
+    ker = restricted_kernel(sub, values)
+    assert sorted(field.span_codes(ker.rows)) == sorted(zeros)
+    assert [list(b.coeffs) for b in ker.basis] == ref_echelon(field, map(field.from_code, zeros))[0]
