@@ -17,7 +17,7 @@ from .decompose import (AdditiveDecomposition, maximal_decomposition,
 from .errors import InvariantViolation, PreconditionError
 from .field import Elt, Field
 from .linearized import (LinearizedPoly, Subspace, compose_quotient,
-                         image_elements, linearized_interpolate,
+                         image_codes, linearized_interpolate,
                          require_splitting_monic, subspace_image,
                          vanishing_poly)
 from .poly import Poly, lagrange_interpolate
@@ -39,7 +39,7 @@ def _coset_count(dec: AdditiveDecomposition) -> int:
     """Number of cosets of W that poly's image meets, read off its value
     table at the kernel's canonical coset representatives."""
     values = dec.values
-    return len(set(dec.image_subspace.coset_keys([values[z.code] for z in dec.coset_reps])))
+    return len(set(dec.image_subspace.coset_keys([values[z] for z in dec.coset_reps])))
 
 
 def value_set_size(poly: Poly, method: str = "theorem") -> tuple[int, int]:
@@ -130,12 +130,14 @@ def _pp_conditions(dec: AdditiveDecomposition) -> tuple[int, bool]:
     return dec.gcd_degree, bijective
 
 
-def _collision_witness(poly: Poly):
+def _collision_witness(field: Field, values):
+    """The earliest colliding pair of points, as elements, of values listed
+    in code order; None when they are distinct.  Stops at the first repeat."""
     seen: dict[int, int] = {}
-    for a, v in enumerate(poly.values()):
+    for b, v in enumerate(values):
         if v in seen:
-            return poly.field.from_code(seen[v]), poly.field.from_code(a)
-        seen[v] = a
+            return field.from_code(seen[v]), field.from_code(b)
+        seen[v] = b
     return None
 
 
@@ -148,10 +150,10 @@ def is_permutation(poly: Poly, method: str = "certificate") -> PPCertificate:
     gcd_degree, bijective = _pp_conditions(dec)
     if method == "certificate":
         is_pp = gcd_degree == 1 and bijective
-        witness = None if is_pp else _collision_witness(dec.poly)
+        witness = None if is_pp else _collision_witness(poly.field, dec.values)
         return PPCertificate(is_pp, gcd_degree, bijective, witness)
     if method == "brute":
-        witness = _collision_witness(dec.poly)
+        witness = _collision_witness(poly.field, dec.poly.values())
         is_pp = witness is None
         if is_pp != (gcd_degree == 1 and bijective):
             raise InvariantViolation(
@@ -179,7 +181,7 @@ def quotient_pp_criterion(outer: Poly, base: LinearizedPoly,
             "base does not divide base o linear_part; use is_permutation instead") from None
     if subspace_image(linear_part, ker).dim != ker.dim:
         return False
-    image = [s.code for s in image_elements(base)]
+    image = image_codes(base)
     mapped = set(field.add_codes(base.values_at(outer.values_at(image)),
                                  quotient_map.values_at(image)))
     return len(mapped) == len(image)
@@ -205,15 +207,16 @@ def inverse_pp(poly: Poly) -> Poly:
     if len(set(values)) != field.q:
         raise PreconditionError("polynomial is not a permutation")
     base0 = vanishing_poly(dec.image_subspace)
-    pairs = [(dec.linear_part.eval(b), b) for b in dec.kernel.basis]
-    inv_linear = linearized_interpolate(field, pairs)
-    images = [values[z.code] for z in dec.coset_reps]
+    from_code, rows = field.from_code, dec.kernel.rows
+    inv_linear = linearized_interpolate(field, [
+        (from_code(m), from_code(b)) for m, b in zip(dec.linear_part.values_at(rows), rows)])
+    images = [values[z] for z in dec.coset_reps]
     abscissae = list(base0.values_at(images))
     if len(set(abscissae)) != len(abscissae):
         raise InvariantViolation("coset images collided while inverting a permutation")
-    from_code = field.from_code
-    points = [(from_code(a), z - from_code(c)) for a, z, c
-              in zip(abscissae, dec.coset_reps, inv_linear.values_at(images))]
+    # z - inv_linear(P(z)) at each representative z
+    heights = field.add_codes(dec.coset_reps, map(field.neg, inv_linear.values_at(images)))
+    points = [(from_code(a), from_code(h)) for a, h in zip(abscissae, heights)]
     outer0 = lagrange_interpolate(field, points)
     return outer0.compose(base0.to_poly()) + inv_linear.to_poly()
 
@@ -260,7 +263,7 @@ def translation_pp(base: LinearizedPoly, outer: Poly) -> tuple[Poly, Counter]:
     """
     field = _same_field(base, outer)
     require_splitting_monic(base)
-    values = list(outer.values_at([s.code for s in image_elements(base)]))
+    values = list(outer.values_at(image_codes(base)))
     if any(base.values_at(values)):
         raise PreconditionError(
             "hypothesis fails: base o outer does not vanish on the image set")
@@ -290,7 +293,7 @@ def construct_prescribed_cycles(field: Field, fixed_count: int) -> Poly:
     if fixed_count % p:
         raise PreconditionError("fixed point count must be divisible by p")
     if fixed_count == 0:
-        base = vanishing_poly(Subspace(field, [field.one]))
+        base = vanishing_poly(Subspace._from_codes(field, [1]))
         perm, _ = translation_pp(base, Poly.one(field))
         return perm
     j = 0
@@ -300,11 +303,10 @@ def construct_prescribed_cycles(field: Field, fixed_count: int) -> Poly:
         j += 1
     target = Subspace._from_codes(field, [p ** i for i in range(j)])
     base = vanishing_poly(target)
-    image = image_elements(base)
-    filler = target.elements()[1] if len(image) > u else None
-    points = [(s, field.zero if i < u else filler) for i, s in enumerate(image)]
-    outer = lagrange_interpolate(field, points)
-    perm, _ = translation_pp(base, outer)
+    # u image points go to 0, the others to 1, target's least nonzero member
+    points = [(field.from_code(s), field.zero if i < u else field.one)
+              for i, s in enumerate(image_codes(base))]
+    perm, _ = translation_pp(base, lagrange_interpolate(field, points))
     return perm
 
 
@@ -328,9 +330,9 @@ def is_involution(poly: Poly) -> InvolutionReport:
         raise PreconditionError("involution test needs degree >= 1")
     dec = maximal_decomposition(poly)
     image_ok = dec.image_subspace == dec.kernel
-    lin, basis = dec.linear_part, [b.code for b in dec.kernel.basis]
-    order_two = list(lin.values_at(lin.values_at(basis))) == basis
-    reps = [z.code for z in dec.coset_reps]
+    lin, rows = dec.linear_part, list(dec.kernel.rows)
+    order_two = list(lin.values_at(lin.values_at(rows))) == rows
+    reps = list(dec.coset_reps)
     reps_ok = list(dec.poly.values_at(dec.poly.values_at(reps))) == reps
     return InvolutionReport(
         is_involution=image_ok and order_two and reps_ok,
@@ -367,8 +369,7 @@ def _translator_values(spec: TranslatorSpec) -> list[int] | None:
     translator check over field x subspace (plus the closed-form shape for
     the named kinds), else None."""
     field = _same_field(spec.g, spec.subspace, spec.translate)
-    members = spec.subspace.elements()
-    codes = [u.code for u in members]
+    codes = field.span_codes(spec.subspace.rows)  # u = 0 first
     values = list(spec.g.values())
     if spec.kind == "general":
         # the definition asks for a map into the subspace, so straying
@@ -379,10 +380,11 @@ def _translator_values(spec: TranslatorSpec) -> list[int] | None:
     if spec.kind in ("b_linear", "frobenius"):
         if spec.gamma is None or spec.scale is None:
             raise PreconditionError(f"{spec.kind} kind needs gamma and scale")
+        _same_field(spec.g, spec.gamma, spec.scale)
         # b_linear is the Frobenius shape at power p^0
         pi = field.p ** (spec.frob_power % field.n) if spec.kind == "frobenius" else 1
-        factor = (spec.gamma ** pi).inv() * spec.scale
-        if any(m != (factor * u ** pi).code for u, m in zip(members, moved)):
+        factor = field.mul(field.pow(spec.gamma.code, -pi), spec.scale.code)
+        if any(m != field.mul(factor, field.pow(u, pi)) for u, m in zip(codes, moved)):
             return None
     elif spec.kind != "general":
         raise PreconditionError(f"unknown translator kind {spec.kind!r}")
@@ -414,11 +416,11 @@ def translator_pp(spec: TranslatorSpec, adjust: Poly) -> tuple[bool, bool]:
     and the spec to pass is_linear_translator.
     """
     field = _same_field(spec.g, adjust)
-    codes = [m.code for m in spec.subspace.elements()]
-    member_codes = set(codes)
     g_values = _translator_values(spec)
     if g_values is None:
         raise PreconditionError("spec is not a linear translator")
+    codes = field.span_codes(spec.subspace.rows)
+    member_codes = set(codes)
     if set(g_values) != member_codes:
         raise PreconditionError("g must map onto the subspace")
     moved = list(adjust.values_at(codes))

@@ -55,7 +55,7 @@ def _decomposition_record(dec) -> dict:
         "f": poly_to_str(dec.outer),
         "M": poly_to_str(dec.linear_part.to_poly()),
         "M_lin_coeffs": list(dec.linear_part.codes),
-        "kernel_basis": [b.code for b in dec.kernel.basis],
+        "kernel_basis": list(dec.kernel.rows),
     }
 
 

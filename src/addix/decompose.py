@@ -22,7 +22,6 @@ from functools import cached_property
 from math import gcd as int_gcd
 
 from .errors import InvariantViolation, PreconditionError
-from .field import Elt
 from .linearized import (LinearizedPoly, Subspace, _outer_codes, coset_reps,
                          expand_in_base, is_linearized, require_splitting_monic,
                          restricted_kernel, subspace_image, vanishing_poly,
@@ -59,8 +58,8 @@ class AdditiveDecomposition:
         return self.poly.field.p ** (self.kernel.dim - self.image_subspace.dim)
 
     @cached_property
-    def coset_reps(self) -> tuple[Elt, ...]:
-        """One canonical representative per coset of the kernel, zero first."""
+    def coset_reps(self) -> tuple[int, ...]:
+        """Codes of one canonical representative per coset of the kernel, 0 first."""
         return coset_reps(self.kernel)
 
     @cached_property
@@ -160,12 +159,12 @@ def _split(poly: Poly, base_poly: Poly) -> tuple[Poly, LinearizedPoly]:
     field = poly.field
     if base_poly.degree == 1:
         return poly, LinearizedPoly(field, ())
-    const = poly.constant_term()
-    digits = expand_in_base(poly - Poly.constant(field, const), base_poly)
+    codes = poly.codes or (0,)
+    digits = expand_in_base(Poly._new(field, (0,) + codes[1:]), base_poly)
     linear_part = is_linearized(digits[0])
     if linear_part is None:
         raise InvariantViolation("zeroth digit of the expansion is not linearized")
-    outer = _outer_codes(digits, const.code)
+    outer = _outer_codes(digits, codes[0])
     if outer is None:
         raise InvariantViolation("higher digit of the expansion is not constant")
     return Poly._new(field, outer), linear_part

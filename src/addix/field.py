@@ -20,10 +20,12 @@ members and coset tables are read, and code - d * row, the row operation of
 every echelon elimination and, at d = p - 1, of add (sub_row).  Codes are
 F_p-digit vectors, so at p = 2 their sum is XOR; that choice is made here
 and nowhere else, and odd p keeps the Zech rule inlined.
-Polynomials hold codes; Elt is the API boundary and its operators delegate
-here.  The _fp_* helpers on plain coefficient lists are the one F_p[x]
-arithmetic: they validate and select the modulus, find the primitive
-element and build the exp table.
+Polynomials, subspaces and internal results hold codes; Elt is the API
+boundary, built only where a caller reads elements, and its operators
+delegate here.  There is no element cache: a field builds zero, one and its
+primitive element, and from_code a fresh Elt.  The _fp_* helpers on plain
+coefficient lists are the one F_p[x] arithmetic: they validate and select
+the modulus, find the primitive element and build the exp table.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ import threading
 from .errors import ParseError, PreconditionError
 
 HARD_MAX_Q = 1 << 20
-_ELT_CACHE_MAX = 1 << 16
 
 
 def size_cap() -> int:
@@ -195,7 +196,7 @@ class Elt:
         if other is None:
             return NotImplemented
         f = self.field
-        return f.from_code(f.add(self.code, other.code))
+        return Elt(f, f.add(self.code, other.code))
 
     __radd__ = __add__
 
@@ -213,14 +214,14 @@ class Elt:
 
     def __neg__(self):
         f = self.field
-        return f.from_code(f.neg(self.code))
+        return Elt(f, f.neg(self.code))
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         f = self.field
-        return f.from_code(f.mul(self.code, other.code))
+        return Elt(f, f.mul(self.code, other.code))
 
     __rmul__ = __mul__
 
@@ -234,7 +235,7 @@ class Elt:
         if not isinstance(e, int):
             return NotImplemented
         f = self.field
-        return f.from_code(f.pow(self.code, e))
+        return Elt(f, f.pow(self.code, e))
 
     def inv(self) -> "Elt":
         return self ** -1
@@ -266,7 +267,7 @@ class Field:
     """GF(p^n) realized as F_p[x]/(modulus), with canonical element codes."""
 
     __slots__ = ("p", "n", "q", "modulus", "primitive",
-                 "_elts", "_exp", "_log", "_zech", "_lock", "_zero", "_one")
+                 "_exp", "_log", "_zech", "_lock", "_zero", "_one")
 
     def __init__(self, p: int, n: int, modulus=None):
         if not isinstance(p, int) or not is_prime(p):
@@ -293,14 +294,13 @@ class Field:
                 raise PreconditionError("supplied modulus is reducible")
             self.modulus = mod
 
-        self._elts = None
         self._exp = None
         self._log = None
         self._zech = None
         self._lock = threading.Lock()
         self._zero = Elt(self, 0)
         self._one = Elt(self, 1)
-        self.primitive = self.from_code(self._scan_primitive())
+        self.primitive = Elt(self, self._scan_primitive())
 
     @staticmethod
     def _scan_modulus(p, n, q):
@@ -552,15 +552,14 @@ class Field:
 
     # -- element construction
 
-    def from_code(self, code: int) -> Elt:
+    def check_code(self, code: int) -> int:
+        """code itself; PreconditionError unless it is in range [0, q)."""
         if not 0 <= code < self.q:
             raise PreconditionError(f"element code {code} out of range [0, {self.q})")
-        cache = self._elts
-        if cache is not None:
-            return cache[code]
-        if self.q <= _ELT_CACHE_MAX:
-            return self.elements()[code]
-        return Elt(self, code)
+        return code
+
+    def from_code(self, code: int) -> Elt:
+        return Elt(self, self.check_code(code))
 
     def from_int(self, k: int) -> Elt:
         """Prime-subfield scalar k mod p."""
@@ -575,12 +574,9 @@ class Field:
         return self._one
 
     def elements(self) -> tuple[Elt, ...]:
-        """All q elements in ascending code order; index 0 is zero."""
-        if self._elts is None:
-            with self._lock:
-                if self._elts is None:
-                    self._elts = tuple(Elt(self, c) for c in range(self.q))
-        return self._elts
+        """All q elements in ascending code order, index 0 zero, built afresh
+        on each call: a scan of codes reads range(q) instead."""
+        return tuple(map(Elt, itertools.repeat(self), range(self.q)))
 
     def dlog(self, a: Elt) -> int:
         """Exponent m in [0, q-2] with primitive**m == a; a must be nonzero."""

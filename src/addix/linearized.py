@@ -9,7 +9,8 @@ and conversely the kernel of such a polynomial is a subspace, read by
 restricted_kernel for any map F_p-linear on a subspace; both directions
 live here, with expansion in a polynomial base, linearized interpolation by
 Newton's rule (its vanishing polynomial grows by vanishing_poly's adjoin
-step), coset representatives and image subspaces.
+step), coset representatives and image subspaces, both returned as codes
+(coset_reps, image_codes); basis, elements() and reduce are the Elt views.
 Composition and its quotient share one twisted row on p-power
 coefficients: L divides T exactly when T = N o L, and N comes by right
 division with no dense polynomial.
@@ -74,7 +75,7 @@ class LinearizedPoly(CodeVector):
         return ((p ** i, c) for i, c in enumerate(self.codes))
 
     def eval(self, point: Elt) -> Elt:
-        return self.field.from_code(next(self.values_at((self._code(point),))))
+        return Elt(self.field, next(self.values_at((self._code(point),))))
 
     def values(self) -> list[int]:
         """Codes of self at every field element, in code order, by linearity:
@@ -290,14 +291,14 @@ class Subspace:
         return f"Subspace({self.field!r}, dim={self.dim}, basis_codes={list(self._rows)})"
 
 
-def coset_reps(subspace: Subspace) -> tuple[Elt, ...]:
-    """One representative per coset of the subspace, ascending by code, so
-    the first is zero: the codes whose pivot digits are zero, which are the
+def coset_reps(subspace: Subspace) -> tuple[int, ...]:
+    """The codes of one representative per coset of the subspace, ascending,
+    so the first is 0: the codes whose pivot digits are zero, which are the
     values of coset_key, spanned by the unit codes p^i that are not pivots."""
     field = subspace.field
     pivots = set(subspace._pivots)
     units = [w for w in (field.p ** i for i in range(field.n)) if w not in pivots]
-    return tuple([field.from_code(c) for c in field.span_codes(units)])
+    return tuple(field.span_codes(units))
 
 
 def restricted_kernel(subspace: Subspace, values) -> Subspace:
@@ -455,10 +456,11 @@ def subspace_image(linmap: LinearizedPoly, subspace: Subspace) -> Subspace:
     return Subspace._from_codes(field, linmap.values_at(subspace._rows))
 
 
-def image_elements(linmap: LinearizedPoly) -> list[Elt]:
-    """Every value of the linear map on the field, ascending code order: the
-    span of its values on a basis, so no full-field scan is needed."""
-    return subspace_image(linmap, Subspace.full(linmap.field)).elements()
+def image_codes(linmap: LinearizedPoly) -> list[int]:
+    """The codes of every value of the linear map on the field, ascending:
+    the span of its values on a basis, so no full-field scan is needed."""
+    field = linmap.field
+    return sorted(field.span_codes(subspace_image(linmap, Subspace.full(field)).rows))
 
 
 def subfield(field: Field, k: int) -> Subspace:

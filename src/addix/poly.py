@@ -48,7 +48,8 @@ class CodeVector:
 
     @classmethod
     def from_codes(cls, field, codes):
-        return cls._new(field, [field.from_code(c).code for c in codes])
+        """Instance over codes, each range-checked by Field.check_code."""
+        return cls._new(field, list(map(field.check_code, codes)))
 
     def is_zero(self) -> bool:
         return not self.codes
@@ -214,7 +215,7 @@ class Poly(CodeVector):
         return enumerate(self.codes)
 
     def eval(self, point: Elt) -> Elt:
-        return self.field.from_code(next(self.values_at((self._code(point),))))
+        return Elt(self.field, next(self.values_at((self._code(point),))))
 
     def values(self):
         """Codes of self at every field element, in code order (lazy)."""

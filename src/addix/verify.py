@@ -24,7 +24,7 @@ from .decompose import (additive_index, additive_kernel, maximal_decomposition)
 from .errors import InvariantViolation, PreconditionError
 from .field import Field
 from .linearized import (LinearizedPoly, Subspace, all_subspaces, complement,
-                         compose_quotient, coset_reps, image_elements,
+                         compose_quotient, coset_reps, image_codes,
                          is_linearized, subfield, vanishing_poly,
                          xq_minus_x_linearized)
 from .poly import Poly, lagrange_interpolate, parse_poly
@@ -218,7 +218,7 @@ def _sample_pps(rng: random.Random, field: Field, count: int) -> list[Poly]:
             linear = LinearizedPoly.identity(field) if rng.random() < 0.4 else None
             poly, *_ = _decomposable_sample(rng, field, dim, rng.randint(1, 3),
                                             linear=linear)
-            if poly.degree >= 1 and _collision_witness(poly) is None:
+            if poly.degree >= 1 and _collision_witness(field, poly.values()) is None:
                 out.append(poly)
     if len(out) < count:
         raise RuntimeError("permutation sampling stalled")
@@ -296,7 +296,7 @@ def suite_cycle_theorems(seed: int = 4, max_q: int | None = None) -> CriterionRe
             g = _random_poly(rng, field, 3, min_deg=0)
             lp = lin.to_poly()
             perm = lp.compose(g.compose(lp)) + Poly.x(field)
-            if _collision_witness(perm) is not None:
+            if _collision_witness(field, perm.values()) is not None:
                 return CriterionResult(
                     "cycle-theorems", False,
                     f"nilpotent instance failed to permute over {field!r}")
@@ -375,7 +375,7 @@ def suite_character_bounds(seed: int = 6, max_q: int | None = None) -> Criterion
             checked += len(chars)
         if field.q == 16:
             for sub in all_subspaces(field):
-                for shift in coset_reps(sub):
+                for shift in map(field.from_code, coset_reps(sub)):
                     for chi in chars:
                         char_sum_affine(chi, shift, sub)
         else:
@@ -444,7 +444,7 @@ def suite_involution_translator(seed: int = 7, max_q: int | None = None) -> Crit
                     odd_violations += 1
                     if odd_example is None:
                         odd_example = (f"g={spec.g!r}, h={adjust!r}, "
-                                       f"U codes={[e.code for e in spec.subspace.elements()]}, "
+                                       f"U codes={sorted(tfield.span_codes(spec.subspace.rows))}, "
                                        f"M codes={list(spec.translate.codes)}")
             built += 1
         translator_checked += built
@@ -476,19 +476,18 @@ def _random_translator_instance(rng: random.Random, field: Field):
     trace = LinearizedPoly(field, tuple(
         field.one if i % k == 0 else field.zero for i in range(field.n)))
     sub = subfield(field, k)
-    scale = rng.choice([a for a in sub.elements() if a.code])
+    members = sub.elements()
+    scale = rng.choice(members[1:])  # the nonzero members: zero comes first
     # g(x+u) = g(x) + scale*(n/k)*u on the subfield
     translate = LinearizedPoly(field, (scale * field.from_int(span),))
     g_poly = trace.scale(scale).to_poly()
     if rng.random() < 0.4:
         # coset-dependent shift: constant on subfield cosets, values inside U
         base = vanishing_poly(sub)
-        members = sub.elements()
-        shifts = [(s, rng.choice(members)) for s in image_elements(base)]
+        shifts = [(field.from_code(s), rng.choice(members)) for s in image_codes(base)]
         g_poly = g_poly + lagrange_interpolate(field, shifts).compose(base.to_poly())
-        if set(g_poly.values()) != {m.code for m in members}:
+        if set(g_poly.values()) != set(field.span_codes(sub.rows)):
             return None, None
-    members = sub.elements()
     adjust = lagrange_interpolate(field, [(m, rng.choice(members)) for m in members])
     spec = TranslatorSpec(g=g_poly, subspace=sub, translate=translate)
     if not is_linear_translator(spec):

@@ -20,11 +20,12 @@ p = 2, P(x) + x = h(g(x)) takes at most |U| values, so it never permutes.
 """
 
 import dataclasses
+import functools
 import random
 import re
 
-from addix import (Field, LinearizedPoly, Poly, TranslatorSpec, parse_poly,
-                   subfield, translator_pp)
+from addix import (AdditiveDecomposition, Field, LinearizedPoly, Poly,
+                   TranslatorSpec, parse_poly, subfield, translator_pp)
 from addix.verify import (REFUTATION_EVENT, _random_translator_instance,
                           suite_character_bounds,
                           suite_complement_commutation, suite_cycle_theorems,
@@ -80,19 +81,37 @@ def test_criterion_04_pp_certificate_equivalence():
 
 
 def test_pp_certificates_scan_each_polynomial_once(monkeypatch):
-    """The suite checks a non-permutation's witness at its two points and
-    scans only the permutations, so every polynomial is scanned once."""
-    scans = []
-    values = Poly.values
+    """The certificate reads a non-permutation's witness off the
+    decomposition's value table, and the suite checks that witness at its
+    two points and scans only the permutations: every polynomial is
+    tabulated once, and only each permutation is scanned besides."""
+    import addix.verify as verify
+    scans, tables, verdicts = [], [], []
+    values, certify = Poly.values, verify.is_permutation
+    table = AdditiveDecomposition.values
 
     def counted(self):
         scans.append(self)
         return values(self)
 
+    def counted_table(self):
+        tables.append(self)
+        return table.func(self)
+
+    def recorded(poly, method):
+        cert = certify(poly, method)
+        verdicts.append(cert.is_pp)
+        return cert
+
+    counted_table = functools.cached_property(counted_table)
+    counted_table.__set_name__(AdditiveDecomposition, "values")
     monkeypatch.setattr(Poly, "values", counted)
+    monkeypatch.setattr(AdditiveDecomposition, "values", counted_table)
+    monkeypatch.setattr(verify, "is_permutation", recorded)
     result = suite_pp_certificates(max_q=8)
     assert result.passed and result.detail.startswith("500 polynomials")
-    assert len(scans) == 500
+    assert len(tables) == len(verdicts) == 500
+    assert len(scans) == verdicts.count(True) and 0 < len(scans) < 500
 
 
 def test_pp_certificates_reject_a_false_witness(monkeypatch):

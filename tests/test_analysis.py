@@ -369,7 +369,7 @@ def test_collision_witness_scan_is_lazy(monkeypatch):
         return values_at(self, pull())
 
     monkeypatch.setattr(Poly, "values_at", counted)
-    witness = _collision_witness(poly)
+    witness = _collision_witness(field, poly.values())
     monkeypatch.undo()
     assert [w.code for w in witness] == [0, 1]
     assert pulled == [0, 1]
@@ -403,7 +403,6 @@ def test_value_scans_call_no_field_elements(monkeypatch):
     """The full-field routes read Poly.values: with Field.elements disabled
     they answer as before over GF(2^6)."""
     field = Field(2, 6)
-    field.elements()  # the element cache that from_code reads
     rng = random.Random(64)
     dense = rand_poly(rng, field, 9)
     perm = construct_prescribed_cycles(field, 8)

@@ -110,7 +110,7 @@ def test_char_sum_affine_examples():
 def test_affine_bound_exhaustive_f9():
     from addix.linearized import all_subspaces, coset_reps
     for sub in all_subspaces(F9):
-        for shift in coset_reps(sub):
+        for shift in map(F9.from_code, coset_reps(sub)):
             for j in range(1, 8):
                 char_sum_affine(MultChar(F9, j), shift, sub)  # raises on violation
 

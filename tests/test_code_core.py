@@ -25,9 +25,13 @@ Subspaces hold reduced-echelon rows as codes; their rows, reductions and
 kernels are checked against a digit-vector echelon reference that works on
 Elt.coeffs lists mod p.  Spans, restricted kernels and coset keys must
 reach the one row kernel Field.sub_row, and the kernel path must finish
-with Field.from_code patched to raise.  An interpolant is unique, so both interpolations
-are checked by their values at the nodes, read by the reference evaluators,
-and their degree bounds, and their refusals by repeated or dependent nodes.
+with Field.from_code patched to raise; so must decomposition, the theorem
+value-set count, the permutation and involution certificates, the quotient
+criterion and translation_pp, with Elt.__init__ patched to raise as well,
+and a field builds three elements and caches none.  An interpolant is
+unique, so both interpolations are checked by their values at the nodes,
+read by the reference evaluators, and their degree bounds, and their
+refusals by repeated or dependent nodes.
 """
 
 import gc
@@ -38,12 +42,14 @@ from math import comb
 
 import pytest
 
-from addix.analysis import value_set_size
+from addix.analysis import (PPCertificate, construct_prescribed_cycles,
+                            is_involution, is_permutation, quotient_pp_criterion,
+                            translation_pp, value_set_size)
 from addix.decompose import decompose_with, maximal_decomposition
 from addix.errors import PreconditionError
-from addix.field import Field
+from addix.field import Elt, Field
 from addix.field import is_prime
-from addix.linearized import (LinearizedPoly, Subspace, compose_quotient,
+from addix.linearized import (LinearizedPoly, Subspace, complement, compose_quotient,
                               coset_reps, expand_in_base, is_linearized,
                               kernel, linearized_interpolate, restricted_kernel,
                               vanishing_poly, xq_minus_x_linearized)
@@ -772,7 +778,7 @@ def test_full_subspace_is_the_unit_basis(field):
     assert full == spanned and hash(full) == hash(spanned)
     assert full._pivots == spanned._pivots and full.basis == spanned.basis
     assert [b.code for b in full.basis] == [field.p ** i for i in range(field.n)]
-    assert full.is_full() and [r.code for r in coset_reps(full)] == [0]
+    assert full.is_full() and list(coset_reps(full)) == [0]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=IDS)
@@ -939,6 +945,74 @@ def test_one_row_kernel_and_no_elt_on_the_kernel_path(monkeypatch, field):
     digit_sums = restricted_kernel(full, [1] * n)
     assert sorted(field.span_codes(digit_sums.rows)) == [
         c for c in range(field.q) if sum(c // p ** i % p for i in range(n)) % p == 0]
+
+
+NO_ELT_FIELDS = [Field(2, 4), Field(3, 3), Field(2, 6)]
+
+
+def structural_cases(field):
+    """(route, arguments) pairs over field: a dense and a structured input,
+    a permutation, and a quotient-eligible and a translation instance."""
+    rng = random.Random(field.q + 12)
+    dense = Poly.from_codes(field, rand_codes(rng, field, 9) + [1])
+    sub, shaped = structured(rng, field, 2, 3)
+    base = vanishing_poly(sub)
+    perm = construct_prescribed_cycles(field, field.p)
+    outer = Poly.from_codes(field, rand_codes(rng, field, 3) + [1])
+    shift = complement(base).to_poly().compose(outer)
+    cases = []
+    for poly in (dense, shaped, perm):
+        cases += [(maximal_decomposition, (poly,)),
+                  (lambda P: value_set_size(P, "theorem"), (poly,)),
+                  (is_involution, (poly,))]
+    cases += [(lambda P: is_permutation(P, "certificate"), (perm,)),
+              (quotient_pp_criterion, (outer, base, LinearizedPoly.identity(field))),
+              (translation_pp, (base, shift))]
+    return cases
+
+
+def fresh(arg):
+    """A copy of a polynomial with no memoised decomposition or plan."""
+    return type(arg)._new(arg.field, arg.codes)
+
+
+@pytest.mark.parametrize("field", NO_ELT_FIELDS, ids=[repr(f) for f in NO_ELT_FIELDS])
+def test_structural_routes_build_no_elt(monkeypatch, field):
+    """Decomposition, the theorem value-set count, the permutation
+    certificate of a permutation, the involution certificate, the quotient
+    criterion and translation_pp run on codes: with Field.from_code and
+    Elt.__init__ patched to raise, fresh copies of their inputs give the
+    answers the unpatched routes gave."""
+    cases = structural_cases(field)
+    expected = [route(*args) for route, args in cases]
+    copies = [[fresh(a) for a in args] for _, args in cases]
+    assert expected[-3] == PPCertificate(True, 1, True, None)
+
+    def refuse(*args):
+        raise AssertionError("Elt built")
+
+    monkeypatch.setattr(Field, "from_code", refuse)
+    monkeypatch.setattr(Elt, "__init__", refuse)
+    assert [route(*args) for (route, _), args in zip(cases, copies)] == expected
+
+
+def test_field_builds_three_elts_and_keeps_no_cache(monkeypatch):
+    """A field builds only zero, one and the primitive element, and keeps
+    no element cache: each elements() call builds q fresh elements."""
+    built = []
+    init = Elt.__init__
+
+    def counted(self, field, code):
+        built.append(code)
+        init(self, field, code)
+
+    monkeypatch.setattr(Elt, "__init__", counted)
+    field = Field(2, 12)
+    assert len(built) <= 3
+    assert "_elts" not in Field.__slots__ and not hasattr(field, "_elts")
+    del built[:]
+    assert field.elements() == field.elements()
+    assert built == list(range(field.q)) * 2
 
 
 # -- interpolation: the interpolant is unique, so its values at the nodes

@@ -15,24 +15,28 @@ The value table, the permutation certificate and the text form are checked
 against their plain counterparts.  The one code elimination is checked
 against the digit-vector echelon of tests/test_code_core.py: a span's rows,
 a coset key, and the restricted kernel of a drawn linear map on a drawn
-subspace against the map's zero set, read at every member.
+subspace against the map's zero set, read at every member.  A drawn
+permutation, a x^e + b with e prime to q - 1 or a translation
+outer(S(x)) + x with S o outer zero on the field, scaled and shifted on
+both sides, has an inverse_pp that round-trips in both orders at every
+point and keeps its additive index.
 
 The examples come from the profile that tests/conftest.py loads: the
 derandomized tier1 by default, so tier-1 sees the same examples every time;
 the fixed-seed criteria and comparisons of the other modules stand beside it.
 """
 
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from addix.analysis import is_permutation
-from addix.decompose import additive_kernel, maximal_decomposition
+from addix.analysis import inverse_pp, is_permutation, round_trips
+from addix.decompose import additive_index, additive_kernel, maximal_decomposition
 from addix.field import Field, is_prime
-from addix.linearized import (LinearizedPoly, Subspace, kernel, restricted_kernel,
-                              vanishing_poly)
+from addix.linearized import (LinearizedPoly, Subspace, complement, kernel,
+                              restricted_kernel, vanishing_poly)
 from addix.poly import Poly, parse_poly, poly_to_str, reduce_mod_xq_minus_x, shift_expand
 from test_code_core import from_digits, ref_echelon, ref_reduce
 
@@ -54,6 +58,28 @@ def inputs(draw, field):
     linear = LinearizedPoly.from_codes(field, draw(st.lists(codes, max_size=sub.dim)))
     poly = outer.compose(vanishing_poly(sub).to_poly()) + linear.to_poly()
     return poly if poly.degree >= 1 else poly + Poly.x(field)
+
+
+@st.composite
+def permutations(draw, field):
+    """A permutation polynomial over field: a monomial x^e with e prime to
+    q - 1, or outer(S(x)) + x with S vanishing on a drawn subspace and
+    outer = C(g(x)) for S's complement C, so that S o outer is x^q - x at
+    g and vanishes on the field, and g of degree 3 at p = 2, else 2, so
+    that outer is not linearized; then c * P(a x) + b for a, c nonzero."""
+    q = field.q
+    codes, nonzero = st.integers(0, q - 1), st.integers(1, q - 1)
+    if draw(st.booleans()):
+        e = draw(st.sampled_from([e for e in range(1, q) if gcd(e, q - 1) == 1]))
+        perm = Poly.monomial(field, field.one, e)
+    else:
+        gens = draw(st.lists(nonzero, min_size=1, max_size=max(field.n - 1, 1)))
+        base = vanishing_poly(Subspace(field, map(field.from_code, gens)))
+        low = draw(st.lists(codes, min_size=2 + (field.p == 2), max_size=2 + (field.p == 2)))
+        g = Poly.from_codes(field, low + [draw(nonzero)])  # degree 3 or 2, not a power of p
+        perm = complement(base).to_poly().compose(g).compose(base.to_poly()) + Poly.x(field)
+    a, c = (field.from_code(draw(nonzero)) for _ in "ac")
+    return perm.compose(Poly.monomial(field, a, 1)) * c + Poly.from_codes(field, [draw(codes)])
 
 
 EACH_FIELD = pytest.mark.parametrize("field", FIELDS, ids=[repr(f) for f in FIELDS])
@@ -130,3 +156,15 @@ def test_code_elimination_matches_digit_echelon(field, data):
     ker = restricted_kernel(sub, values)
     assert sorted(field.span_codes(ker.rows)) == sorted(zeros)
     assert [list(b.coeffs) for b in ker.basis] == ref_echelon(field, map(field.from_code, zeros))[0]
+
+
+@EACH_FIELD
+@given(data=st.data())
+def test_inverse_round_trips(field, data):
+    """inverse_pp of a drawn permutation inverts it on both sides, read at
+    every point by round_trips, and keeps its additive index."""
+    perm = data.draw(permutations(field))
+    assert len(set(perm.values())) == field.q
+    inverse = inverse_pp(perm)
+    assert round_trips(inverse, perm) and round_trips(perm, inverse)
+    assert additive_index(inverse) == additive_index(perm)
