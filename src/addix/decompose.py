@@ -7,12 +7,13 @@ the additive kernel V, are the common zeros of the shift-expansion bands,
 read by F_p-linear algebra: from the whole field, each band from the top
 index down cuts the subspace so far to its kernel there, on which the bands
 above make it linear, and S is the vanishing polynomial of what is left.
-outer and linear_part are read off the digits of P - P(0) in base S.
-gcd_degree is read off the cached kernel V of S and image linear_part(V) by
-rank-nullity.  Also carries the classical multiplicative index used for
-bound comparisons.  Inputs of degree >= q are folded modulo x^q - x
-(reduce_mod_xq_minus_x) before kernel computations, so the identity
-reported is for the reduced polynomial.
+The bands come from poly.shift_bands on demand, as terms planned straight
+into Field.horner at the subspace's rows, until the subspace is {0}.  outer
+and linear_part are read off the digits of P - P(0) in base S.  gcd_degree
+is read off the cached kernel V of S and image linear_part(V) by rank-nullity.
+Also carries the classical multiplicative index for bound comparisons.  Inputs
+of degree >= q are folded modulo x^q - x (reduce_mod_xq_minus_x) before kernel
+computations, so the identity reported is for the reduced polynomial.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .linearized import (LinearizedPoly, Subspace, _outer_codes, coset_reps,
                          expand_in_base, is_linearized, require_splitting_monic,
                          restricted_kernel, subspace_image, vanishing_poly,
                          xq_minus_x_linearized)
-from .poly import Poly, reduce_mod_xq_minus_x, shift_expand
+from .poly import Poly, reduce_mod_xq_minus_x, shift_bands
 
 
 @dataclass(frozen=True)
@@ -101,16 +102,18 @@ def _maximal_subspace_poly(poly: Poly) -> tuple[LinearizedPoly, Subspace]:
     makes F_i F_p-linear on any subspace U where every band above it
     vanishes.  So, from U = the field and the top index down, each band
     cuts U to its restricted kernel, read by F_p-linear algebra from its
-    values at U's rows, and the last U is V.  A band has no constant term,
-    so one of degree 1 proves V = {0} at once.  A constant residue (no
-    band) satisfies the defining identity everywhere."""
+    values at U's rows by one Horner plan of its terms, and the last U is V.
+    Bands are pulled from shift_bands as the walk reaches them, none after
+    U = {0}, and an empty one is skipped.  A band has no constant term, so
+    one of top power 1 proves V = {0} at once.  A constant residue (no band)
+    satisfies the defining identity everywhere."""
     field = poly.field
     ker = Subspace.full(field)
-    for band in reversed(shift_expand(poly)):
-        if band.degree == 1:
+    for terms in shift_bands(poly):
+        if terms and terms[-1][0] == 1:
             ker = Subspace(field, ())
-        elif not band.is_zero():
-            values = list(band.values_at(ker.rows))
+        elif terms:
+            values = list(field.horner(field.horner_plan(terms), ker.rows))
             if any(values):
                 ker = restricted_kernel(ker, values)
         if not ker.dim:

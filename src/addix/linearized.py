@@ -85,10 +85,7 @@ class LinearizedPoly(CodeVector):
         return field.span_codes(self.values_at([field.p ** i for i in range(field.n)]))
 
     def to_poly(self) -> Poly:
-        dense = [0] * (self.degree + 1)
-        for e, c in self._terms():
-            dense[e] = c
-        return Poly._new(self.field, dense)
+        return Poly._from_terms(self.field, self._terms())
 
     def compose(self, inner: "LinearizedPoly") -> "LinearizedPoly":
         """self(inner(x)), computed on p-power coefficients."""

@@ -4,11 +4,12 @@ Coefficients are stored as element codes, constant-term first with no
 trailing zeros; the zero polynomial is the empty vector and reports degree
 -1.  Inner loops run on codes, the hot ones (evaluation, division, products,
 shifts) as fused kernels of Field; Elt is the API boundary (constructors take
-Elt sequences, coeffs is a read-only Elt view).  CodeVector.values_at is the
-one Horner scan of both polynomial kinds.  Includes Euclidean
-division and monic gcd, composition, the additive shift expansion
-P0(x+y) - P0(x) - P0(y) = sum_i F_i(y) x^i, interpolation by Newton's
-rule, and the text grammar shared with the CLI.
+Elt sequences, coeffs is a read-only Elt view).  Field.horner is the one
+Horner kernel: values_at plans a vector of either kind once from its nonzero
+terms, and the bands F_i of P0(x+y) - P0(x) - P0(y) = sum_i F_i(y) x^i come
+on demand from the top index (shift_bands) as the terms they are planned
+from; shift_expand is their dense view.  Also Euclidean division and monic
+gcd, composition, interpolation by Newton's rule and the CLI's text grammar.
 """
 
 from __future__ import annotations
@@ -45,6 +46,14 @@ class CodeVector:
         obj = cls.__new__(cls)
         obj._set(field, codes)
         return obj
+
+    @classmethod
+    def _from_terms(cls, field, terms):
+        """Instance of the (exponent, code) terms, ascending by exponent."""
+        codes = []
+        for e, c in terms:
+            codes.extend([0] * (e - len(codes)) + [c])
+        return cls._new(field, codes)
 
     @classmethod
     def from_codes(cls, field, codes):
@@ -287,41 +296,43 @@ def _lucas_terms(e: int, p: int) -> tuple[tuple[int, int], ...]:
 # The Lucas terms of the exponents below _LUCAS_CACHE_SIZE are cached on
 # (e, p), in as many entries.  An entry for e holds prod(digit + 1) - 2 < e
 # pairs over e's base-p digits, so at most 254, and the cache under 65,000
-# pairs at any mix of primes.  The decompose benchmark's inputs have degree
-# at most 96 and read 132 keys.  Higher exponents, met only on inputs of
-# degree 256 and up, are built afresh, since their entries would hold up to
-# 2^popcount(e) pairs at p = 2.
+# pairs at any mix of primes.  A decompose benchmark cycle (degree <= 96)
+# reads 54 keys 282 times, in 3.8-4.1 ms in process with the cache against
+# 4.7-5.0 ms without.  Higher exponents, met only at degree 256 and up, are
+# built afresh: their entries would hold up to 2^popcount(e) pairs at p = 2.
 _LUCAS_CACHE_SIZE = 256
 _cached_lucas_terms = lru_cache(maxsize=_LUCAS_CACHE_SIZE)(_lucas_terms)
+
+
+def shift_bands(poly: Poly):
+    """The bands of shift_expand on demand, F_(d-1) first and F_1 last,
+    each as its nonzero (power, code) terms ascending by power, the terms
+    Field.horner_plan takes.  The nonzero c_e are read in descending e, and
+    band i takes terms only from exponents above i, so F_i is yielded as
+    soon as e = i + 1 has been read: a caller that stops after F_i reads no
+    exponent below i + 1.  Each (i, t) comes from the single e = i + t, at
+    the i that _lucas_terms(e, p) lists, so the cost follows the nonzero
+    terms and their digits, not d^2.  A band with no terms is yielded
+    empty, so the k-th band yielded is F_(d-k).
+    """
+    p, mul = poly.field.p, poly.field.mul
+    pending = {}
+    for e in range(poly.degree, 1, -1):
+        if c := poly.codes[e]:
+            terms = _cached_lucas_terms(e, p) if e < _LUCAS_CACHE_SIZE else _lucas_terms(e, p)
+            for i, b in terms:
+                # a binomial mod p is a prime-subfield scalar: its own code
+                pending.setdefault(i, []).append((e - i, c if b == 1 else mul(c, b)))
+        yield pending.pop(e - 1, [])[::-1]
 
 
 def shift_expand(poly: Poly) -> list[Poly]:
     """Polynomials F_1, ..., F_{d-1} with
     P0(x+y) - P0(x) - P0(y) = sum_{i=1}^{d-1} F_i(y) x^i for P0 = poly - poly(0).
 
-    F_i(y) = sum_{t>=1} C(i+t, i) c_{i+t} y^t.  Each nonzero c_e is written
-    only at the i that _lucas_terms(e, p) lists (power t = e - i of band i),
-    so the cost follows the nonzero terms and their digits, not d^2.  Each
-    (i, t) comes from the single e = i + t.  Constant input yields the empty
-    list.
-    """
-    d = poly.degree
-    field = poly.field
-    p, mul = field.p, field.mul
-    bands = [None] * d
-    # descending e: the first e to reach band i fixes its degree e - i
-    for e in range(d, 1, -1):
-        c = poly.codes[e]
-        if not c:
-            continue
-        terms = _cached_lucas_terms(e, p) if e < _LUCAS_CACHE_SIZE else _lucas_terms(e, p)
-        for i, b in terms:
-            band = bands[i]
-            if band is None:
-                band = bands[i] = [0] * (e - i + 1)
-            # a binomial mod p is a prime-subfield scalar: its own code
-            band[e - i] = c if b == 1 else mul(c, b)
-    return [Poly._new(field, bands[i] or ()) for i in range(1, d)]
+    F_i(y) = sum_{t>=1} C(i+t, i) c_{i+t} y^t: the bands of shift_bands,
+    each as a Poly, in index order.  Constant input yields the empty list."""
+    return [Poly._from_terms(poly.field, terms) for terms in shift_bands(poly)][::-1]
 
 
 def lagrange_interpolate(field: Field, points) -> Poly:

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import addix.decompose
+import addix.poly
 from addix.decompose import (_split, additive_index, additive_kernel,
                              decompose_with, maximal_decomposition,
                              multiplicative_index)
@@ -265,22 +266,81 @@ def test_kernel_needs_no_division_where_a_band_fails_the_least_one(monkeypatch, 
 
 def test_trivial_first_kernel_checks_no_band(monkeypatch):
     """x^10 + x^3 over GF(2^8) has the top band F_8 = y^2, whose kernel on
-    the field is {0}: that is V, so no band below it is evaluated."""
+    the field is {0}: that is V, so no band below it is planned or
+    evaluated."""
     field = Field(2, 8)
     poly = parse_poly("x^10+x^3", field)
     top = shift_expand(poly)[7:]  # F_8 and the zero band F_9
     assert top == [parse_poly("x^2", field), Poly.zero(field)]
-    calls = []
-    real = Poly.values_at
+    planned = []
+    real = Field.horner_plan
 
-    def counted(self, points):
-        calls.append(self)
-        return real(self, points)
+    def counted(self, terms):
+        terms = list(terms)
+        planned.append([(e, c) for e, c in terms if c])
+        return real(self, terms)
 
-    monkeypatch.setattr(Poly, "values_at", counted)
+    monkeypatch.setattr(Field, "horner_plan", counted)
     dec = maximal_decomposition(poly)
-    assert calls == top[:1]
+    assert planned == [[(2, 1)]]
     assert dec.index == 8 and dec.subspace_poly == LinearizedPoly.identity(field)
+
+
+def test_dense_top_band_pulls_one_band(monkeypatch):
+    """A dense input of degree 3,999 over GF(2^12) has the top band
+    F_3998 = c_3999 * y of degree 1, so the walk pulls that band alone and
+    reads the Lucas terms of the top exponent only.  Exponents of 256 and
+    up bypass the cache, so every read is a call of _lucas_terms."""
+    field = Field(2, 12)
+    rng = random.Random(3999)
+    poly = Poly.from_codes(field, [rng.randrange(field.q) for _ in range(3999)] + [1])
+    lucas, pulled = [], []
+    real_lucas, real_bands = addix.poly._lucas_terms, addix.decompose.shift_bands
+
+    def counted_lucas(e, p):
+        lucas.append(e)
+        return real_lucas(e, p)
+
+    def counted_bands(poly):
+        for terms in real_bands(poly):
+            pulled.append(terms)
+            yield terms
+
+    monkeypatch.setattr(addix.poly, "_lucas_terms", counted_lucas)
+    monkeypatch.setattr(addix.decompose, "shift_bands", counted_bands)
+    dec = maximal_decomposition(poly)
+    assert lucas == [3999]
+    assert pulled == [[(1, 1)]]
+    assert dec.index == 12 and dec.kernel.dim == 0
+
+
+@pytest.mark.parametrize("field", [F16, F27, Field(5, 2)], ids=repr)
+def test_decomposition_builds_no_dense_band(monkeypatch, field):
+    """With shift_expand patched to raise, the decomposition, the kernel
+    and the splitting against the brute kernel's vanishing polynomial still
+    match the brute kernel oracle."""
+    def refuse(*args):
+        raise AssertionError("shift_expand")
+
+    monkeypatch.setattr(addix.poly, "shift_expand", refuse)
+    monkeypatch.setattr(addix.decompose, "shift_expand", refuse, raising=False)
+    rng = random.Random(field.q)
+    for dim in range(field.n + 1):
+        sub = Subspace(field, [field.from_code(rng.randrange(1, field.q)) for _ in range(dim)])
+        outer = rand_poly(rng, field, field.p + 1)
+        linear = LinearizedPoly.from_codes(field, [rng.randrange(field.q) for _ in range(dim)])
+        for poly in (outer.compose(vanishing_poly(sub).to_poly()) + linear.to_poly(),
+                     rand_poly(rng, field, 2 * field.q)):
+            if poly.degree < 1:
+                continue
+            brute = additive_kernel(poly, "brute")
+            assert additive_kernel(poly) == brute
+            dec = maximal_decomposition(poly)
+            assert dec.kernel == brute and dec.compose() == dec.poly
+            split = decompose_with(poly, vanishing_poly(brute))
+            assert split.ok and split.remainder.is_zero()
+            base = vanishing_poly(brute).to_poly()
+            assert split.outer.compose(base) + split.linear_part.to_poly() == dec.poly
 
 
 def test_split_refuses_a_broken_digit_contract():

@@ -19,7 +19,12 @@ subspace against the map's zero set, read at every member.  A drawn
 permutation, a x^e + b with e prime to q - 1 or a translation
 outer(S(x)) + x with S o outer zero on the field, scaled and shifted on
 both sides, has an inverse_pp that round-trips in both orders at every
-point and keeps its additive index.
+point and keeps its additive index.  The fused code kernels of Field are
+checked against Elt schoolbook references on drawn inputs: Horner on
+sparse terms with gaps of any size and no constant term, as every band
+has, against the sum of c * x^e, and the product, division, shift,
+pairwise sum, span and row kernel against their digit-vector and Elt
+counterparts.
 
 The examples come from the profile that tests/conftest.py loads: the
 derandomized tier1 by default, so tier-1 sees the same examples every time;
@@ -38,7 +43,8 @@ from addix.field import Field, is_prime
 from addix.linearized import (LinearizedPoly, Subspace, complement, kernel,
                               restricted_kernel, vanishing_poly)
 from addix.poly import Poly, parse_poly, poly_to_str, reduce_mod_xq_minus_x, shift_expand
-from test_code_core import from_digits, ref_echelon, ref_reduce
+from test_code_core import (add, from_digits, neg, ref_compose, ref_divmod, ref_echelon,
+                            ref_mul, ref_reduce, trim)
 
 FIELDS = [Field(p, n) for p in range(2, 65) if is_prime(p)
           for n in range(1, 7) if p ** n <= 64]
@@ -168,3 +174,70 @@ def test_inverse_round_trips(field, data):
     inverse = inverse_pp(perm)
     assert round_trips(inverse, perm) and round_trips(perm, inverse)
     assert additive_index(inverse) == additive_index(perm)
+
+
+@st.composite
+def sparse_terms(draw, field):
+    """Ascending (exponent, code) terms from exponent 1 up, as a band's are,
+    with gaps from 1 to past q, so that steps wrap the multiplicative group."""
+    e, terms = 0, []
+    for gap in draw(st.lists(st.integers(1, 3 * field.q), max_size=6)):
+        e += gap
+        terms.append((e, draw(st.integers(0, field.q - 1))))
+    return terms
+
+
+@EACH_FIELD
+@given(data=st.data())
+def test_horner_matches_schoolbook_sum(field, data):
+    """Field.horner on the plan of drawn sparse terms is sum(c * x^e) at
+    every point, summed term by term on Elt."""
+    terms = data.draw(sparse_terms(field))
+    plan = field.horner_plan(terms)
+    for x in field.elements():
+        expected = field.zero
+        for e, c in terms:
+            expected = add(expected, field.from_code(c) * x ** e)
+        assert next(field.horner(plan, (x.code,))) == expected.code
+    assert list(field.horner(plan, range(field.q))) == [
+        next(field.horner(plan, (x,))) for x in range(field.q)]
+
+
+@EACH_FIELD
+@given(data=st.data())
+def test_code_kernels_match_elt_references(field, data):
+    """The product, division and shift rows, the pairwise sum, the span
+    and the elimination's row kernel against the Elt references of
+    tests/test_code_core.py: schoolbook rows on Elt, digit-vector sums."""
+    codes, nonzero = st.integers(0, field.q - 1), st.integers(1, field.q - 1)
+    elt = field.from_code
+
+    def vector(max_size):
+        return Poly.from_codes(field, data.draw(st.lists(codes, max_size=max_size))).codes
+
+    a, b = vector(12), vector(6)
+    ac, bc = [elt(c) for c in a], [elt(c) for c in b]
+    assert [elt(c) for c in field.mul_codes(a, b)] == ref_mul(field, ac, bc)
+    if b:
+        quo, rem = field.divmod_codes(a, b)
+        assert ([elt(c) for c in quo], [elt(c) for c in rem]) == ref_divmod(field, ac, bc)
+    y = data.draw(codes)
+    assert trim(map(elt, field.shift_codes(a, y))) == ref_compose(field, ac, [elt(y), field.one])
+    xs, ys = data.draw(st.lists(codes, max_size=8)), data.draw(st.lists(codes, max_size=8))
+    assert field.add_codes(xs, ys) == [add(elt(x), elt(y)).code for x, y in zip(xs, ys)]
+    gens = data.draw(st.lists(codes, max_size=field.n))
+    span = []
+    for k in range(field.p ** len(gens)):
+        acc = field.zero
+        for g in gens:
+            k, digit = divmod(k, field.p)
+            for _ in range(digit):
+                acc = add(acc, elt(g))
+        span.append(acc.code)
+    assert field.span_codes(gens) == span
+    code, row = data.draw(codes), data.draw(nonzero)
+    d = data.draw(st.integers(1, field.p - 1))
+    minus = elt(row)
+    for _ in range(d - 1):
+        minus = add(minus, elt(row))
+    assert field.sub_row(code, d, row) == add(elt(code), neg(minus)).code
