@@ -8,15 +8,20 @@ error stays far below the integer-scale gaps between the bounds.
 char_sum, MultChar and char_sum_affine apply the character value by value
 and are the oracle.  bound_report takes e in the additive bound to be the
 decomposition's image_subspace.dim, and works from a value profile kept
-on the decomposition: the dlog histogram H of the nonzero values, so that
-S_j = sum_m H[m] * exp(2*pi*i*j*m/(q-1)).  Its first report sums H
-directly; from the second on, S_j for every j comes from one length-(q-1)
-DFT of H, taken by Bluestein's chirp-z reduction (jm = (j^2 + m^2 -
-(j-m)^2)/2) to a cyclic convolution of power-of-two length L >= 2q - 3,
-which a standard-library radix-2 FFT computes in O(q log q).  The stated
-FFT error margin is 8 * eps * w * sqrt(L) * log2(L), with w = sum H and
-eps the double epsilon: at least 18x the largest |FFT - direct| measured
-on one-bin, few-bin, flat and random histograms at every q <= 4096
+on the decomposition: the dlog histogram H of the nonzero values, read
+off the field's log table, so that S_j = sum_m H[m] * exp(2*pi*i*j*m/(q-1)),
+and every report field that does not depend on the character.  Its first
+report sums H directly; from the second on, S_j for every j comes from one
+length-(q-1) DFT of H, taken by Bluestein's chirp-z reduction (jm = (j^2 +
+m^2 - (j-m)^2)/2) to a cyclic convolution of power-of-two length
+L >= 2q - 3, which a standard-library radix-2 FFT computes in O(q log q).
+Everything of that transform that depends on q alone (the chirp, the
+transform of its conjugate kernel and the twiddles of both signs) is one
+plan per length, kept in a small bounded cache, so a polynomial's spectrum
+takes two FFTs: H times the chirp forward, and the product back.  The
+stated FFT error margin is 8 * eps * w * sqrt(L) * log2(L), with w = sum H
+and eps the double epsilon: at least 18x the largest |FFT - direct|
+measured on one-bin, few-bin, flat and random histograms at every q <= 4096
 (p <= 13) and at 2^16, where it is about 7e-7, below _TOL.  A transform
 magnitude within that margin of the violation threshold additive_bound +
 _TOL, or above it, is recomputed by the direct sum before the verdict, so
@@ -26,6 +31,7 @@ _TOL never has to widen.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -129,15 +135,15 @@ def _power_coset_flag(field: Field, logs) -> bool:
     return int_gcd(field.q - 1, *(lg - logs[0] for lg in logs)) > 1
 
 
-def _fft(x: list, sign: int) -> list:
+def _fft(x: list, roots: list) -> list:
     """y_k = sum_t x_t * exp(sign*2*pi*i*k*t/L) for len(x) = L a power of
-    two: iterative radix-2 in Stockham order, ping-ponging between x, which
-    is overwritten, and one other buffer.  Before each pass y holds the
-    L/s sub-transforms of x[r::s] interleaved, y[k*s + r] = F_r[k]; the pass
-    joins F_r and F_(r+h), h = s/2, into the transform of x[r::h], slicing
-    along whichever of the k and r axes is longer."""
+    two, roots holding exp(sign*2*pi*i*k/L) for k < L/2: iterative radix-2
+    in Stockham order, ping-ponging between x, which is overwritten, and one
+    other buffer.  Before each pass y holds the L/s sub-transforms of
+    x[r::s] interleaved, y[k*s + r] = F_r[k]; the pass joins F_r and
+    F_(r+h), h = s/2, into the transform of x[r::h], slicing along
+    whichever of the k and r axes is longer."""
     size = len(x)
-    roots = [cmath.exp(sign * 2j * math.pi * k / size) for k in range(size // 2)]
     y, z = x, [0j] * size
     m, h = 1, size // 2
     while h:
@@ -168,23 +174,50 @@ def _transform_size(n: int) -> int:
     return 1 << (2 * n - 2).bit_length()
 
 
+class _Plan:
+    """What a length-n Bluestein transform needs that depends on n alone:
+    the convolution length L, the chirp w_k = exp(i*pi*k^2/n) for k < n,
+    its phase taken from k^2 mod 2n so that it stays exact at every k, the
+    twiddles of the forward (sign -1) and inverse (sign +1) FFTs of length
+    L, and the forward FFT of the conjugate-chirp kernel.  Every caller of
+    a length shares its plan, so nothing writes to these lists once built."""
+
+    __slots__ = ("size", "chirp", "forward", "inverse", "kernel")
+
+    def __init__(self, n: int):
+        size = _transform_size(n)
+        self.size = size
+        self.chirp = [cmath.exp(1j * math.pi * (k * k % (2 * n)) / n) for k in range(n)]
+        self.forward, self.inverse = (
+            [cmath.exp(sign * 2j * math.pi * k / size) for k in range(size // 2)]
+            for sign in (-1, 1))
+        b = [w.conjugate() for w in self.chirp]
+        self.kernel = _fft(b + [0j] * (size - 2 * n + 1) + b[:0:-1], self.forward)
+
+
+@functools.lru_cache(maxsize=4)
+def _plan(n: int) -> _Plan:
+    """The transform plan of length n, built once per length.  Only the
+    last four lengths are kept: a plan holds about 2.5L complex numbers, so
+    at q = 2^16 (L = 2^17) one plan is about 14 MB."""
+    return _Plan(n)
+
+
 def _spectrum(hist: list[int]) -> list[complex]:
     """S_j = sum_m hist[m] * exp(2*pi*i*j*m/N) for every j < N = len(hist),
-    by Bluestein: with w_k = exp(i*pi*k^2/N), S_j = w_j * sum_m (hist[m]*w_m)
-    * conj(w_(j-m)), a cyclic convolution of length _transform_size(N).  The
-    chirp phase is taken from k^2 mod 2N, so it stays exact at every k."""
-    n = len(hist)
-    size = _transform_size(n)
-    chirp = [cmath.exp(1j * math.pi * (k * k % (2 * n)) / n) for k in range(n)]
-    b = [w.conjugate() for w in chirp]
-    fb = _fft(b + [0j] * (size - 2 * n + 1) + b[:0:-1], -1)
-    conv = _fft([c * w for c, w in zip(hist, chirp)] + [0j] * (size - n), -1)
-    for i, v in enumerate(fb):  # in place: no third work array
+    by Bluestein: with w_k the plan's chirp, S_j = w_j * sum_m
+    (hist[m]*w_m) * conj(w_(j-m)), a cyclic convolution of length L, taken
+    as the forward FFT of hist times the chirp, multiplied by the plan's
+    kernel transform and transformed back."""
+    plan = _plan(len(hist))
+    size = plan.size
+    conv = _fft([c * w for c, w in zip(hist, plan.chirp)] + [0j] * (size - len(hist)),
+                plan.forward)
+    for i, v in enumerate(plan.kernel):  # in place: no third work array
         conv[i] *= v
-    del fb
-    conv = _fft(conv, 1)
+    conv = _fft(conv, plan.inverse)
     scale = 1.0 / size
-    return [w * c * scale for w, c in zip(chirp, conv)]
+    return [w * c * scale for w, c in zip(plan.chirp, conv)]
 
 
 def _direct_sum(hist: list[int], j: int) -> complex:
@@ -199,36 +232,55 @@ def _direct_sum(hist: list[int], j: int) -> complex:
 class _ValueProfile:
     """What every character's report shares for one list of values: the
     field and snapshot it was built from (None for the polynomial's own
-    values), the dlog histogram of the nonzero values, the power-coset
-    flag, the FFT error margin and the spectrum, built at the second report."""
+    values), the dlog histogram of the nonzero values, the FFT error
+    margin, the violation threshold, the report fields that do not depend
+    on the character (shared, in field order) and the spectrum, built at
+    the second report."""
 
-    __slots__ = ("field", "key", "hist", "flag", "margin", "reports", "spectrum")
+    __slots__ = ("field", "key", "hist", "margin", "limit", "shared", "reports", "spectrum")
 
-    def __init__(self, field: Field, key, values):
-        hist = [0] * (field.q - 1)
-        for v in values:
-            if v.code:
-                hist[field.dlog(v)] += 1
+    def __init__(self, field: Field, key, hist: list[int], dec):
         self.field = field
         self.key = key
         self.hist = hist
-        self.flag = _power_coset_flag(field, [m for m, c in enumerate(hist) if c])
         size = _transform_size(len(hist))
         self.margin = (8 * sys.float_info.epsilon * sum(hist)
                        * math.sqrt(size) * math.log2(size))
+        n, p = field.n, field.p
+        e = dec.image_subspace.dim
+        additive_bound = float(p ** (n - e + min(e, n / 2)))
+        s = dec.outer.degree
+        if s >= 1:
+            weil_bound = (s * p ** (n - dec.index) - 1) * p ** (n / 2)
+            weil_applicable = not _power_coset_flag(
+                field, [m for m, c in enumerate(hist) if c])
+        else:
+            weil_bound = None
+            weil_applicable = False
+        self.limit = additive_bound + _TOL
+        self.shared = dict(
+            index=dec.index,
+            image_dim=e,
+            outer_degree=s,
+            additive_bound=additive_bound,
+            weil_bound=weil_bound,
+            weil_applicable=weil_applicable,
+            trivial_bound=field.q,
+            nontrivial_regime=e > n / 2,
+        )
         self.reports = 0
         self.spectrum = None
 
-    def value(self, j: int, limit: float) -> complex:
+    def value(self, j: int) -> complex:
         """S_j: summed directly at the first report, else read off the
-        spectrum unless |S_j| reaches limit minus the FFT margin."""
+        spectrum unless |S_j| reaches the limit minus the FFT margin."""
         self.reports += 1
         if self.reports == 1:
             return _direct_sum(self.hist, j)
         if self.spectrum is None:
             self.spectrum = _spectrum(self.hist)
         total = self.spectrum[j]
-        if abs(total) >= limit - self.margin:
+        if abs(total) >= self.limit - self.margin:
             return _direct_sum(self.hist, j)
         return total
 
@@ -236,12 +288,22 @@ class _ValueProfile:
 def _value_profile(field: Field, dec, values) -> _ValueProfile:
     """The profile memoised on the decomposition, rebuilt whenever field or
     values differ from its snapshot (None stands for the decomposition's
-    value table, dec.values)."""
+    value table, dec.values, whose codes are read off the log table;
+    given values go through Field.dlog, which refuses another field's)."""
     key = None if values is None else tuple(values)
     profile = dec.__dict__.get("_value_profile")
     if profile is None or profile.field != field or profile.key != key:
-        elts = map(field.from_code, dec.values) if key is None else key
-        profile = _ValueProfile(field, key, elts)
+        hist = [0] * (field.q - 1)
+        if key is None:
+            log = field._logs()[1]
+            for c in dec.values:
+                if c:
+                    hist[log[c]] += 1
+        else:
+            for v in key:
+                if v.code:
+                    hist[field.dlog(v)] += 1
+        profile = _ValueProfile(field, key, hist, dec)
         dec.__dict__["_value_profile"] = profile
     return profile
 
@@ -261,33 +323,16 @@ def bound_report(poly: Poly, chi: MultChar, *, decomposition=None,
     field = poly.field
     if chi.field is not field and chi.field != field:
         raise PreconditionError("character and polynomial belong to different fields")
-    n, p, q = field.n, field.p, field.q
     dec = decomposition if decomposition is not None else maximal_decomposition(poly)
     profile = _value_profile(field, dec, values)
-    e = dec.image_subspace.dim
-    additive_bound = float(p ** (n - e + min(e, n / 2)))
-    s = dec.outer.degree
-    if s >= 1:
-        weil_bound = (s * p ** (n - dec.index) - 1) * p ** (n / 2)
-        weil_applicable = not profile.flag
-    else:
-        weil_bound = None
-        weil_applicable = False
-    total = profile.value(chi.index, additive_bound + _TOL)
+    total = profile.value(chi.index)
     magnitude = abs(total)
-    if magnitude > additive_bound + _TOL:
+    if magnitude > profile.limit:
         raise InvariantViolation(
             f"character sum {magnitude:.6f} exceeds additive bound "
-            f"{additive_bound:.6f} for chi={chi.index}, poly={poly!r}")
-    return CharSumReport(
-        value=total,
-        magnitude=magnitude,
-        index=dec.index,
-        image_dim=e,
-        outer_degree=s,
-        additive_bound=additive_bound,
-        weil_bound=weil_bound,
-        weil_applicable=weil_applicable,
-        trivial_bound=q,
-        nontrivial_regime=e > n / 2,
-    )
+            f"{profile.shared['additive_bound']:.6f} for chi={chi.index}, poly={poly!r}")
+    # a frozen dataclass built without its ten object.__setattr__ calls
+    report = object.__new__(CharSumReport)
+    report.__dict__.update(value=total, magnitude=magnitude)
+    report.__dict__.update(profile.shared)
+    return report

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import random
 
@@ -260,26 +261,57 @@ def _count(monkeypatch, owner, name):
 
 
 def test_one_transform_per_polynomial(monkeypatch, capsys):
-    """A polynomial takes one histogram (one dlog per nonzero value) and one
-    spectrum (three FFTs) across a single report and a sweep together: the
-    single report builds the histogram and takes no transform, and the sweep
-    reads the same memoised decomposition, so it adds the spectrum alone."""
+    """A polynomial takes one histogram, read off the log table with no
+    Elt built, and one spectrum across a single report and a sweep
+    together: the single report builds the histogram and takes no
+    transform, and the sweep reads the same memoised decomposition, so it
+    adds the spectrum alone.  The first spectrum at a length builds that
+    length's plan (the kernel transform) and then takes two FFTs; a second
+    polynomial over the same field reuses the plan and takes two."""
+    charsum._plan.cache_clear()
     spectra = _count(monkeypatch, charsum, "_spectrum")
     ffts = _count(monkeypatch, charsum, "_fft")
-    dlogs = _count(monkeypatch, Field, "dlog")
+    elts = _count(monkeypatch, Field, "from_code")
     field = Field(2, 6)
+    chars = [MultChar(field, j) for j in range(1, 63)]
     poly = parse_poly("x^3+[3]*x", field)
     nonzero = sum(1 for v in poly.values() if v)
-    bound_report(poly, MultChar(field, 5))
+    elts.clear()
+    bound_report(poly, chars[4])
     assert spectra == [] and ffts == []
-    assert len(dlogs) == nonzero
-    _sweep(poly, [MultChar(field, j) for j in range(1, 63)])
+    _, dec = _sweep(poly, chars)
     assert len(spectra) == 1 and len(ffts) == 3
-    assert len(dlogs) == nonzero
+    assert elts == []
+    assert sum(dec.__dict__["_value_profile"].hist) == nonzero
+    other = parse_poly("x^5+x^2+[7]", field)
+    _sweep(other, chars)
+    assert len(spectra) == 2 and len(ffts) == 5
     spectra.clear()
+    ffts.clear()
     assert main(["charsum", "--field", "2^6", "--sweep", "3", "--seed", "0"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 1 + 3 * 62
-    assert len(spectra) == 3
+    assert len(spectra) == 3 and len(ffts) == 6
+
+
+def test_sweep_reports_are_frozen_dataclasses():
+    """Every report of a sweep, the direct first one and those read off the
+    spectrum, is a proper frozen CharSumReport: it equals, hashes and
+    prints as the one built through the constructor, refuses assignment to
+    every field, and two characters of one polynomial differ only in value
+    and magnitude."""
+    field = Field(3, 3)
+    poly = _structured(random.Random(9), field, 1, 2)
+    reports, _ = _sweep(poly, [MultChar(field, j) for j in range(1, 26)])
+    names = [f.name for f in dataclasses.fields(charsum.CharSumReport)]
+    for report in reports:
+        rebuilt = charsum.CharSumReport(**dataclasses.asdict(report))
+        assert report == rebuilt and hash(report) == hash(rebuilt)
+        assert repr(report) == repr(rebuilt)
+        for name in names:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(report, name, getattr(report, name))
+    first, second = (dataclasses.asdict(r) for r in reports[:2])
+    assert {k for k in names if first[k] != second[k]} == {"value", "magnitude"}
 
 
 def test_near_bound_transform_values_are_recomputed(monkeypatch):

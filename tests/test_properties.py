@@ -24,20 +24,28 @@ checked against Elt schoolbook references on drawn inputs: Horner on
 sparse terms with gaps of any size and no constant term, as every band
 has, against the sum of c * x^e, and the product, division, shift,
 pairwise sum, span and row kernel against their digit-vector and Elt
-counterparts.
+counterparts.  Every report of a character sweep over a drawn input is
+char_sum's oracle sum within the profile's stated FFT margin and at most
+the additive bound plus that margin, and the spectrum from the cached
+transform plan equals, bit for bit, a Bluestein spectrum computed afresh
+with nothing cached, on the input's histogram and on a drawn one.
 
 The examples come from the profile that tests/conftest.py loads: the
 derandomized tier1 by default, so tier-1 sees the same examples every time;
 the fixed-seed criteria and comparisons of the other modules stand beside it.
 """
 
+import cmath
+import math
 from math import comb, gcd
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from addix import charsum
 from addix.analysis import inverse_pp, is_permutation, round_trips
+from addix.charsum import MultChar, bound_report, char_sum
 from addix.decompose import additive_index, additive_kernel, maximal_decomposition
 from addix.field import Field, is_prime
 from addix.linearized import (LinearizedPoly, Subspace, complement, kernel,
@@ -241,3 +249,42 @@ def test_code_kernels_match_elt_references(field, data):
     for _ in range(d - 1):
         minus = add(minus, elt(row))
     assert field.sub_row(code, d, row) == add(elt(code), neg(minus)).code
+
+
+def _bluestein_afresh(hist):
+    """hist's spectrum by Bluestein with no plan: the chirp, the kernel's
+    transform and the twiddles of both signs computed anew by cmath.exp."""
+    n = len(hist)
+    size = charsum._transform_size(n)
+    forward, inverse = ([cmath.exp(sign * 2j * math.pi * k / size) for k in range(size // 2)]
+                        for sign in (-1, 1))
+    chirp = [cmath.exp(1j * math.pi * (k * k % (2 * n)) / n) for k in range(n)]
+    b = [w.conjugate() for w in chirp]
+    kernel = charsum._fft(b + [0j] * (size - 2 * n + 1) + b[:0:-1], forward)
+    conv = charsum._fft([c * w for c, w in zip(hist, chirp)] + [0j] * (size - n), forward)
+    conv = charsum._fft([a * v for a, v in zip(conv, kernel)], inverse)
+    return [w * c * (1.0 / size) for w, c in zip(chirp, conv)]
+
+
+@EACH_FIELD
+@given(data=st.data())
+def test_sweep_matches_oracle_and_fresh_spectrum(field, data):
+    """Every report of a sweep over a drawn input, the first summed directly
+    and the rest read off the spectrum, is char_sum's sum within the stated
+    FFT margin, and its magnitude is at most the additive bound, up to that
+    margin: the bound is met with equality (a polynomial constant on the
+    field has |S_j| = q) and magnitudes are rounded floats.  The
+    spectrum from the cached plan equals a fresh Bluestein spectrum bit for
+    bit, on the input's histogram and on a drawn one."""
+    poly = data.draw(inputs(field))
+    dec = maximal_decomposition(poly)
+    chars = [MultChar(field, j) for j in range(1, field.q - 1)]
+    reports = [bound_report(poly, chi, decomposition=dec) for chi in chars]
+    profile = charsum._value_profile(field, dec, None)  # the sweep's, if any
+    for chi, report in zip(chars, reports):
+        assert abs(report.value - char_sum(poly, chi)) <= profile.margin
+        assert report.magnitude <= report.additive_bound + profile.margin
+    drawn = data.draw(st.lists(st.integers(0, field.q), min_size=field.q - 1,
+                               max_size=field.q - 1))
+    for hist in (profile.hist, drawn):
+        assert repr(charsum._spectrum(hist)) == repr(_bluestein_afresh(hist))
