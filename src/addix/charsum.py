@@ -231,16 +231,15 @@ def _direct_sum(hist: list[int], j: int) -> complex:
 
 class _ValueProfile:
     """What every character's report shares for one list of values: the
-    field and snapshot it was built from (None for the polynomial's own
-    values), the dlog histogram of the nonzero values, the FFT error
-    margin, the violation threshold, the report fields that do not depend
-    on the character (shared, in field order) and the spectrum, built at
-    the second report."""
+    snapshot it was built from (None for the polynomial's own values), the
+    dlog histogram of the nonzero values, the FFT error margin, the
+    violation threshold, the report fields that do not depend on the
+    character (shared, in field order) and the spectrum, built at the
+    second report."""
 
-    __slots__ = ("field", "key", "hist", "margin", "limit", "shared", "reports", "spectrum")
+    __slots__ = ("key", "hist", "margin", "limit", "shared", "reports", "spectrum")
 
     def __init__(self, field: Field, key, hist: list[int], dec):
-        self.field = field
         self.key = key
         self.hist = hist
         size = _transform_size(len(hist))
@@ -286,19 +285,17 @@ class _ValueProfile:
 
 
 def _value_profile(field: Field, dec, values) -> _ValueProfile:
-    """The profile memoised on the decomposition, rebuilt whenever field or
-    values differ from its snapshot (None stands for the decomposition's
-    value table, dec.values, whose codes are read off the log table;
-    given values go through Field.dlog, which refuses another field's)."""
+    """The profile memoised on the decomposition, rebuilt whenever values
+    differ from its snapshot (None stands for the decomposition's value
+    table, dec.values, whose codes go through Field.dlogs; given values go
+    through Field.dlog, which refuses another field's)."""
     key = None if values is None else tuple(values)
     profile = dec.__dict__.get("_value_profile")
-    if profile is None or profile.field != field or profile.key != key:
+    if profile is None or profile.key != key:
         hist = [0] * (field.q - 1)
         if key is None:
-            log = field._logs()[1]
-            for c in dec.values:
-                if c:
-                    hist[log[c]] += 1
+            for m in field.dlogs(dec.values):
+                hist[m] += 1
         else:
             for v in key:
                 if v.code:
@@ -312,11 +309,12 @@ def bound_report(poly: Poly, chi: MultChar, *, decomposition=None,
                  values=None) -> CharSumReport:
     """Full bound comparison for one polynomial and one nontrivial character.
 
-    A decomposition passed in carries the value profile from report to
-    report, so a sweep over every character takes one transform.  values,
-    when given, stands in for the polynomial's values (elements) and the
-    profile follows it.  The measured sum must respect the additive bound or
-    InvariantViolation is raised with the counterexample.
+    A decomposition passed in must be poly's, or PreconditionError is
+    raised; it carries the value profile from report to report, so a sweep
+    over every character takes one transform.  values, when given, stands
+    in for the polynomial's values (elements) and the profile follows it.
+    The measured sum must respect the additive bound or InvariantViolation
+    is raised with the counterexample.
     """
     if chi.is_trivial():
         raise PreconditionError("bound report needs a nontrivial character")
@@ -324,6 +322,8 @@ def bound_report(poly: Poly, chi: MultChar, *, decomposition=None,
     if chi.field is not field and chi.field != field:
         raise PreconditionError("character and polynomial belong to different fields")
     dec = decomposition if decomposition is not None else maximal_decomposition(poly)
+    if not dec.decomposes(poly):
+        raise PreconditionError("decomposition belongs to another polynomial")
     profile = _value_profile(field, dec, values)
     total = profile.value(chi.index)
     magnitude = abs(total)

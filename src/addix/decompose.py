@@ -50,6 +50,12 @@ class AdditiveDecomposition:
         """Reassemble outer(subspace_poly(x)) + linear_part(x)."""
         return self.outer.compose(self.subspace_poly.to_poly()) + self.linear_part.to_poly()
 
+    def decomposes(self, poly: Poly) -> bool:
+        """Whether this is poly's decomposition: at once for the one memoised
+        on poly, else by poly folded modulo x^q - x against self.poly."""
+        return (self is getattr(poly, "_decomposition", None)
+                or self.poly == reduce_mod_xq_minus_x(poly))
+
     @cached_property
     def gcd_degree(self) -> int:
         """deg gcd(subspace_poly, linear_part) by rank-nullity: the common
@@ -128,8 +134,10 @@ def additive_kernel(poly: Poly, method: str = "gcd") -> Subspace:
 
     The gcd method finds the roots of the gcd of the shift-expansion bands
     and x^q - x with no polynomial division: it cuts the field by each band
-    in turn, from the top index down, by F_p-linear algebra.  brute tests
-    the polynomial identity for every y.  Both yield the same subspace.
+    in turn, from the top index down, by F_p-linear algebra.  brute is the
+    oracle: below degree q the identity holds as polynomials exactly when it
+    holds at every x, so it tabulates P0 once and keeps each y whose row of
+    the table holds (Field.translates).  Both yield the same subspace.
     """
     if poly.degree < 1:
         raise PreconditionError("additive kernel needs degree >= 1")
@@ -139,13 +147,9 @@ def additive_kernel(poly: Poly, method: str = "gcd") -> Subspace:
     if method != "brute":
         raise PreconditionError(f"unknown method {method!r}")
     field = poly.field
-    base = poly - Poly.constant(field, poly.constant_term())
-    good = []
-    for y in field.elements():
-        shifted = base.shift_arg(y)
-        if shifted == base + Poly.constant(field, base.eval(y)):
-            good.append(y)
-    return Subspace(field, good)
+    table = list(Poly._new(field, (0,) + poly.codes[1:]).values())
+    return Subspace._from_codes(
+        field, [y for y in range(field.q) if field.translates(table, y, table[y])])
 
 
 def additive_index(poly: Poly) -> int:

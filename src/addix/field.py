@@ -11,13 +11,15 @@ defined by 1 + g^m = g^Z[m], turns addition into g^a + g^b = g^(a + Z[b - a])
 with one rule for every p.  The fused kernels on code vectors are part of
 that one arithmetic: Horner scans planned from (exponent, code) terms, so
 dense and linearized polynomials share them (horner_plan, horner), and one
-multiply-add row shared by long division, the schoolbook product and the
-shift x -> x + y (divmod_codes, mul_codes, shift_codes) run whole loops on
-discrete logs with the same tables, so no module but this one reads them.
-The addition kernels join them: sums of code vectors (add_codes), the
-F_p-span of generator codes (span_codes), from which value tables, subspace
-members and coset tables are read, and code - d * row, the row operation of
-every echelon elimination and, at d = p - 1, of add (sub_row).  Codes are
+multiply-add row shared by long division and the schoolbook product
+(divmod_codes, mul_codes) run whole loops on discrete logs with the same
+tables, and dlogs reads codes' discrete logs off them, so no module but this
+one reads them.  The addition kernels join them: sums of code vectors
+(add_codes), the F_p-span of generator codes (span_codes), from which value
+tables, subspace members and coset tables are read, code - d * row, the row
+operation of every echelon elimination and, at d = p - 1, of add (sub_row),
+and the row test f(x + u) = f(x) + v on a value table (translates) that
+the brute additive kernel and the translator check share.  Codes are
 F_p-digit vectors, so at p = 2 their sum is XOR; that choice is made here
 and nowhere else, and odd p keeps the Zech rule inlined.
 Polynomials, subspaces and internal results hold codes; Elt is the API
@@ -432,8 +434,8 @@ class Field:
 
     def _axpy(self, acc, shift, lf, terms):
         """acc[shift + j] += g^(lf + lt) for each (j, lt) in terms, in place,
-        on a vector of logs: the one multiply-add row of long division, the
-        schoolbook product and the shift."""
+        on a vector of logs: the one multiply-add row of long division and
+        the schoolbook product."""
         zech, m = self._zech, self.q - 1
         for j, lt in terms:
             k = shift + j
@@ -461,23 +463,6 @@ class Field:
         for i, c in enumerate(a):
             if c:
                 self._axpy(acc, i, log[c], terms)
-        return self._to_codes(acc)
-
-    def shift_codes(self, codes, y) -> list[int]:
-        """Codes of P(x + y) for P's code vector and y's code, by Horner in
-        x + y: each step is acc * x, a shift, plus y * acc, one row, plus the
-        next coefficient."""
-        log = self._logs()[1]
-        ly = log[y]
-        if ly < 0:
-            return list(codes)
-        acc: list[int] = []
-        for c in reversed(codes):
-            terms = [(j, v) for j, v in enumerate(acc) if v >= 0]
-            acc.insert(0, -1)
-            self._axpy(acc, 0, ly, terms)
-            if c:
-                self._axpy(acc, 0, log[c], ((0, 0),))
         return self._to_codes(acc)
 
     def divmod_codes(self, a, b) -> tuple[list[int], list[int]]:
@@ -538,6 +523,12 @@ class Field:
                 table += self.add_codes(table[-size:], itertools.repeat(g))
         return table
 
+    def translates(self, table, u: int, v: int) -> bool:
+        """Whether table[x + u] == table[x] + v at every code x, table being
+        a map's values in code order: one row of f(x + u) = f(x) + M(u)."""
+        shifted = self.add_codes(range(self.q), itertools.repeat(u))
+        return [table[x] for x in shifted] == self.add_codes(table, itertools.repeat(v))
+
     def sub_row(self, code: int, d: int, row: int) -> int:
         """Code of code - d * row for a digit 0 < d < p and a nonzero row:
         XOR at p = 2; at odd p one sum of logs for -d * row, one Zech lookup."""
@@ -577,6 +568,11 @@ class Field:
         """All q elements in ascending code order, index 0 zero, built afresh
         on each call: a scan of codes reads range(q) instead."""
         return tuple(map(Elt, itertools.repeat(self), range(self.q)))
+
+    def dlogs(self, codes) -> list[int]:
+        """dlog of each nonzero code in codes, in order, building no Elt."""
+        log = self._logs()[1]
+        return [log[c] for c in codes if c]
 
     def dlog(self, a: Elt) -> int:
         """Exponent m in [0, q-2] with primitive**m == a; a must be nonzero."""

@@ -2,14 +2,15 @@
 
 Coefficients are stored as element codes, constant-term first with no
 trailing zeros; the zero polynomial is the empty vector and reports degree
--1.  Inner loops run on codes, the hot ones (evaluation, division, products,
-shifts) as fused kernels of Field; Elt is the API boundary (constructors take
-Elt sequences, coeffs is a read-only Elt view).  Field.horner is the one
+-1.  Inner loops run on codes, the hot ones (evaluation, division and
+products) as fused kernels of Field; Elt is the API boundary (constructors
+take Elt sequences, coeffs is a read-only Elt view).  Field.horner is the one
 Horner kernel: values_at plans a vector of either kind once from its nonzero
 terms, and the bands F_i of P0(x+y) - P0(x) - P0(y) = sum_i F_i(y) x^i come
 on demand from the top index (shift_bands) as the terms they are planned
 from; shift_expand is their dense view.  Also Euclidean division and monic
-gcd, composition, interpolation by Newton's rule and the CLI's text grammar.
+gcd, composition (shift_arg composes with x + offset), interpolation by
+Newton's rule and the CLI's text grammar.
 """
 
 from __future__ import annotations
@@ -244,7 +245,7 @@ class Poly(CodeVector):
 
     def shift_arg(self, offset: Elt) -> "Poly":
         """self(x + offset)."""
-        return Poly._new(self.field, self.field.shift_codes(self.codes, self._code(offset)))
+        return self.compose(Poly.x(self.field) + offset)
 
     def __repr__(self):
         return f"Poly({self.field!r}, {poly_to_str(self)!r})"

@@ -46,9 +46,8 @@ def _field(p: int, n: int) -> Field:
 def _fields(pairs, max_q: int | None):
     """The fields GF(p^n) for (p, n) in pairs, skipping those above max_q."""
     for p, n in pairs:
-        field = _field(p, n)
-        if max_q is None or field.q <= max_q:
-            yield field
+        if max_q is None or p ** n <= max_q:
+            yield _field(p, n)
 
 
 def _random_poly(rng: random.Random, field: Field, max_deg: int,

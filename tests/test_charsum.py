@@ -345,6 +345,21 @@ def test_near_bound_transform_values_are_recomputed(monkeypatch):
     assert reports[4].value == skew[5]
 
 
+def test_bound_report_refuses_another_polynomials_decomposition():
+    """A decomposition passed in must be of poly folded modulo x^q - x:
+    another field's or another polynomial's is refused, and one built from
+    an equal copy of the folded input is taken, with the sum char_sum gives."""
+    poly, chi = parse_poly("x^4 + x", F9), MultChar(F9, 1)
+    for other in (parse_poly("x^3", Field(2, 3)), parse_poly("x^4", F9)):
+        with pytest.raises(PreconditionError, match="another polynomial"):
+            bound_report(poly, chi, decomposition=maximal_decomposition(other))
+    unfolded = parse_poly("x^12 + x", F9)  # x^12 is x^4 on GF(9)
+    report = bound_report(unfolded, chi, decomposition=maximal_decomposition(
+        parse_poly("x^4 + x", F9)))
+    assert abs(report.value - char_sum(poly, chi)) < TOL
+    assert report == bound_report(poly, chi)
+
+
 def test_values_argument_is_honoured_after_the_memo():
     """values that are not the polynomial's values give their own sum,
     flag and refusal, however the memo on the decomposition was built."""

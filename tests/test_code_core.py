@@ -1,8 +1,8 @@
 """The code-level polynomial core against an Elt schoolbook reference.
 
 Poly and LinearizedPoly hold element codes and run their loops through the
-field's code arithmetic: Horner scans, division, products and shifts through
-the fused log-domain kernels of Field, sums of code vectors and spans
+field's code arithmetic: Horner scans, division and products through the
+fused log-domain kernels of Field, sums of code vectors and spans
 through its addition kernels, the rest through Field.add/mul.  The
 reference below works on Elt objects instead, with textbook algorithms.  Its
 addition adds digit vectors mod p and its multiplication is Elt * (exp/log,
@@ -28,7 +28,8 @@ reach the one row kernel Field.sub_row, and the kernel path must finish
 with Field.from_code patched to raise; so must decomposition, the theorem
 value-set count, the permutation and involution certificates, the quotient
 criterion and translation_pp, with Elt.__init__ patched to raise as well,
-and a field builds three elements and caches none.  An interpolant is
+and so must the brute kernel oracle with Poly.shift_arg patched to raise
+too; a field builds three elements and caches none.  An interpolant is
 unique, so both interpolations are checked by their values at the nodes,
 read by the reference evaluators, and their degree bounds, and their
 refusals by repeated or dependent nodes.
@@ -45,7 +46,7 @@ import pytest
 from addix.analysis import (PPCertificate, construct_prescribed_cycles,
                             is_involution, is_permutation, quotient_pp_criterion,
                             translation_pp, value_set_size)
-from addix.decompose import decompose_with, maximal_decomposition
+from addix.decompose import additive_kernel, decompose_with, maximal_decomposition
 from addix.errors import PreconditionError
 from addix.field import Elt, Field
 from addix.field import is_prime
@@ -994,6 +995,29 @@ def test_structural_routes_build_no_elt(monkeypatch, field):
     monkeypatch.setattr(Field, "from_code", refuse)
     monkeypatch.setattr(Elt, "__init__", refuse)
     assert [route(*args) for (route, _), args in zip(cases, copies)] == expected
+
+
+@pytest.mark.parametrize("field", NO_ELT_FIELDS, ids=[repr(f) for f in NO_ELT_FIELDS])
+def test_brute_kernel_reads_the_value_table(monkeypatch, field):
+    """The brute kernel oracle tests its identity on the value table, on
+    codes: with Poly.shift_arg, Field.from_code and Elt.__init__ patched to
+    raise, it still gives the gcd route's kernel of a dense input of degree
+    above q, a structured one and a p-affine one."""
+    rng = random.Random(field.q + 15)
+    dense = Poly.from_codes(field, rand_codes(rng, field, field.q + 3) + [1])
+    sub, shaped = structured(rng, field, 2, 3)
+    affine = LinearizedPoly.from_codes(field, rand_codes(rng, field, field.n) + [1]).to_poly()
+    cases = [dense, shaped, affine + Poly.one(field)]
+    expected = [additive_kernel(poly, "gcd") for poly in cases]
+    assert expected[1] == sub and expected[2].is_full()
+
+    def refuse(*args):
+        raise AssertionError("Elt built or polynomial shifted")
+
+    monkeypatch.setattr(Poly, "shift_arg", refuse)
+    monkeypatch.setattr(Field, "from_code", refuse)
+    monkeypatch.setattr(Elt, "__init__", refuse)
+    assert [additive_kernel(poly, "brute") for poly in cases] == expected
 
 
 def test_field_builds_three_elts_and_keeps_no_cache(monkeypatch):

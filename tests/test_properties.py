@@ -22,13 +22,16 @@ both sides, has an inverse_pp that round-trips in both orders at every
 point and keeps its additive index.  The fused code kernels of Field are
 checked against Elt schoolbook references on drawn inputs: Horner on
 sparse terms with gaps of any size and no constant term, as every band
-has, against the sum of c * x^e, and the product, division, shift,
-pairwise sum, span and row kernel against their digit-vector and Elt
-counterparts.  Every report of a character sweep over a drawn input is
-char_sum's oracle sum within the profile's stated FFT margin and at most
-the additive bound plus that margin, and the spectrum from the cached
-transform plan equals, bit for bit, a Bluestein spectrum computed afresh
-with nothing cached, on the input's histogram and on a drawn one.
+has, against the sum of c * x^e, and the product, division, pairwise sum,
+span and row kernel against their digit-vector and Elt counterparts.  The
+brute kernel oracle, which tests its identity row by row on the value
+table, keeps exactly the y at which the polynomial identity holds once
+expanded by shift_arg, on inputs of degree >= q and p-affine ones too.
+Every report of a character sweep over a drawn input is char_sum's oracle
+sum within the profile's stated FFT margin and at most the additive bound
+plus that margin, and the spectrum from the cached transform plan equals,
+bit for bit, a Bluestein spectrum computed afresh with nothing cached, on
+the input's histogram and on a drawn one.
 
 The examples come from the profile that tests/conftest.py loads: the
 derandomized tier1 by default, so tier-1 sees the same examples every time;
@@ -48,11 +51,11 @@ from addix.analysis import inverse_pp, is_permutation, round_trips
 from addix.charsum import MultChar, bound_report, char_sum
 from addix.decompose import additive_index, additive_kernel, maximal_decomposition
 from addix.field import Field, is_prime
-from addix.linearized import (LinearizedPoly, Subspace, complement, kernel,
-                              restricted_kernel, vanishing_poly)
+from addix.linearized import (LinearizedPoly, Subspace, complement, is_linearized,
+                              kernel, restricted_kernel, vanishing_poly)
 from addix.poly import Poly, parse_poly, poly_to_str, reduce_mod_xq_minus_x, shift_expand
-from test_code_core import (add, from_digits, neg, ref_compose, ref_divmod, ref_echelon,
-                            ref_mul, ref_reduce, trim)
+from test_code_core import (add, from_digits, neg, ref_divmod, ref_echelon, ref_mul,
+                            ref_reduce)
 
 FIELDS = [Field(p, n) for p in range(2, 65) if is_prime(p)
           for n in range(1, 7) if p ** n <= 64]
@@ -110,6 +113,39 @@ def test_kernel_and_decomposition_properties(field, data):
     assert dec.values == list(dec.poly.values())
     assert is_permutation(poly).is_pp == is_permutation(poly, "brute").is_pp
     assert parse_poly(poly_to_str(poly), field) == poly
+
+
+@st.composite
+def kernel_inputs(draw, field):
+    """One of inputs(field), a dense polynomial of degree q to q + 8, or a
+    p-affine one, sum c_i x^(p^i) for i <= n plus a constant, so that the
+    fold modulo x^q - x is reached at every field and full kernels occur."""
+    codes, nonzero = st.integers(0, field.q - 1), st.integers(1, field.q - 1)
+    kind = draw(st.sampled_from(["inputs", "dense", "affine"]))
+    if kind == "inputs":
+        return draw(inputs(field))
+    if kind == "dense":
+        return Poly.from_codes(field, draw(st.lists(codes, min_size=field.q, max_size=field.q + 8))
+                               + [draw(nonzero)])
+    linear = LinearizedPoly.from_codes(field, draw(st.lists(codes, max_size=field.n))
+                                       + [draw(nonzero)])
+    return linear.to_poly() + Poly.from_codes(field, [draw(codes)])
+
+
+@EACH_FIELD
+@given(data=st.data())
+def test_brute_kernel_is_the_polynomial_identity(field, data):
+    """The value-table oracle keeps exactly the y at which the polynomial
+    identity P0(x + y) = P0(x) + P0(y) holds, P0 being the input folded
+    modulo x^q - x less its constant term, expanded here by shift_arg."""
+    poly = data.draw(kernel_inputs(field))
+    reduced = reduce_mod_xq_minus_x(poly)
+    p0 = reduced - Poly.constant(field, reduced.constant_term())
+    expected = Subspace(field, [y for y in field.elements()
+                                if p0.shift_arg(y) == p0 + Poly.constant(field, p0.eval(y))])
+    assert additive_kernel(poly, "brute") == expected
+    if is_linearized(p0) is not None:
+        assert expected.is_full()
 
 
 @EACH_FIELD
@@ -214,8 +250,8 @@ def test_horner_matches_schoolbook_sum(field, data):
 @EACH_FIELD
 @given(data=st.data())
 def test_code_kernels_match_elt_references(field, data):
-    """The product, division and shift rows, the pairwise sum, the span
-    and the elimination's row kernel against the Elt references of
+    """The product and division rows, the pairwise sum, the span and the
+    elimination's row kernel against the Elt references of
     tests/test_code_core.py: schoolbook rows on Elt, digit-vector sums."""
     codes, nonzero = st.integers(0, field.q - 1), st.integers(1, field.q - 1)
     elt = field.from_code
@@ -229,8 +265,6 @@ def test_code_kernels_match_elt_references(field, data):
     if b:
         quo, rem = field.divmod_codes(a, b)
         assert ([elt(c) for c in quo], [elt(c) for c in rem]) == ref_divmod(field, ac, bc)
-    y = data.draw(codes)
-    assert trim(map(elt, field.shift_codes(a, y))) == ref_compose(field, ac, [elt(y), field.one])
     xs, ys = data.draw(st.lists(codes, max_size=8)), data.draw(st.lists(codes, max_size=8))
     assert field.add_codes(xs, ys) == [add(elt(x), elt(y)).code for x, y in zip(xs, ys)]
     gens = data.draw(st.lists(codes, max_size=field.n))
