@@ -24,14 +24,6 @@ from .linearized import (LinearizedPoly, Subspace, compose_quotient,
 from .poly import Poly, lagrange_interpolate
 
 
-def _same_field(first, *others) -> Field:
-    """The field all operands share; the scans below read bare codes."""
-    field = first.field
-    if any(o.field is not field and o.field != field for o in others):
-        raise PreconditionError("operands belong to different fields")
-    return field
-
-
 # ---------------------------------------------------------------------------
 # Value sets
 
@@ -173,7 +165,7 @@ def quotient_pp_criterion(outer: Poly, base: LinearizedPoly,
     base (gcd(base, linear_part) = x) and y -> base(outer(y)) + N(y) is
     injective on base's image, where N o base = base o linear_part.
     """
-    field = _same_field(base, linear_part, outer)
+    field = base.field.owns(linear_part, outer)
     ker = require_splitting_monic(base)
     try:
         quotient_map = compose_quotient(base.compose(linear_part), base)
@@ -225,7 +217,7 @@ def inverse_pp(poly: Poly) -> Poly:
 def round_trips(f: Poly, g: Poly) -> bool:
     """Brute check that f(g(y)) == y at every field element y: f's values
     are tabulated once and g's scanned up to the first miss."""
-    _same_field(f, g)
+    f.field.owns(g)
     table = list(f.values())
     return all(table[v] == y for y, v in enumerate(g.values()))
 
@@ -262,7 +254,7 @@ def translation_pp(base: LinearizedPoly, outer: Poly) -> tuple[Poly, Counter]:
     then the permutation has t * deg(base) fixed points for t the number of
     image-set roots of outer, and all other cycles have length p.
     """
-    field = _same_field(base, outer)
+    field = base.field.owns(outer)
     require_splitting_monic(base)
     values = list(outer.values_at(image_codes(base)))
     if any(base.values_at(values)):
@@ -369,7 +361,7 @@ def _translator_values(spec: TranslatorSpec) -> list[int] | None:
     """Codes of g's values in code order when spec passes the exhaustive
     translator check over field x subspace (plus the closed-form shape for
     the named kinds), else None."""
-    field = _same_field(spec.g, spec.subspace, spec.translate)
+    field = spec.g.field.owns(spec.subspace, spec.translate)
     codes = field.span_codes(spec.subspace.rows)  # u = 0 first
     values = list(spec.g.values())
     if spec.kind == "general":
@@ -381,7 +373,7 @@ def _translator_values(spec: TranslatorSpec) -> list[int] | None:
     if spec.kind in ("b_linear", "frobenius"):
         if spec.gamma is None or spec.scale is None:
             raise PreconditionError(f"{spec.kind} kind needs gamma and scale")
-        _same_field(spec.g, spec.gamma, spec.scale)
+        field.owns(spec.gamma, spec.scale)
         # b_linear is the Frobenius shape at power p^0
         pi = field.p ** (spec.frob_power % field.n) if spec.kind == "frobenius" else 1
         factor = field.mul(field.pow(spec.gamma.code, -pi), spec.scale.code)
@@ -414,7 +406,7 @@ def translator_pp(spec: TranslatorSpec, adjust: Poly) -> tuple[bool, bool]:
     Requires g onto the subspace, adjust mapping the subspace into itself,
     and the spec to pass is_linear_translator.
     """
-    field = _same_field(spec.g, adjust)
+    field = spec.g.field.owns(adjust)
     g_values = _translator_values(spec)
     if g_values is None:
         raise PreconditionError("spec is not a linear translator")

@@ -68,9 +68,7 @@ class MultChar:
         return self._roots
 
     def __call__(self, a: Elt) -> complex:
-        if a.field is not self.field and a.field != self.field:
-            raise PreconditionError("element belongs to a different field")
-        if a.code == 0:
+        if not self.field.code(a):
             return 0j
         return self._root_table()[self.field.dlog(a)]
 
@@ -290,6 +288,8 @@ def _value_profile(field: Field, dec, values) -> _ValueProfile:
     table, dec.values, whose codes go through Field.dlogs; given values go
     through Field.dlog, which refuses another field's)."""
     key = None if values is None else tuple(values)
+    if key is not None and len(key) != field.q:
+        raise PreconditionError(f"values must list q = {field.q} elements, got {len(key)}")
     profile = dec.__dict__.get("_value_profile")
     if profile is None or profile.key != key:
         hist = [0] * (field.q - 1)
@@ -312,15 +312,14 @@ def bound_report(poly: Poly, chi: MultChar, *, decomposition=None,
     A decomposition passed in must be poly's, or PreconditionError is
     raised; it carries the value profile from report to report, so a sweep
     over every character takes one transform.  values, when given, stands
-    in for the polynomial's values (elements) and the profile follows it.
+    in for the polynomial's values (exactly q elements, else
+    PreconditionError) and the profile follows it.
     The measured sum must respect the additive bound or InvariantViolation
     is raised with the counterexample.
     """
     if chi.is_trivial():
         raise PreconditionError("bound report needs a nontrivial character")
-    field = poly.field
-    if chi.field is not field and chi.field != field:
-        raise PreconditionError("character and polynomial belong to different fields")
+    field = poly.field.owns(chi)
     dec = decomposition if decomposition is not None else maximal_decomposition(poly)
     if not dec.decomposes(poly):
         raise PreconditionError("decomposition belongs to another polynomial")

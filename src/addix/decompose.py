@@ -6,11 +6,13 @@ how far S falls short of x^q - x: deg(S) = p^(n - index).  The roots of S,
 the additive kernel V, are the common zeros of the shift-expansion bands,
 read by F_p-linear algebra: from the whole field, each band from the top
 index down cuts the subspace so far to its kernel there, on which the bands
-above make it linear, and S is the vanishing polynomial of what is left.
-The bands come from poly.shift_bands on demand, as terms planned straight
-into Field.horner at the subspace's rows, until the subspace is {0}.  outer
-and linear_part are read off the digits of P - P(0) in base S.  gcd_degree
-is read off the cached kernel V of S and image linear_part(V) by rank-nullity.
+above make it linear.  The walk returns V alone, all that additive_kernel
+reads; maximal_decomposition builds S from it once, and decompose_with reads
+that decomposition.  The bands come from poly.shift_bands on demand, as
+terms planned straight into Field.horner at the subspace's rows, until the
+subspace is {0}.  outer and linear_part are read off the digits of P - P(0)
+in base S.  gcd_degree is read off the cached kernel V of S and image
+linear_part(V) by rank-nullity.
 Also carries the classical multiplicative index for bound comparisons.  Inputs
 of degree >= q are folded modulo x^q - x (reduce_mod_xq_minus_x) before kernel
 computations, so the identity reported is for the reduced polynomial.
@@ -99,9 +101,9 @@ class PartialDecomposition:
     remainder: Poly | None
 
 
-def _maximal_subspace_poly(poly: Poly) -> tuple[LinearizedPoly, Subspace]:
-    """Subspace polynomial and kernel V for an input already folded below
-    degree q, by restricting the field band by band from the top index.
+def _maximal_kernel(poly: Poly) -> Subspace:
+    """The additive kernel V of an input already folded below degree q, by
+    restricting the field band by band from the top index.
 
     V is the common zero set of the bands F_i.  Their cocycle identity,
     F_i(y + z) - F_i(y) - F_i(z) = sum over j > i of C(j, i) F_j(z) y^(j-i),
@@ -124,9 +126,7 @@ def _maximal_subspace_poly(poly: Poly) -> tuple[LinearizedPoly, Subspace]:
                 ker = restricted_kernel(ker, values)
         if not ker.dim:
             break
-    if ker.is_full():
-        return xq_minus_x_linearized(field), ker
-    return vanishing_poly(ker), ker
+    return ker
 
 
 def additive_kernel(poly: Poly, method: str = "gcd") -> Subspace:
@@ -143,7 +143,7 @@ def additive_kernel(poly: Poly, method: str = "gcd") -> Subspace:
         raise PreconditionError("additive kernel needs degree >= 1")
     poly = reduce_mod_xq_minus_x(poly)
     if method == "gcd":
-        return _maximal_subspace_poly(poly)[1]
+        return _maximal_kernel(poly)
     if method != "brute":
         raise PreconditionError(f"unknown method {method!r}")
     field = poly.field
@@ -199,7 +199,8 @@ def maximal_decomposition(poly: Poly) -> AdditiveDecomposition:
     # reference cycle, and its q-entry value table would wait for the cyclic
     # collector instead of going with the last reference to poly
     reduced = Poly._new(field, reduce_mod_xq_minus_x(poly).codes)
-    sub_poly, ker = _maximal_subspace_poly(reduced)
+    ker = _maximal_kernel(reduced)
+    sub_poly = xq_minus_x_linearized(field) if ker.is_full() else vanishing_poly(ker)
     outer, linear_part = _split(reduced, sub_poly.to_poly())
     dec = AdditiveDecomposition(
         poly=reduced,
@@ -221,12 +222,11 @@ def decompose_with(poly: Poly, base: LinearizedPoly) -> PartialDecomposition:
         raise PreconditionError("decomposition needs degree >= 1")
     require_splitting_monic(base)
     base_poly = base.to_poly()
-    poly = reduce_mod_xq_minus_x(poly)
-    maximal, _ = _maximal_subspace_poly(poly)
-    remainder = maximal.to_poly() % base_poly
+    dec = maximal_decomposition(poly)
+    remainder = dec.subspace_poly.to_poly() % base_poly
     if not remainder.is_zero():
         return PartialDecomposition(False, None, None, remainder)
-    outer, linear_part = _split(poly, base_poly)
+    outer, linear_part = _split(dec.poly, base_poly)
     return PartialDecomposition(True, outer, linear_part, Poly.zero(poly.field))
 
 

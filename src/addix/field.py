@@ -24,10 +24,13 @@ F_p-digit vectors, so at p = 2 their sum is XOR; that choice is made here
 and nowhere else, and odd p keeps the Zech rule inlined.
 Polynomials, subspaces and internal results hold codes; Elt is the API
 boundary, built only where a caller reads elements, and its operators
-delegate here.  There is no element cache: a field builds zero, one and its
-primitive element, and from_code a fresh Elt.  The _fp_* helpers on plain
-coefficient lists are the one F_p[x] arithmetic: they validate and select
-the modulus, find the primitive element and build the exp table.
+delegate here.  owns and code are the one same-field rule: owns refuses an
+operand over another field, by identity first and equality after, and code
+unwraps an element of this field.  There is no element cache: a field builds
+zero, one and its primitive element, and from_code a fresh Elt.  The _fp_*
+helpers on plain coefficient lists are the one F_p[x] arithmetic: they
+validate and select the modulus, find the primitive element and build the
+exp table.
 """
 
 from __future__ import annotations
@@ -186,8 +189,8 @@ class Elt:
 
     def _coerce(self, other):
         if isinstance(other, Elt):
-            if other.field is not self.field and other.field != self.field:
-                raise PreconditionError("operands belong to different fields")
+            if other.field is not self.field:
+                self.field.owns(other)
             return other
         if isinstance(other, int):
             return self.field.from_int(other)
@@ -576,13 +579,28 @@ class Field:
 
     def dlog(self, a: Elt) -> int:
         """Exponent m in [0, q-2] with primitive**m == a; a must be nonzero."""
-        if a.field is not self and a.field != self:
-            raise PreconditionError("element belongs to a different field")
-        if a.code == 0:
+        code = self.code(a)
+        if code == 0:
             raise PreconditionError("discrete log of zero is undefined")
         if self._exp is None:
             self._ensure_tables()
-        return self._log[a.code]
+        return self._log[code]
+
+    # -- the same-field rule
+
+    def owns(self, *operands) -> "Field":
+        """This field; PreconditionError unless each operand's field is this
+        one, by identity first and equality after."""
+        for o in operands:
+            if o.field is not self and o.field != self:
+                raise PreconditionError("operands belong to different fields")
+        return self
+
+    def code(self, e: Elt) -> int:
+        """The code of e, which owns checks is an element of this field."""
+        if e.field is not self:
+            self.owns(e)
+        return e.code
 
     def __eq__(self, other):
         if isinstance(other, Field):

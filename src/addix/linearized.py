@@ -75,7 +75,7 @@ class LinearizedPoly(CodeVector):
         return ((p ** i, c) for i, c in enumerate(self.codes))
 
     def eval(self, point: Elt) -> Elt:
-        return Elt(self.field, next(self.values_at((self._code(point),))))
+        return Elt(self.field, next(self.values_at((self.field.code(point),))))
 
     def values(self) -> list[int]:
         """Codes of self at every field element, in code order, by linearity:
@@ -181,7 +181,7 @@ class Subspace:
     def __init__(self, field: Field, generators=()):
         """Span of the generators; a dependent one is skipped."""
         self.field = field
-        self._span(map(self._code, generators))
+        self._span(map(field.code, generators))
 
     @classmethod
     def _from_codes(cls, field: Field, codes) -> "Subspace":
@@ -225,18 +225,13 @@ class Subspace:
     def is_full(self) -> bool:
         return self.dim == self.field.n
 
-    def _code(self, v: Elt) -> int:
-        if v.field is not self.field and v.field != self.field:
-            raise PreconditionError("element belongs to a different field")
-        return v.code
-
     def reduce(self, v: Elt) -> Elt:
         """Canonical representative of v + self (pivot digits cleared)."""
         return self.field.from_code(self.coset_key(v))
 
     def coset_key(self, v: Elt) -> int:
         rows = list(zip(self._pivots, self._rows, itertools.repeat(0)))
-        return _eliminate(self.field, [(self._code(v), 0)], rows)[0][0]
+        return _eliminate(self.field, [(self.field.code(v), 0)], rows)[0][0]
 
     def coset_keys(self, codes) -> list[int]:
         """The coset_key of each code in codes, a list or set, in its order.
@@ -432,8 +427,7 @@ def linearized_interpolate(field: Field, pairs) -> LinearizedPoly:
     u, and V(u) is zero exactly when u is in that span.
     """
     pts = list(pairs)
-    if any(e.field != field for pair in pts for e in pair):
-        raise PreconditionError("interpolation pairs belong to a different field")
+    field.owns(*(e for pair in pts for e in pair))
     acc = LinearizedPoly._new(field, ())
     vanish = LinearizedPoly.identity(field)
     for u, w in pts:
@@ -447,9 +441,7 @@ def linearized_interpolate(field: Field, pairs) -> LinearizedPoly:
 
 def subspace_image(linmap: LinearizedPoly, subspace: Subspace) -> Subspace:
     """Image of the subspace under the linear map: its basis, mapped in one scan."""
-    field = subspace.field
-    if linmap.field is not field and linmap.field != field:
-        raise PreconditionError("operands belong to different fields")
+    field = subspace.field.owns(linmap)
     return Subspace._from_codes(field, linmap.values_at(subspace._rows))
 
 

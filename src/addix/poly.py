@@ -32,7 +32,7 @@ class CodeVector:
 
     def __init__(self, field: Field, coeffs=()):
         self.field = field
-        self._set(field, [self._code(c) for c in coeffs])
+        self._set(field, list(map(field.code, coeffs)))
 
     def _set(self, field, codes):
         end = len(codes)
@@ -64,17 +64,12 @@ class CodeVector:
     def is_zero(self) -> bool:
         return not self.codes
 
-    def _code(self, e: Elt) -> int:
-        if e.field is not self.field and e.field != self.field:
-            raise PreconditionError("operands belong to different fields")
-        return e.code
-
     def _operand(self, other):
         """Codes of a same-kind operand over the same field, or None."""
         if not isinstance(other, type(self)):
             return None
-        if self.field is not other.field and self.field != other.field:
-            raise PreconditionError("polynomials over different fields")
+        if other.field is not self.field:
+            self.field.owns(other)
         return other.codes
 
     def __add__(self, other):
@@ -97,7 +92,7 @@ class CodeVector:
 
     def scale(self, k: Elt):
         """Every coefficient times k."""
-        mul, k = self.field.mul, self._code(k)
+        mul, k = self.field.mul, self.field.code(k)
         return self._new(self.field, [mul(c, k) for c in self.codes])
 
     def __eq__(self, other):
@@ -172,7 +167,7 @@ class Poly(CodeVector):
 
     def _operand(self, other):
         if isinstance(other, Elt):
-            return (self._code(other),)
+            return (self.field.code(other),)
         return super()._operand(other)
 
     # -- ring operations
@@ -225,7 +220,7 @@ class Poly(CodeVector):
         return enumerate(self.codes)
 
     def eval(self, point: Elt) -> Elt:
-        return Elt(self.field, next(self.values_at((self._code(point),))))
+        return Elt(self.field, next(self.values_at((self.field.code(point),))))
 
     def values(self):
         """Codes of self at every field element, in code order (lazy)."""
@@ -347,8 +342,7 @@ def lagrange_interpolate(field: Field, points) -> Poly:
     pts = list(points)
     if not pts:
         raise PreconditionError("interpolation needs at least one point")
-    if any(e.field is not field and e.field != field for pair in pts for e in pair):
-        raise PreconditionError("operands belong to different fields")
+    field.owns(*(e for pair in pts for e in pair))
     acc, w = Poly.zero(field), Poly.one(field)
     for xv, yv in pts:
         wx = w.eval(xv)

@@ -386,3 +386,14 @@ def test_values_argument_is_honoured_after_the_memo():
                             values=constant).weil_applicable
     with pytest.raises(PreconditionError):
         bound_report(poly, chars[0], decomposition=dec, values=own + [F9.one])
+
+
+def test_values_argument_must_list_q_values():
+    """values stands in for one value per field element: a prefix or a
+    repetition of the q values is refused, not summed into another |S|."""
+    poly, chi = parse_poly("x^3 + x", F16), MultChar(F16, 1)
+    own = [F16.from_code(c) for c in poly.values()]
+    assert bound_report(poly, chi, values=own).magnitude == pytest.approx(4.0)
+    for values in (own[:5], own * 3, []):
+        with pytest.raises(PreconditionError, match="q = 16 elements"):
+            bound_report(poly, chi, values=values)

@@ -97,7 +97,7 @@ def test_one_decomposition_per_polynomial(capsys, monkeypatch):
     parsed polynomial, so its subspace polynomial, the kernel's coset
     representatives and the image subspace are each found once."""
     calls = Counter()
-    for name in ("_maximal_subspace_poly", "coset_reps", "subspace_image"):
+    for name in ("_maximal_kernel", "coset_reps", "subspace_image"):
         def counted(*args, _name=name, _inner=getattr(decompose, name)):
             calls[_name] += 1
             return _inner(*args)
@@ -109,7 +109,7 @@ def test_one_decomposition_per_polynomial(capsys, monkeypatch):
             code, record = run_json(capsys, verb, "--field", "2^8",
                                     "--poly", poly, *extra)
             assert code == 0 and record
-            assert calls == {"_maximal_subspace_poly": 1, "coset_reps": 1,
+            assert calls == {"_maximal_kernel": 1, "coset_reps": 1,
                              "subspace_image": 1}, (poly, verb)
 
 

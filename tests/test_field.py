@@ -4,9 +4,14 @@ import threading
 
 import pytest
 
+from addix.analysis import (TranslatorSpec, is_linear_translator,
+                            quotient_pp_criterion, round_trips, translation_pp,
+                            translator_pp)
+from addix.charsum import MultChar, bound_report
 from addix.errors import ParseError, PreconditionError
 from addix.field import Field, is_prime, parse_field_spec, prime_factors
-from addix.poly import Poly
+from addix.linearized import LinearizedPoly, Subspace, linearized_interpolate, subspace_image
+from addix.poly import Poly, lagrange_interpolate
 
 
 def naive_irreducible(coeffs, p):
@@ -136,6 +141,63 @@ def test_mixed_field_operands_rejected():
     f8 = Field(2, 3)
     with pytest.raises(PreconditionError):
         f4.one + f8.one
+
+
+HOME, AWAY = Field(2, 4), Field(3, 2)
+_x, _fx = Poly.x(HOME), Poly.x(AWAY)
+_lin, _flin = LinearizedPoly.from_codes(HOME, [1, 1]), LinearizedPoly.identity(AWAY)
+_spec = TranslatorSpec(g=_lin.to_poly(), subspace=Subspace(HOME, [HOME.one]),
+                       translate=LinearizedPoly.from_codes(HOME, []))
+_away = AWAY.primitive
+
+# every entry point that takes a caller's operand, given one over AWAY
+FOREIGN = {
+    "Elt.__add__": lambda: HOME.one + _away,
+    "Poly(...)": lambda: Poly(HOME, [HOME.one, _away]),
+    "Poly.scale": lambda: _x.scale(_away),
+    "Poly.eval": lambda: _x.eval(_away),
+    "LinearizedPoly.eval": lambda: _lin.eval(_away),
+    "Subspace(...)": lambda: Subspace(HOME, [_away]),
+    "Subspace.contains": lambda: Subspace.full(HOME).contains(_away),
+    "Field.dlog": lambda: HOME.dlog(_away),
+    "MultChar.__call__": lambda: MultChar(HOME, 1)(_away),
+    "Poly.__add__": lambda: _x + _fx,
+    "Poly.__add__ elt": lambda: _x + _away,
+    "Poly.__mul__": lambda: _x * _fx,
+    "Poly.__divmod__": lambda: divmod(_x, _fx),
+    "Poly.compose": lambda: _x.compose(_fx),
+    "LinearizedPoly.compose": lambda: _lin.compose(_flin),
+    "subspace_image": lambda: subspace_image(_flin, Subspace.full(HOME)),
+    "round_trips": lambda: round_trips(_x, _fx),
+    "quotient_pp_criterion": lambda: quotient_pp_criterion(_fx, _lin, _lin),
+    "translation_pp": lambda: translation_pp(_lin, _fx),
+    "is_linear_translator": lambda: is_linear_translator(
+        TranslatorSpec(g=_x, subspace=Subspace.full(AWAY), translate=_lin)),
+    "translator gamma": lambda: is_linear_translator(
+        TranslatorSpec(g=_x, subspace=Subspace.full(HOME), translate=_lin,
+                       kind="b_linear", gamma=_away, scale=HOME.one)),
+    "translator_pp": lambda: translator_pp(_spec, _fx),
+    "lagrange_interpolate": lambda: lagrange_interpolate(HOME, [(HOME.one, _away)]),
+    "linearized_interpolate": lambda: linearized_interpolate(HOME, [(_away, HOME.one)]),
+    "bound_report": lambda: bound_report(_x ** 3, MultChar(AWAY, 1)),
+    "bound_report values": lambda: bound_report(
+        _x ** 3, MultChar(HOME, 1), values=[HOME.one] * (HOME.q - 1) + [_away]),
+}
+
+
+@pytest.mark.parametrize("entry", FOREIGN)
+def test_foreign_operands_refused_with_the_one_message(entry):
+    """Field.owns is the one same-field rule, so each entry point refuses
+    an operand over another field with the same message."""
+    with pytest.raises(PreconditionError) as info:
+        FOREIGN[entry]()
+    assert str(info.value) == "operands belong to different fields"
+
+
+def test_owns_accepts_an_equal_field():
+    twin = Field(2, 4)
+    assert twin is not HOME and HOME.owns(Poly.x(twin), twin.one) is HOME
+    assert HOME.code(twin.primitive) == HOME.primitive.code
 
 
 def test_enumeration_order():
