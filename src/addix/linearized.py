@@ -427,7 +427,8 @@ def linearized_interpolate(field: Field, pairs) -> LinearizedPoly:
     u, and V(u) is zero exactly when u is in that span.
     """
     pts = list(pairs)
-    field.owns(*(e for pair in pts for e in pair))
+    for pair in pts:
+        field.owns(*pair)
     acc = LinearizedPoly._new(field, ())
     vanish = LinearizedPoly.identity(field)
     for u, w in pts:

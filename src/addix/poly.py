@@ -342,7 +342,8 @@ def lagrange_interpolate(field: Field, points) -> Poly:
     pts = list(points)
     if not pts:
         raise PreconditionError("interpolation needs at least one point")
-    field.owns(*(e for pair in pts for e in pair))
+    for pair in pts:
+        field.owns(*pair)
     acc, w = Poly.zero(field), Poly.one(field)
     for xv, yv in pts:
         wx = w.eval(xv)
