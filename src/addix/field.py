@@ -29,8 +29,8 @@ operand over another field, by identity first and equality after, and code
 unwraps an element of this field.  There is no element cache: a field builds
 zero, one and its primitive element, and from_code a fresh Elt.  The _fp_*
 helpers on plain coefficient lists are the one F_p[x] arithmetic: they
-validate and select the modulus, find the primitive element and build the
-exp table.
+validate and select the modulus, find the primitive element and give the n
+columns g * x^i of the map a -> g * a, from which the tables are read.
 """
 
 from __future__ import annotations
@@ -95,9 +95,21 @@ def _digits(code: int, p: int, n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _digit_shift(c: int, p: int, k: int) -> list[int]:
+    """Codes of x + c, digit by digit mod p, at each code x below p^k: p
+    blocks of the entries below p^i, digit i set to (j + c_i) mod p in
+    block j."""
+    out = [0]
+    for i, d in enumerate(_digits(c, p, k)):
+        unit = p ** i
+        out = [t + (j + d) % p * unit for j in range(p) for t in out]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # F_p[x] on plain int lists (ascending coefficients): the one F_p[x]/(m)
-# arithmetic, behind the modulus, the primitive element and the exp table.
+# arithmetic, behind the modulus, the primitive element and the columns of
+# the map a -> g * a.
 
 def _fp_trim(a: list[int]) -> list[int]:
     while a and a[-1] == 0:
@@ -327,27 +339,40 @@ class Field:
         raise PreconditionError("no primitive element found")  # unreachable
 
     def _ensure_tables(self):
-        """Build exp, log and Zech tables on first use.  _exp is assigned
-        last: readers test it without the lock."""
+        """Build exp, log and Zech tables on first use.  a -> g * a is
+        F_p-linear on digit vectors, so its table T is the F_p-span of the
+        columns g * x^i in span_codes' layout, each block one column added
+        by _digit_shift tables of the low h and high n - h digits; exp is
+        the walk from 1 by T and log its inverse.  _exp is assigned last:
+        readers test it without the lock."""
         if self._exp is not None:
             return
         with self._lock:
             if self._exp is not None:
                 return
-            q, p = self.q, self.p
+            q, p, n = self.q, self.p, self.n
             mod = list(self.modulus)
             g = _fp_trim(list(self.primitive.coeffs))
+            h = n // 2
+            split = p ** h
+            table = [0]
+            for i in range(n):
+                column = _fp_mod(_fp_mul([0] * i + [1], g, p), mod, p)  # g * x^i
+                column = sum(c * p ** j for j, c in enumerate(column))
+                low = _digit_shift(column % split, p, h)
+                high = [split * c for c in _digit_shift(column // split, p, n - h)]
+                size = len(table)
+                for _ in range(p - 1):
+                    table += [low[a % split] + high[a // split] for a in table[-size:]]
             exp = [0] * (q - 1)
             log = [0] * q
             log[0] = -1
-            acc = [1]
+            code = 1
             for m in range(q - 1):
-                code = 0
-                for c in reversed(acc):
-                    code = code * p + c
                 exp[m] = code
                 log[code] = m
-                acc = _fp_mod(_fp_mul(acc, g, p), mod, p)
+                code = table[code]
+            del table
             # 1 + g^m adds 1 to the constant digit; log[0] = -1 marks 1 + g^m = 0
             zech = [log[c - c % p + (c + 1) % p] for c in exp]
             self._log = log
@@ -597,9 +622,17 @@ class Field:
         return self
 
     def code(self, e: Elt) -> int:
-        """The code of e, which owns checks is an element of this field."""
-        if e.field is not self:
-            self.owns(e)
+        """The code of e, which owns checks is an element of this field.
+        A non-Elt is refused, not coerced: an int k is code k as a code
+        and k mod p as a prime-subfield scalar."""
+        try:
+            if e.field is self:
+                return e.code
+        except AttributeError:
+            pass
+        if not isinstance(e, Elt):
+            raise PreconditionError(f"expected an element of {self!r}, got {type(e).__name__}")
+        self.owns(e)
         return e.code
 
     def __eq__(self, other):

@@ -9,7 +9,7 @@ from addix.analysis import (TranslatorSpec, is_linear_translator,
                             translator_pp)
 from addix.charsum import MultChar, bound_report
 from addix.errors import ParseError, PreconditionError
-from addix.field import Field, is_prime, parse_field_spec, prime_factors
+from addix.field import Field, _fp_mod, _fp_mul, _fp_trim, is_prime, parse_field_spec, prime_factors
 from addix.linearized import LinearizedPoly, Subspace, linearized_interpolate, subspace_image
 from addix.poly import Poly, lagrange_interpolate
 
@@ -258,6 +258,72 @@ def test_tables_match_schoolbook_arithmetic(p, n):
         assert field._exp[m] == code_of(acc, p)
         assert field._log[field._exp[m]] == m
         acc = schoolbook_mulmod(acc, g, mod, p)
+
+
+def ref_tables(field):
+    """(exp, log, Zech) by one product of F_p-coefficient lists per power of
+    g, each reduced by the modulus: the table build that multiplication by
+    g as one linear map replaced."""
+    q, p = field.q, field.p
+    mod = list(field.modulus)
+    g = _fp_trim(list(field.primitive.coeffs))
+    exp = [0] * (q - 1)
+    log = [0] * q
+    log[0] = -1
+    acc = [1]
+    for m in range(q - 1):
+        code = 0
+        for c in reversed(acc):
+            code = code * p + c
+        exp[m] = code
+        log[code] = m
+        acc = _fp_mod(_fp_mul(acc, g, p), mod, p)
+    zech = [log[c - c % p + (c + 1) % p] for c in exp]
+    return exp, log, zech
+
+
+# supplied moduli other than the default, one field each for p = 2, 3, 5
+OTHER_MODULI = ["2^4/1,0,0,1,1", "2^8/1,0,1,1,1,0,0,0,1", "3^3/1,0,2,1", "5^2/3,0,1"]
+TABLE_FIELDS = ([f"{p}^{n}" for p, n in field_specs_up_to(1 << 12) if n >= 2]
+                + [str(p) for p in range(2, 256) if is_prime(p)]
+                + ["2^16", "3^10"] + OTHER_MODULI)
+
+
+@pytest.mark.parametrize("spec", TABLE_FIELDS)
+def test_tables_equal_the_product_loop(spec):
+    """The tables read off the map a -> g * a are, entry for entry, those of
+    one coefficient-list product per power of g."""
+    field = parse_field_spec(spec)
+    field._ensure_tables()
+    assert (field._exp, field._log, field._zech) == ref_tables(field)
+
+
+@pytest.mark.parametrize("spec", OTHER_MODULI)
+def test_other_moduli_are_not_the_default(spec):
+    field = parse_field_spec(spec)
+    assert field.modulus != Field(field.p, field.n).modulus
+
+
+INT_OPERANDS = {
+    "Poly(...)": lambda: Poly(HOME, [1, 1]),
+    "Subspace(...)": lambda: Subspace(HOME, [3]),
+    "Poly.eval": lambda: _x.eval(3),
+    "Poly.scale": lambda: _x.scale(3),
+    "LinearizedPoly.eval": lambda: _lin.eval(3),
+    "Subspace.contains": lambda: Subspace.full(HOME).contains(3),
+    "Field.dlog": lambda: HOME.dlog(3),
+    "MultChar.__call__": lambda: MultChar(HOME, 1)(3),
+}
+
+
+@pytest.mark.parametrize("entry", INT_OPERANDS)
+def test_int_operands_refused_by_name(entry):
+    """Field.code refuses anything but an Elt and names its type: an int
+    is not coerced, since as a code 3 is code 3 and as a prime-subfield
+    scalar 3 mod p."""
+    with pytest.raises(PreconditionError) as info:
+        INT_OPERANDS[entry]()
+    assert str(info.value) == "expected an element of GF(2^4), got int"
 
 
 def _check_additive_ops(field, pairs):

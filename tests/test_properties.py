@@ -31,7 +31,10 @@ Every report of a character sweep over a drawn input is char_sum's oracle
 sum within the profile's stated FFT margin and at most the additive bound
 plus that margin, and the spectrum from the cached transform plan equals,
 bit for bit, a Bluestein spectrum computed afresh with nothing cached, on
-the input's histogram and on a drawn one.
+the input's histogram and on a drawn one.  Over a drawn irreducible
+modulus, the exp, log and Zech tables read off the map a -> g * a equal
+those of the product loop of tests/test_field.py, and each Zech entry is the
+log of 1 + g^m summed on digit vectors.
 
 The examples come from the profile that tests/conftest.py loads: the
 derandomized tier1 by default, so tier-1 sees the same examples every time;
@@ -39,6 +42,8 @@ the fixed-seed criteria and comparisons of the other modules stand beside it.
 """
 
 import cmath
+import functools
+import itertools
 import math
 from math import comb, gcd
 
@@ -56,6 +61,7 @@ from addix.linearized import (LinearizedPoly, Subspace, complement, is_linearize
 from addix.poly import Poly, parse_poly, poly_to_str, reduce_mod_xq_minus_x, shift_expand
 from test_code_core import (add, from_digits, neg, ref_divmod, ref_echelon, ref_mul,
                             ref_reduce)
+from test_field import naive_irreducible, ref_tables
 
 FIELDS = [Field(p, n) for p in range(2, 65) if is_prime(p)
           for n in range(1, 7) if p ** n <= 64]
@@ -283,6 +289,30 @@ def test_code_kernels_match_elt_references(field, data):
     for _ in range(d - 1):
         minus = add(minus, elt(row))
     assert field.sub_row(code, d, row) == add(elt(code), neg(minus)).code
+
+
+@functools.cache
+def irreducible_moduli(p, n):
+    """Every monic irreducible of degree n over F_p, ascending coefficients,
+    by trial division."""
+    return [list(low) + [1] for low in itertools.product(range(p), repeat=n)
+            if naive_irreducible(list(low) + [1], p)]
+
+
+@EACH_FIELD
+@given(data=st.data())
+def test_tables_of_a_drawn_modulus(field, data):
+    """Over a drawn irreducible modulus, the tables read off the map
+    a -> g * a equal the product loop's, and Z[m] is the log of 1 + g^m,
+    the sum taken on digit vectors."""
+    modulus = data.draw(st.sampled_from(irreducible_moduli(field.p, field.n)))
+    drawn = Field(field.p, field.n, modulus)
+    drawn._ensure_tables()
+    exp, log, zech = ref_tables(drawn)
+    assert (drawn._exp, drawn._log, drawn._zech) == (exp, log, zech)
+    one = drawn.one
+    for m, c in enumerate(exp):
+        assert zech[m] == log[add(one, drawn.from_code(c)).code]
 
 
 def _bluestein_afresh(hist):
