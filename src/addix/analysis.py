@@ -6,6 +6,7 @@ compositional inverses, cycle-structure predictions and constructions,
 involutions, linear translators and the commutative-diagram bijection check.
 Brute routes read value tables; the translator check tests g(x + u) =
 g(x) + M(u) by Field.translates, the row test of the brute additive kernel.
+The inverse and the cycle construction interpolate on codes (poly._newton).
 """
 
 from __future__ import annotations
@@ -18,10 +19,9 @@ from .decompose import (AdditiveDecomposition, maximal_decomposition,
 from .errors import InvariantViolation, PreconditionError
 from .field import Elt, Field
 from .linearized import (LinearizedPoly, Subspace, compose_quotient,
-                         image_codes, linearized_interpolate,
-                         require_splitting_monic, subspace_image,
+                         image_codes, require_splitting_monic, subspace_image,
                          vanishing_poly)
-from .poly import Poly, lagrange_interpolate
+from .poly import Poly, _newton
 
 
 # ---------------------------------------------------------------------------
@@ -200,17 +200,15 @@ def inverse_pp(poly: Poly) -> Poly:
     if len(set(values)) != field.q:
         raise PreconditionError("polynomial is not a permutation")
     base0 = vanishing_poly(dec.image_subspace)
-    from_code, rows = field.from_code, dec.kernel.rows
-    inv_linear = linearized_interpolate(field, [
-        (from_code(m), from_code(b)) for m, b in zip(dec.linear_part.values_at(rows), rows)])
+    rows = dec.kernel.rows
+    # P = P(0) + M is injective on the kernel, so its rows' M-values are independent
+    inv_linear = _newton(LinearizedPoly, field, zip(dec.linear_part.values_at(rows), rows))
     images = [values[z] for z in dec.coset_reps]
-    abscissae = list(base0.values_at(images))
-    if len(set(abscissae)) != len(abscissae):
-        raise InvariantViolation("coset images collided while inverting a permutation")
     # z - inv_linear(P(z)) at each representative z
     heights = field.add_codes(dec.coset_reps, map(field.neg, inv_linear.values_at(images)))
-    points = [(from_code(a), from_code(h)) for a, h in zip(abscissae, heights)]
-    outer0 = lagrange_interpolate(field, points)
+    outer0 = _newton(Poly, field, zip(base0.values_at(images), heights))
+    if outer0 is None:
+        raise InvariantViolation("coset images collided while inverting a permutation")
     return outer0.compose(base0.to_poly()) + inv_linear.to_poly()
 
 
@@ -297,9 +295,8 @@ def construct_prescribed_cycles(field: Field, fixed_count: int) -> Poly:
     target = Subspace._from_codes(field, [p ** i for i in range(j)])
     base = vanishing_poly(target)
     # u image points go to 0, the others to 1, target's least nonzero member
-    points = [(field.from_code(s), field.zero if i < u else field.one)
-              for i, s in enumerate(image_codes(base))]
-    perm, _ = translation_pp(base, lagrange_interpolate(field, points))
+    points = [(s, 0 if i < u else 1) for i, s in enumerate(image_codes(base))]
+    perm, _ = translation_pp(base, _newton(Poly, field, points))
     return perm
 
 

@@ -90,6 +90,7 @@ def char_sum_affine(chi: MultChar, shift: Elt, subspace: Subspace) -> tuple[comp
     if chi.is_trivial():
         raise PreconditionError("affine bound needs a nontrivial character")
     field = chi.field
+    code = field.code(shift)
     total = 0j
     for u in subspace.elements():
         total += chi(shift + u)
@@ -97,7 +98,7 @@ def char_sum_affine(chi: MultChar, shift: Elt, subspace: Subspace) -> tuple[comp
     if abs(total) > bound + _TOL:
         raise InvariantViolation(
             f"affine coset sum {abs(total):.6f} exceeds bound {bound:.6f} "
-            f"(shift={shift.code}, dim={subspace.dim}, chi={chi.index})")
+            f"(shift={code}, dim={subspace.dim}, chi={chi.index})")
     return total, bound
 
 

@@ -7,9 +7,9 @@ from that core's one Horner scan, planned from its terms (p^i, a_i).  Every
 F_p-subspace has a monic linearized vanishing polynomial dividing x^q - x,
 and conversely the kernel of such a polynomial is a subspace, read by
 restricted_kernel for any map F_p-linear on a subspace; both directions
-live here, with expansion in a polynomial base, linearized interpolation by
-Newton's rule (its vanishing polynomial grows by vanishing_poly's adjoin
-step), coset representatives and image subspaces, both returned as codes
+live here, with expansion in a polynomial base, linearized interpolation
+(poly._newton, growing its vanishing polynomial by vanishing_poly's step),
+coset representatives and image subspaces, both returned as codes
 (coset_reps, image_codes); basis, elements() and reduce are the Elt views.
 Composition and its quotient share one twisted row on p-power
 coefficients: L divides T exactly when T = N o L, and N comes by right
@@ -17,11 +17,11 @@ division with no dense polynomial.
 Subspaces hold reduced echelon rows of codes from one Gaussian elimination
 on (left, right) code pairs by the row kernel Field.sub_row: spans
 eliminate generator codes, restricted_kernel eliminates (value, row) pairs
-and spans the rows whose values clear to zero, with no Elt, and coset_key
-clears one code.  The canonical coset representatives are the codes whose pivot
-digits are zero: reduce, coset_key, coset_keys and coset_reps share that
-one rule.  Value tables, members, representatives and the coset-key tables
-are spans of generator codes, listed by Field.span_codes.
+and spans the rows whose values clear to zero, with no Elt.  The canonical
+coset representatives are the codes whose pivot digits are zero, read off
+two tables by coset_keys (coset_key is its one-code case): reduce,
+contains and coset_reps share that one rule.  Value tables, members,
+representatives and key tables are spans of codes, by Field.span_codes.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import itertools
 
 from .errors import InvariantViolation, PreconditionError
 from .field import Elt, Field
-from .poly import CodeVector, Poly
+from .poly import CodeVector, Poly, _newton
 
 
 def _twisted_row(field: Field, acc, s: int, c: int, codes) -> None:
@@ -94,6 +94,14 @@ class LinearizedPoly(CodeVector):
         for s, a in enumerate(self.codes):
             _twisted_row(self.field, out, s, a, bc)
         return LinearizedPoly._new(self.field, out)
+
+    def _adjoin(self, b: int, c: int) -> "LinearizedPoly":
+        """(x^p - c^{p-1} x) o self, for c = self(b) nonzero: for self = V
+        vanishing on a span, that of the span with b adjoined, as it maps
+        V(x) -> V(x)^p - V(b)^{p-1} V(x), zero on V's roots and at b."""
+        field = self.field
+        step = LinearizedPoly._new(field, (field.neg(field.pow(c, field.p - 1)), 1))
+        return step.compose(self)
 
     def __repr__(self):
         return f"LinearizedPoly({self.field!r}, codes={list(self.codes)})"
@@ -230,14 +238,13 @@ class Subspace:
         return self.field.from_code(self.coset_key(v))
 
     def coset_key(self, v: Elt) -> int:
-        rows = list(zip(self._pivots, self._rows, itertools.repeat(0)))
-        return _eliminate(self.field, [(self.field.code(v), 0)], rows)[0][0]
+        return self.coset_keys([self.field.code(v)])[0]
 
     def coset_keys(self, codes) -> list[int]:
-        """The coset_key of each code in codes, a list or set, in its order.
-        The key is F_p-linear, so with h = n // 2 a code v has the key
-        low[v mod p^h] + high[v div p^h], the two tables being built once per
-        subspace.  The zero subspace keys each code to itself."""
+        """The code of reduce(v) for each code v in codes, a list or set, in
+        its order.  The key is F_p-linear, so with h = n // 2 a code v has the
+        key low[v mod p^h] + high[v div p^h], the two tables being built once
+        per subspace.  The zero subspace keys each code to itself."""
         field = self.field
         if not self._rows:
             return list(codes)
@@ -327,15 +334,6 @@ def require_splitting_monic(base: LinearizedPoly) -> Subspace:
     return ker
 
 
-def _adjoin(vanish: LinearizedPoly, c: int) -> LinearizedPoly:
-    """(x^p - c^{p-1} x) o vanish, for c = vanish(b) nonzero: the vanishing
-    polynomial of the span with b adjoined, since it maps
-    V(x) -> V(x)^p - V(b)^{p-1} V(x), zero on V's roots and at b."""
-    field = vanish.field
-    step = LinearizedPoly._new(field, (field.neg(field.pow(c, field.p - 1)), 1))
-    return step.compose(vanish)
-
-
 def vanishing_poly(subspace: Subspace) -> LinearizedPoly:
     """Monic linearized polynomial of degree p^dim whose roots are exactly
     the subspace, built by adjoining one echelon row at a time."""
@@ -344,7 +342,7 @@ def vanishing_poly(subspace: Subspace) -> LinearizedPoly:
         c = next(acc.values_at((row,)))
         if not c:
             raise InvariantViolation("basis vector already annihilated during construction")
-        acc = _adjoin(acc, c)
+        acc = acc._adjoin(row, c)
     return acc
 
 
@@ -420,24 +418,11 @@ def complement(linpoly: LinearizedPoly) -> LinearizedPoly:
 
 def linearized_interpolate(field: Field, pairs) -> LinearizedPoly:
     """Unique sum(c_i x^{p^i}), i < #pairs, through the given (point, value)
-    pairs; the points must be F_p-independent.
-
-    Newton's rule: with V vanishing on the span of the points so far,
-    acc + V * (w - acc(u)) / V(u) keeps every earlier value and takes w at
-    u, and V(u) is zero exactly when u is in that span.
-    """
-    pts = list(pairs)
-    for pair in pts:
-        field.owns(*pair)
-    acc = LinearizedPoly._new(field, ())
-    vanish = LinearizedPoly.identity(field)
-    for u, w in pts:
-        vu = vanish.eval(u)
-        if not vu:
-            raise PreconditionError("singular linearized interpolation system")
-        acc = acc + vanish.scale((w - acc.eval(u)) / vu)
-        vanish = _adjoin(vanish, vu.code)
-    return acc
+    pairs; the points must be F_p-independent."""
+    out = _newton(LinearizedPoly, field, [(field.code(u), field.code(w)) for u, w in pairs])
+    if out is None:
+        raise PreconditionError("singular linearized interpolation system")
+    return out
 
 
 def subspace_image(linmap: LinearizedPoly, subspace: Subspace) -> Subspace:

@@ -9,8 +9,8 @@ Horner kernel: values_at plans a vector of either kind once from its nonzero
 terms, and the bands F_i of P0(x+y) - P0(x) - P0(y) = sum_i F_i(y) x^i come
 on demand from the top index (shift_bands) as the terms they are planned
 from; shift_expand is their dense view.  Also Euclidean division and monic
-gcd, composition (shift_arg composes with x + offset), interpolation by
-Newton's rule and the CLI's text grammar.
+gcd, composition (shift_arg composes with x + offset), the CLI's text
+grammar and _newton, the one interpolation loop of both kinds, on codes.
 """
 
 from __future__ import annotations
@@ -226,6 +226,10 @@ class Poly(CodeVector):
         """Codes of self at every field element, in code order (lazy)."""
         return self.values_at(range(self.field.q))
 
+    def _adjoin(self, x: int, wx: int) -> "Poly":
+        """self * (X - x), vanishing at x as well: _newton's step."""
+        return Poly._new(self.field, self.field.mul_codes(self.codes, (self.field.neg(x), 1)))
+
     def compose(self, inner: "Poly") -> "Poly":
         """self(inner(x))."""
         if self.degree <= 0:
@@ -331,27 +335,37 @@ def shift_expand(poly: Poly) -> list[Poly]:
     return [Poly._from_terms(poly.field, terms) for terms in shift_bands(poly)][::-1]
 
 
+def _newton(kind, field: Field, pairs):
+    """The interpolant of kind, Poly or LinearizedPoly, through (point,
+    value) code pairs by Newton's rule, or None at a point x with w(x) = 0.
+
+    With w vanishing on the points so far, acc + w * (y - acc(x)) / w(x)
+    keeps every earlier value and takes y at x; then w._adjoin makes w
+    vanish at x too.  w starts as the codes (1,): 1 as a Poly, x as a
+    LinearizedPoly.  w(x) is zero exactly when x repeats a point or, for
+    the linearized kind, lies in the F_p-span of the points before it."""
+    add, mul, neg = field.add, field.mul, field.neg
+    acc, w = kind._new(field, ()), kind._new(field, (1,))
+    for x, y in pairs:
+        wx = next(w.values_at((x,)))
+        if not wx:
+            return None
+        k = mul(add(y, neg(next(acc.values_at((x,))))), field.inv(wx))
+        acc = acc + kind._new(field, [mul(c, k) for c in w.codes])
+        w = w._adjoin(x, wx)
+    return acc
+
+
 def lagrange_interpolate(field: Field, points) -> Poly:
     """Unique polynomial of degree < len(points) through the given
-    (abscissa, value) pairs; abscissae must be distinct.
-
-    Newton's rule: with w = prod (x - x_j) over the points so far,
-    acc + w * (y - acc(x)) / w(x) keeps every earlier value and takes y at
-    x, and w(x) is zero exactly when x repeats an earlier abscissa.
-    """
-    pts = list(points)
+    (abscissa, value) pairs; abscissae must be distinct."""
+    pts = [(field.code(x), field.code(y)) for x, y in points]
     if not pts:
         raise PreconditionError("interpolation needs at least one point")
-    for pair in pts:
-        field.owns(*pair)
-    acc, w = Poly.zero(field), Poly.one(field)
-    for xv, yv in pts:
-        wx = w.eval(xv)
-        if not wx:
-            raise PreconditionError("duplicated interpolation abscissa")
-        acc = acc + w.scale((yv - acc.eval(xv)) / wx)
-        w = w * Poly(field, (-xv, field.one))
-    return acc
+    out = _newton(Poly, field, pts)
+    if out is None:
+        raise PreconditionError("duplicated interpolation abscissa")
+    return out
 
 
 # ---------------------------------------------------------------------------

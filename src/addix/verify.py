@@ -27,7 +27,7 @@ from .linearized import (LinearizedPoly, Subspace, all_subspaces, complement,
                          compose_quotient, coset_reps, image_codes,
                          is_linearized, subfield, vanishing_poly,
                          xq_minus_x_linearized)
-from .poly import Poly, lagrange_interpolate, parse_poly
+from .poly import Poly, _newton, parse_poly
 
 
 @dataclass
@@ -475,19 +475,19 @@ def _random_translator_instance(rng: random.Random, field: Field):
     trace = LinearizedPoly(field, tuple(
         field.one if i % k == 0 else field.zero for i in range(field.n)))
     sub = subfield(field, k)
-    members = sub.elements()
-    scale = rng.choice(members[1:])  # the nonzero members: zero comes first
+    members = sorted(field.span_codes(sub.rows))
+    scale = field.from_code(rng.choice(members[1:]))  # nonzero: zero comes first
     # g(x+u) = g(x) + scale*(n/k)*u on the subfield
     translate = LinearizedPoly(field, (scale * field.from_int(span),))
     g_poly = trace.scale(scale).to_poly()
     if rng.random() < 0.4:
         # coset-dependent shift: constant on subfield cosets, values inside U
         base = vanishing_poly(sub)
-        shifts = [(field.from_code(s), rng.choice(members)) for s in image_codes(base)]
-        g_poly = g_poly + lagrange_interpolate(field, shifts).compose(base.to_poly())
-        if set(g_poly.values()) != set(field.span_codes(sub.rows)):
+        shifts = [(s, rng.choice(members)) for s in image_codes(base)]
+        g_poly = g_poly + _newton(Poly, field, shifts).compose(base.to_poly())
+        if set(g_poly.values()) != set(members):
             return None, None
-    adjust = lagrange_interpolate(field, [(m, rng.choice(members)) for m in members])
+    adjust = _newton(Poly, field, [(m, rng.choice(members)) for m in members])
     spec = TranslatorSpec(g=g_poly, subspace=sub, translate=translate)
     if not is_linear_translator(spec):
         return None, None

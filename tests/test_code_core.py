@@ -18,13 +18,14 @@ index-order fold it replaced (ref_fold), which ends with its own Euclid
 against x^q - x (ref_xq_gcd).  The decomposition's value table,
 built by linearity, is checked against Horner on the polynomial itself.
 The addition kernels are checked against Field.add, the digit-vector sum
-and the span loop they replaced (ref_span), and batch coset keys against
-coset_key; with Field.add and the elimination's row kernel patched to
-raise, value tables and a brute value-set count must still finish.
+and the span loop they replaced (ref_span), and batch coset keys, with
+coset_key their one-code entry, against the digit-vector reduction; with
+Field.add and the elimination's row kernel patched to raise, value tables,
+coset keys and a brute value-set count must still finish.
 Subspaces hold reduced-echelon rows as codes; their rows, reductions and
 kernels are checked against a digit-vector echelon reference that works on
-Elt.coeffs lists mod p.  Spans, restricted kernels and coset keys must
-reach the one row kernel Field.sub_row, and the kernel path must finish
+Elt.coeffs lists mod p.  Spans and restricted kernels must reach the one
+row kernel Field.sub_row, and the kernel path must finish
 with Field.from_code patched to raise; so must decomposition, the theorem
 value-set count, the permutation and involution certificates, the quotient
 criterion and translation_pp, with Elt.__init__ patched to raise as well,
@@ -867,14 +868,20 @@ KEY_FIELDS = [Field(2, 6), Field(2, 7), Field(3, 4), Field(5, 3)]
 
 @pytest.mark.parametrize("field", KEY_FIELDS, ids=[repr(f) for f in KEY_FIELDS])
 def test_coset_keys_match_coset_key(field):
-    """Random subspaces of every dimension, the full field among them, on
-    an empty batch, a single code, a random batch, the whole field and a
-    set."""
+    """coset_key is coset_keys of one code; both are checked against the
+    digit-vector reduction on random subspaces of every dimension, the full
+    field among them, on an empty batch, a single code, a random batch, the
+    whole field and a set."""
     rng = random.Random(field.q + 13)
     subs = [Subspace(field, independent(rng, field, dim)) for dim in range(field.n + 1)]
     for sub in subs + [Subspace.full(field)]:
+        rows = [list(b.coeffs) for b in sub.basis]
+        pivots = [next(j for j, d in enumerate(row) if d) for row in rows]
+
         def key(v):
-            return sub.coset_key(field.from_code(v))
+            ref = ref_reduce(list(field.from_code(v).coeffs), rows, pivots, field.p)
+            assert sub.coset_key(field.from_code(v)) == from_digits(field, ref).code
+            return from_digits(field, ref).code
 
         assert sub.coset_keys([]) == []
         for batch in ([field.q - 1], rand_codes(rng, field, field.q // 3)):
@@ -919,12 +926,13 @@ ROW_FIELDS = [Field(2, 6), Field(3, 3), Field(5, 2)]
 
 @pytest.mark.parametrize("field", ROW_FIELDS, ids=[repr(f) for f in ROW_FIELDS])
 def test_one_row_kernel_and_no_elt_on_the_kernel_path(monkeypatch, field):
-    """Spans, restricted kernels and coset keys share one elimination whose
-    row operation is Field.sub_row: with it patched to raise, a span with a
-    dependent generator, restricted_kernel at one nonzero value on every row
-    and the coset_key of a non-member with a nonzero pivot digit all raise.
-    With Field.from_code patched to raise, kernel() and restricted_kernel
-    still finish, so the kernel path builds no Elt."""
+    """Spans and restricted kernels share one elimination whose row
+    operation is Field.sub_row: with it patched to raise, a span with a
+    dependent generator and restricted_kernel at one nonzero value on every
+    row both raise.  Coset keys are read off the key tables, spans of the
+    addition kernels, so the coset_key of a non-member with a nonzero pivot
+    digit still finishes.  With Field.from_code patched to raise, kernel()
+    and restricted_kernel still finish, so the kernel path builds no Elt."""
     p, n = field.p, field.n
     v = field.from_code(p + 1)  # digit 1 at the pivot of the line F_p, so not on it
     line, full = Subspace(field, [field.one]), Subspace.full(field)
@@ -939,8 +947,7 @@ def test_one_row_kernel_and_no_elt_on_the_kernel_path(monkeypatch, field):
             Subspace(field, [v, v])
         with pytest.raises(AssertionError, match="row kernel"):
             restricted_kernel(full, [1] * n)
-        with pytest.raises(AssertionError, match="row kernel"):
-            line.coset_key(v)
+        assert line.coset_key(v) == p  # v = p + 1 less the row 1
     monkeypatch.setattr(Field, "from_code", refuse)
     assert kernel(frobenius).rows == (1,)
     digit_sums = restricted_kernel(full, [1] * n)

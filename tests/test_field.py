@@ -7,7 +7,7 @@ import pytest
 from addix.analysis import (TranslatorSpec, is_linear_translator,
                             quotient_pp_criterion, round_trips, translation_pp,
                             translator_pp)
-from addix.charsum import MultChar, bound_report
+from addix.charsum import MultChar, bound_report, char_sum_affine
 from addix.errors import ParseError, PreconditionError
 from addix.field import Field, _fp_mod, _fp_mul, _fp_trim, is_prime, parse_field_spec, prime_factors
 from addix.linearized import LinearizedPoly, Subspace, linearized_interpolate, subspace_image
@@ -313,6 +313,9 @@ INT_OPERANDS = {
     "Subspace.contains": lambda: Subspace.full(HOME).contains(3),
     "Field.dlog": lambda: HOME.dlog(3),
     "MultChar.__call__": lambda: MultChar(HOME, 1)(3),
+    "lagrange_interpolate": lambda: lagrange_interpolate(HOME, [(1, 2)]),
+    "linearized_interpolate": lambda: linearized_interpolate(HOME, [(1, 2)]),
+    "char_sum_affine": lambda: char_sum_affine(MultChar(HOME, 1), 3, Subspace(HOME, [HOME.one])),
 }
 
 

@@ -58,10 +58,11 @@ def test_tracer_installs_records_and_uninstalls():
         field = Field(2, 3)
         tracer.begin(0)
         assert not is_permutation(parse_poly("x^2+x", field)).is_pp
-        # the certificate reads the decomposition's value table; the cycle
-        # construction still evaluates Poly (translation_pp, interpolation)
-        # and decomposes nothing
-        assert construct_prescribed_cycles(field, 4).degree > 1
+        # the certificate reads the decomposition's value table, and the
+        # cycle construction decomposes nothing and interpolates on codes,
+        # so Poly.eval is called here by name
+        perm = construct_prescribed_cycles(field, 4)
+        assert perm.degree > 1 and perm.eval(field.zero) == field.zero
         tracer.end()
     finally:
         tracer.uninstall()
