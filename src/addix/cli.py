@@ -2,8 +2,9 @@
 
 Every verb takes a field spec ("p^n" or "p^n/c0,c1,...,cn") and polynomial
 expressions in the shared grammar, and emits a JSON record on stdout.  Exit
-codes: 0 success, 1 parse error, 2 precondition error, 3 a structural
-identity failed (the counterexample is printed).
+codes: 0 success, 1 parse error (for verify, also a suite that failed with
+no event), 2 precondition error, 3 a structural identity failed (the
+counterexample is printed).
 """
 
 from __future__ import annotations
@@ -243,21 +244,27 @@ def _build_parser() -> _Arg:
             sp.add_argument("--poly", required=True, help="polynomial expression")
         sp.add_argument("--format", choices=("json", "text"), default="json")
 
-    common(sub.add_parser("index", help="additive index and maximal decomposition"))
-    sp = sub.add_parser("decompose", help="maximal or base-directed decomposition")
+    def verb(name, run, help):
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(run=run)
+        return sp
+
+    common(verb("index", _cmd_index, "additive index and maximal decomposition"))
+    sp = verb("decompose", _cmd_decompose, "maximal or base-directed decomposition")
     common(sp)
     sp.add_argument("--base", help="linearized base as comma-separated lin-coeff codes")
-    sp = sub.add_parser("valueset", help="value set size, both methods, with bounds")
+    sp = verb("valueset", _cmd_valueset, "value set size, both methods, with bounds")
     common(sp)
     sp.add_argument("--method", choices=("theorem", "brute", "both"), default="both")
-    common(sub.add_parser("pp-test", help="permutation certificate and brute verdict"))
-    common(sub.add_parser("invert", help="compositional inverse of a permutation"))
-    common(sub.add_parser("cycles", help="cycle structure of a permutation"))
-    sp = sub.add_parser("construct-cycles", help="permutation with prescribed fixed points")
+    common(verb("pp-test", _cmd_pp_test, "permutation certificate and brute verdict"))
+    common(verb("invert", _cmd_invert, "compositional inverse of a permutation"))
+    common(verb("cycles", _cmd_cycles, "cycle structure of a permutation"))
+    sp = verb("construct-cycles", _cmd_construct_cycles,
+              "permutation with prescribed fixed points")
     common(sp, poly=False)
     sp.add_argument("--fixed", type=int, required=True, help="number of fixed points")
-    common(sub.add_parser("involution", help="involution certificate and brute verdict"))
-    sp = sub.add_parser("translator", help="linear translator check and induced permutation")
+    common(verb("involution", _cmd_involution, "involution certificate and brute verdict"))
+    sp = verb("translator", _cmd_translator, "linear translator check and induced permutation")
     common(sp, poly=False)
     sp.add_argument("--g", required=True, help="the translator map")
     sp.add_argument("--h", help="adjusting polynomial for the induced permutation")
@@ -267,14 +274,14 @@ def _build_parser() -> _Arg:
     sp.add_argument("--gamma", type=int)
     sp.add_argument("--b", type=int)
     sp.add_argument("--frob-i", type=int, default=0)
-    sp = sub.add_parser("charsum", help="character sum with bound report, or a CSV sweep")
+    sp = verb("charsum", _cmd_charsum, "character sum with bound report, or a CSV sweep")
     sp.add_argument("--field", required=True)
     sp.add_argument("--poly", help="polynomial (omit with --sweep)")
     sp.add_argument("--char", type=int, default=1, help="character index j")
     sp.add_argument("--sweep", type=int, help="emit CSV for this many sampled polynomials")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--format", choices=("json", "text"), default="json")
-    sp = sub.add_parser("verify", help="run acceptance suites")
+    sp = verb("verify", _cmd_verify, "run acceptance suites")
     sp.add_argument("--suite", default="all",
                     help="'all' or comma-separated names: " + ", ".join(ALL_SUITES))
     sp.add_argument("--max-q", type=int, default=None)
@@ -283,28 +290,13 @@ def _build_parser() -> _Arg:
     return parser
 
 
-_DISPATCH = {
-    "index": _cmd_index,
-    "decompose": _cmd_decompose,
-    "valueset": _cmd_valueset,
-    "pp-test": _cmd_pp_test,
-    "invert": _cmd_invert,
-    "cycles": _cmd_cycles,
-    "construct-cycles": _cmd_construct_cycles,
-    "involution": _cmd_involution,
-    "translator": _cmd_translator,
-    "charsum": _cmd_charsum,
-    "verify": _cmd_verify,
-}
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         if args.verb == "charsum" and not args.sweep and args.poly is None:
             raise ParseError("charsum needs --poly unless --sweep is given")
-        return _DISPATCH[args.verb](args)
+        return args.run(args)
     except ParseError as exc:
         print(json.dumps({"error": {"type": "parse", "message": str(exc)}}))
         return 1

@@ -2,8 +2,9 @@
 
 Each suite draws its own seeded sample, exercises a dual-route operation
 (structural path vs brute force) or an exactly stated identity, and returns
-a CriterionResult.  The CLI `verify` verb and the pytest acceptance module
-both run these.
+its detail text or raises.  One rule, `_suite`, makes that outcome the
+suite's CriterionResult, so the CLI `verify` verb and the pytest acceptance
+module, which both run these, see the same result.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import functools
 import random
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, field as dc_field
 
 from .analysis import (TranslatorSpec, _collision_witness,
@@ -36,6 +38,42 @@ class CriterionResult:
     passed: bool
     detail: str
     events: list[str] = dc_field(default_factory=list)
+
+
+# every suite by name, in the order `verify --suite all` runs them
+ALL_SUITES: dict[str, Callable[..., CriterionResult]] = {}
+
+
+class _Failed(Exception):
+    """A suite's failure: its detail text and the events it records."""
+
+    def __init__(self, detail: str, events=()):
+        super().__init__(detail)
+        self.detail = detail
+        self.events = list(events)
+
+
+def _suite(name: str):
+    """Register a suite under name and make its outcome its CriterionResult.
+
+    The detail text the suite returns passes; a _Failed it raises fails with
+    its detail and events; an exact identity that fires (InvariantViolation)
+    fails with the assertion as its one event.
+    """
+    def register(body):
+        @functools.wraps(body)
+        def suite(*args, **kwargs) -> CriterionResult:
+            try:
+                passed, detail, events = True, body(*args, **kwargs), []
+            except _Failed as exc:
+                passed, detail, events = False, exc.detail, exc.events
+            except InvariantViolation as exc:
+                passed, detail, events = False, f"theorem assertion failed: {exc}", [str(exc)]
+            return CriterionResult(name, passed, detail, events)
+
+        ALL_SUITES[name] = suite
+        return suite
+    return register
 
 
 @functools.cache
@@ -96,7 +134,8 @@ KERNEL_FIELDS = [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (2, 5), (2, 6)]
 VALUESET_FIELDS = [(2, 3), (3, 2), (2, 4), (3, 3)]
 
 
-def suite_kernel_methods(seed: int = 1, max_q: int | None = None) -> CriterionResult:
+@_suite("kernel-methods")
+def suite_kernel_methods(seed: int = 1, max_q: int | None = None) -> str:
     """gcd-path and brute-path additive kernels agree on random polynomials."""
     rng = random.Random(seed)
     checked = 0
@@ -104,15 +143,13 @@ def suite_kernel_methods(seed: int = 1, max_q: int | None = None) -> CriterionRe
         for _ in range(200):
             poly = _random_poly(rng, field, 12)
             if additive_kernel(poly, "gcd") != additive_kernel(poly, "brute"):
-                return CriterionResult(
-                    "kernel-methods", False,
-                    f"kernel methods disagree for {poly!r}")
+                raise _Failed(f"kernel methods disagree for {poly!r}")
             checked += 1
-    return CriterionResult("kernel-methods", True,
-                           f"{checked} polynomials, gcd == brute throughout")
+    return f"{checked} polynomials, gcd == brute throughout"
 
 
-def suite_decomposition_identity(seed: int = 1, max_q: int | None = None) -> CriterionResult:
+@_suite("decomposition-identity")
+def suite_decomposition_identity(seed: int = 1, max_q: int | None = None) -> str:
     """outer(subspace_poly) + linear_part reassembles the input exactly."""
     rng = random.Random(seed)
     checked = 0
@@ -127,15 +164,13 @@ def suite_decomposition_identity(seed: int = 1, max_q: int | None = None) -> Cri
                   and dec.subspace_poly.degree == field.p ** (field.n - dec.index)
                   and is_linearized(dec.linear_part.to_poly()) is not None)
             if not ok:
-                return CriterionResult(
-                    "decomposition-identity", False,
-                    f"decomposition of {poly!r} violates its contract")
+                raise _Failed(f"decomposition of {poly!r} violates its contract")
             checked += 1
-    return CriterionResult("decomposition-identity", True,
-                           f"{checked} exact reassemblies")
+    return f"{checked} exact reassemblies"
 
 
-def suite_value_sets(seed: int = 2, max_q: int | None = None) -> CriterionResult:
+@_suite("value-sets")
+def suite_value_sets(seed: int = 2, max_q: int | None = None) -> str:
     """Coset-counting value-set size equals the brute image size, and a
     non-permutation with trivial gcd never exceeds q - deg(subspace_poly)."""
     rng = random.Random(seed)
@@ -148,19 +183,15 @@ def suite_value_sets(seed: int = 2, max_q: int | None = None) -> CriterionResult
             bounds = value_set_bounds(poly)
             for other in (brute_size, bounds.size):
                 if theorem_size != other:
-                    return CriterionResult(
-                        "value-sets", False,
-                        f"value set mismatch {theorem_size} vs {other} for {poly!r}")
+                    raise _Failed(f"value set mismatch {theorem_size} vs {other} for {poly!r}")
             if not bounds.implication_holds:
-                return CriterionResult(
-                    "value-sets", False,
-                    f"threshold implication violated for {poly!r}")
+                raise _Failed(f"threshold implication violated for {poly!r}")
             checked += 1
-    return CriterionResult("value-sets", True,
-                           f"{checked} polynomials, theorem == brute and threshold held")
+    return f"{checked} polynomials, theorem == brute and threshold held"
 
 
-def suite_pp_certificates(seed: int = 2, max_q: int | None = None) -> CriterionResult:
+@_suite("pp-certificates")
+def suite_pp_certificates(seed: int = 2, max_q: int | None = None) -> str:
     """Certificate verdicts match brute force (a permutation's values are
     all distinct, a non-permutation's witness is a real collision), and
     every quotient-criterion-eligible instance agrees with the quotient test."""
@@ -176,9 +207,7 @@ def suite_pp_certificates(seed: int = 2, max_q: int | None = None) -> CriterionR
                 w = cert.witness
                 agrees = w is not None and w[0] != w[1] and poly.eval(w[0]) == poly.eval(w[1])
             if not agrees:
-                return CriterionResult(
-                    "pp-certificates", False,
-                    f"certificate disagrees with brute scan for {poly!r}")
+                raise _Failed(f"certificate disagrees with brute scan for {poly!r}")
             dec = maximal_decomposition(poly)
             try:
                 quotient_verdict = quotient_pp_criterion(
@@ -188,13 +217,9 @@ def suite_pp_certificates(seed: int = 2, max_q: int | None = None) -> CriterionR
             if quotient_verdict is not None:
                 eligible += 1
                 if quotient_verdict != cert.is_pp:
-                    return CriterionResult(
-                        "pp-certificates", False,
-                        f"quotient criterion disagrees for {poly!r}")
+                    raise _Failed(f"quotient criterion disagrees for {poly!r}")
             checked += 1
-    return CriterionResult(
-        "pp-certificates", True,
-        f"{checked} polynomials agreed; {eligible} quotient-eligible instances agreed")
+    return f"{checked} polynomials agreed; {eligible} quotient-eligible instances agreed"
 
 
 def _sample_pps(rng: random.Random, field: Field, count: int) -> list[Poly]:
@@ -224,7 +249,8 @@ def _sample_pps(rng: random.Random, field: Field, count: int) -> list[Poly]:
     return out
 
 
-def suite_inverse_roundtrip(seed: int = 3, max_q: int | None = None) -> CriterionResult:
+@_suite("inverse-roundtrip")
+def suite_inverse_roundtrip(seed: int = 3, max_q: int | None = None) -> str:
     """inverse_pp inverts exhaustively in both directions and preserves the
     additive index."""
     rng = random.Random(seed)
@@ -233,17 +259,13 @@ def suite_inverse_roundtrip(seed: int = 3, max_q: int | None = None) -> Criterio
         for poly in _sample_pps(rng, field, 200):
             inverse = inverse_pp(poly)
             if not round_trips(inverse, poly):
-                return CriterionResult("inverse-roundtrip", False,
-                                       f"left inverse failed for {poly!r}")
+                raise _Failed(f"left inverse failed for {poly!r}")
             if not round_trips(poly, inverse):
-                return CriterionResult("inverse-roundtrip", False,
-                                       f"right inverse failed for {poly!r}")
+                raise _Failed(f"right inverse failed for {poly!r}")
             if additive_index(inverse) != additive_index(poly):
-                return CriterionResult("inverse-roundtrip", False,
-                                       f"additive index changed for {poly!r}")
+                raise _Failed(f"additive index changed for {poly!r}")
             checked += 1
-    return CriterionResult("inverse-roundtrip", True,
-                           f"{checked} permutations inverted exactly")
+    return f"{checked} permutations inverted exactly"
 
 
 def _nilpotent_example_instances(field: Field):
@@ -255,7 +277,8 @@ def _nilpotent_example_instances(field: Field):
     return alphas, betas
 
 
-def suite_cycle_theorems(seed: int = 4, max_q: int | None = None) -> CriterionResult:
+@_suite("cycle-theorems")
+def suite_cycle_theorems(seed: int = 4, max_q: int | None = None) -> str:
     """(a) predicted one/p cycle profiles match measured orbits,
     (b) the nilpotent family permutes for arbitrary outer polynomials,
     (c) every admissible fixed-point count is constructible."""
@@ -270,9 +293,7 @@ def suite_cycle_theorems(seed: int = 4, max_q: int | None = None) -> CriterionRe
             outer = complement(base).to_poly().compose(g)
             perm, predicted = translation_pp(base, outer)
             if cycle_structure(perm) != predicted:
-                return CriterionResult(
-                    "cycle-theorems", False,
-                    f"cycle profile mismatch for dim={dim} over {field!r}")
+                raise _Failed(f"cycle profile mismatch for dim={dim} over {field!r}")
             part_a += 1
 
     part_b = 0
@@ -280,8 +301,7 @@ def suite_cycle_theorems(seed: int = 4, max_q: int | None = None) -> CriterionRe
         m = field.n // 2
         alphas, betas = _nilpotent_example_instances(field)
         if not alphas or not betas:
-            return CriterionResult("cycle-theorems", False,
-                                   f"no nilpotent instance over {field!r}")
+            raise _Failed(f"no nilpotent instance over {field!r}")
         for _ in range(20):
             alpha = rng.choice(alphas)
             beta = rng.choice(betas)
@@ -289,16 +309,13 @@ def suite_cycle_theorems(seed: int = 4, max_q: int | None = None) -> CriterionRe
             coeffs[0] = alpha
             coeffs[m] = alpha * beta
             lin = LinearizedPoly(field, coeffs)
-            if any(lin.eval(lin.eval(y)).code for y in field.elements()):
-                return CriterionResult("cycle-theorems", False,
-                                       "family member is not two-step nilpotent")
+            if any(lin.values_at(lin.values())):
+                raise _Failed("family member is not two-step nilpotent")
             g = _random_poly(rng, field, 3, min_deg=0)
             lp = lin.to_poly()
             perm = lp.compose(g.compose(lp)) + Poly.x(field)
             if _collision_witness(field, perm.values()) is not None:
-                return CriterionResult(
-                    "cycle-theorems", False,
-                    f"nilpotent instance failed to permute over {field!r}")
+                raise _Failed(f"nilpotent instance failed to permute over {field!r}")
             part_b += 1
 
     part_c = 0
@@ -312,16 +329,13 @@ def suite_cycle_theorems(seed: int = 4, max_q: int | None = None) -> CriterionRe
             if field.q - fixed:
                 expected[p] = (field.q - fixed) // p
             if cycle_structure(perm) != expected:
-                return CriterionResult(
-                    "cycle-theorems", False,
-                    f"prescribed profile failed for fixed={fixed} over {field!r}")
+                raise _Failed(f"prescribed profile failed for fixed={fixed} over {field!r}")
             part_c += 1
-    return CriterionResult(
-        "cycle-theorems", True,
-        f"profiles {part_a}, nilpotent instances {part_b}, constructions {part_c}")
+    return f"profiles {part_a}, nilpotent instances {part_b}, constructions {part_c}"
 
 
-def suite_complement_commutation(seed: int = 5, max_q: int | None = None) -> CriterionResult:
+@_suite("complement-commutation")
+def suite_complement_commutation(seed: int = 5, max_q: int | None = None) -> str:
     """Both composition orders of a subspace polynomial with its complement
     equal x^q - x, exhaustively over GF(16) and sampled over GF(64)."""
     rng = random.Random(seed)
@@ -336,14 +350,13 @@ def suite_complement_commutation(seed: int = 5, max_q: int | None = None) -> Cri
             base = vanishing_poly(sub)
             comp = complement(base)
             if comp.compose(base) != whole or base.compose(comp) != whole:
-                return CriterionResult("complement-commutation", False,
-                                       f"commutation failed for {sub!r}")
+                raise _Failed(f"commutation failed for {sub!r}")
             checked += 1
-    return CriterionResult("complement-commutation", True,
-                           f"{checked} subspaces commuted exactly")
+    return f"{checked} subspaces commuted exactly"
 
 
-def suite_character_bounds(seed: int = 6, max_q: int | None = None) -> CriterionResult:
+@_suite("character-bounds")
+def suite_character_bounds(seed: int = 6, max_q: int | None = None) -> str:
     """Every sampled decomposable polynomial respects the additive bound for
     every nontrivial character; affine coset sums respect their own bound;
     GF(64) exhibits an instance strictly sharper than both Weil and q."""
@@ -384,17 +397,15 @@ def suite_character_bounds(seed: int = 6, max_q: int | None = None) -> Criterion
                 for chi in chars:
                     char_sum_affine(chi, shift, sub)
     if (max_q is None or max_q >= 64) and not exhibited:
-        return CriterionResult(
-            "character-bounds", False,
-            "no GF(64) instance with additive bound below Weil and q")
-    return CriterionResult("character-bounds", True,
-                           f"{checked} (poly, character) pairs bounded; sharper instance exhibited")
+        raise _Failed("no GF(64) instance with additive bound below Weil and q")
+    return f"{checked} (poly, character) pairs bounded; sharper instance exhibited"
 
 
 REFUTATION_EVENT = "complete-mapping claim refuted at odd characteristic"
 
 
-def suite_involution_translator(seed: int = 7, max_q: int | None = None) -> CriterionResult:
+@_suite("involution-translator")
+def suite_involution_translator(seed: int = 7, max_q: int | None = None) -> str:
     """Involution certificates match brute double-composition and the
     translator equivalence (subspace side <=> whole field) holds throughout.
 
@@ -405,7 +416,6 @@ def suite_involution_translator(seed: int = 7, max_q: int | None = None) -> Crit
     an honest failure carrying the counterexample.
     """
     rng = random.Random(seed)
-    events: list[str] = []
     inv_checked = 0
     for field in _fields([(2, 4)], max_q):
         for _ in range(500):
@@ -416,9 +426,7 @@ def suite_involution_translator(seed: int = 7, max_q: int | None = None) -> Crit
             report = is_involution(poly)
             brute = round_trips(poly, poly)
             if report.is_involution != brute:
-                return CriterionResult(
-                    "involution-translator", False,
-                    f"involution certificate disagrees for {poly!r}", events)
+                raise _Failed(f"involution certificate disagrees for {poly!r}")
             inv_checked += 1
 
     translator_checked = 0
@@ -448,20 +456,17 @@ def suite_involution_translator(seed: int = 7, max_q: int | None = None) -> Crit
             built += 1
         translator_checked += built
         if built < 100:
-            return CriterionResult("involution-translator", False,
-                                   f"translator sampling stalled over {tfield!r}", events)
+            raise _Failed(f"translator sampling stalled over {tfield!r}")
 
     detail = (f"{inv_checked} involution certificates agreed; "
               f"{translator_checked} translator instances: subspace-side verdict matched "
               f"the full scan throughout; complete-mapping violations: "
               f"p odd {odd_violations}, p=2 {even_violations} (recorded)")
     if odd_violations:
-        events.append(REFUTATION_EVENT + ", e.g. " + odd_example)
-        return CriterionResult(
-            "involution-translator", False,
-            detail + " -- zero odd-characteristic violations were expected, so this "
-                     "reports the refuting instance instead of passing", events)
-    return CriterionResult("involution-translator", True, detail, events)
+        raise _Failed(detail + " -- zero odd-characteristic violations were expected, so this "
+                               "reports the refuting instance instead of passing",
+                      [REFUTATION_EVENT + ", e.g. " + odd_example])
+    return detail
 
 
 def _random_translator_instance(rng: random.Random, field: Field):
@@ -494,61 +499,38 @@ def _random_translator_instance(rng: random.Random, field: Field):
     return spec, adjust
 
 
-def suite_fixed_regressions(seed: int = 0, max_q: int | None = None) -> CriterionResult:
+@_suite("fixed-regressions")
+def suite_fixed_regressions(seed: int = 0, max_q: int | None = None) -> str:
     """Locked worked examples."""
-    f8 = _field(2, 3)
-    if additive_index(parse_poly("x^3", f8)) != 3:
-        return CriterionResult("fixed-regressions", False, "index of x^3 over GF(8)")
-    f9 = _field(3, 2)
-    dec = maximal_decomposition(parse_poly("(x^3-x)^2+x", f9))
-    if dec.index != 1 or dec.subspace_poly.to_poly() != parse_poly("x^3-x", f9):
-        return CriterionResult("fixed-regressions", False,
-                               "decomposition of (x^3-x)^2+x over GF(9)")
-    for p, n in [(2, 2), (2, 3), (3, 2), (3, 3)]:
-        field = _field(p, n)
+    for f8 in _fields([(2, 3)], max_q):
+        if additive_index(parse_poly("x^3", f8)) != 3:
+            raise _Failed("index of x^3 over GF(8)")
+    for f9 in _fields([(3, 2)], max_q):
+        dec = maximal_decomposition(parse_poly("(x^3-x)^2+x", f9))
+        if dec.index != 1 or dec.subspace_poly.to_poly() != parse_poly("x^3-x", f9):
+            raise _Failed("decomposition of (x^3-x)^2+x over GF(9)")
+    for field in _fields([(2, 2), (2, 3), (3, 2), (3, 3)], max_q):
         frob = LinearizedPoly(field, (-field.one, field.one))
         quotient = compose_quotient(xq_minus_x_linearized(field), frob)
         trace = LinearizedPoly(field, (field.one,) * field.n)
         if quotient != trace:
-            return CriterionResult("fixed-regressions", False,
-                                   f"trace quotient over {field!r}")
-    return CriterionResult("fixed-regressions", True, "all locked examples hold")
-
-
-ALL_SUITES = {
-    "kernel-methods": suite_kernel_methods,
-    "decomposition-identity": suite_decomposition_identity,
-    "value-sets": suite_value_sets,
-    "pp-certificates": suite_pp_certificates,
-    "inverse-roundtrip": suite_inverse_roundtrip,
-    "cycle-theorems": suite_cycle_theorems,
-    "complement-commutation": suite_complement_commutation,
-    "character-bounds": suite_character_bounds,
-    "involution-translator": suite_involution_translator,
-    "fixed-regressions": suite_fixed_regressions,
-}
+            raise _Failed(f"trace quotient over {field!r}")
+    return "all locked examples hold"
 
 
 def run_suites(names, seed: int | None = None, max_q: int | None = None,
                report=print) -> int:
     """Run the named suites, print one PASS/FAIL line each, and return the
-    process exit code: 0 clean, 1 failures, 3 when an exact identity fired.
+    process exit code: 0 clean, 1 failures, 3 when a failure carries events
+    (an exact identity fired, or criterion 9's refutation).
 
-    seed None runs every suite at its own default seed, the sample the
-    pytest acceptance criteria check; an integer seeds every suite alike.
+    Each suite returns its detail text or raises, and `_suite` makes that its
+    result, so nothing a suite raises for a failure reaches this loop.  seed
+    None runs every suite at its own default seed, the sample the pytest
+    acceptance criteria check; an integer seeds every suite alike.
     """
-    def guarded(name):
-        fn = ALL_SUITES[name]
-        try:
-            if seed is None:
-                return fn(max_q=max_q)
-            return fn(seed=seed, max_q=max_q)
-        except InvariantViolation as exc:
-            return CriterionResult(name, False,
-                                   f"theorem assertion failed: {exc}",
-                                   events=[str(exc)])
-
-    results = [guarded(name) for name in names]
+    seeded = {} if seed is None else {"seed": seed}
+    results = [ALL_SUITES[name](max_q=max_q, **seeded) for name in names]
     saw_event = saw_failure = False
     for res in results:
         status = "PASS" if res.passed else "FAIL"

@@ -24,8 +24,12 @@ import functools
 import random
 import re
 
+import pytest
+
+import addix.verify as verify
 from addix import (AdditiveDecomposition, Field, LinearizedPoly, Poly,
                    TranslatorSpec, parse_poly, subfield, translator_pp)
+from addix.errors import InvariantViolation
 from addix.verify import (REFUTATION_EVENT, _random_translator_instance,
                           suite_character_bounds,
                           suite_complement_commutation, suite_cycle_theorems,
@@ -62,7 +66,6 @@ def test_criterion_03_value_set_equivalence():
 def test_value_sets_compare_theorem_with_brute(monkeypatch):
     """The value-set bounds read the same table as the theorem path, so the
     suite must also hold the theorem size against the brute count."""
-    import addix.verify as verify
     count = verify.value_set_size
 
     def off_by_one_brute(poly, method="theorem"):
@@ -85,7 +88,6 @@ def test_pp_certificates_scan_each_polynomial_once(monkeypatch):
     decomposition's value table, and the suite checks that witness at its
     two points and scans only the permutations: every polynomial is
     tabulated once, and only each permutation is scanned besides."""
-    import addix.verify as verify
     scans, tables, verdicts = [], [], []
     values, certify = Poly.values, verify.is_permutation
     table = AdditiveDecomposition.values
@@ -115,7 +117,6 @@ def test_pp_certificates_scan_each_polynomial_once(monkeypatch):
 
 
 def test_pp_certificates_reject_a_false_witness(monkeypatch):
-    import addix.verify as verify
     certify = verify.is_permutation
 
     def false_witness(poly, method):
@@ -211,3 +212,47 @@ def test_translator_complete_mapping_condition():
 
 def test_criterion_10_fixed_regressions():
     _report(10, suite_fixed_regressions())
+
+
+def test_each_suite_is_its_registry_entry():
+    # the benchmark tracer wraps a suite by its module name and in ALL_SUITES
+    for name, suite in verify.ALL_SUITES.items():
+        assert suite is getattr(verify, "suite_" + name.replace("-", "_"))
+
+
+def test_every_suite_keeps_to_max_q(monkeypatch):
+    build, asked = verify._field, []
+
+    def recorded(p, n):
+        asked.append(p ** n)
+        return build(p, n)
+
+    monkeypatch.setattr(verify, "_field", recorded)
+    sizes = {}
+    for name, suite in verify.ALL_SUITES.items():
+        asked.clear()
+        suite(max_q=16)
+        sizes[name] = set(asked)
+    assert {name: qs for name, qs in sizes.items() if max(qs, default=0) > 16} == {}
+    assert sizes["fixed-regressions"] == {4, 8, 9}
+
+
+def _fired(poly):
+    raise InvariantViolation("index identity fired")
+
+
+@pytest.mark.parametrize("index, code, lines", [
+    (lambda poly: 0, 1, ["FAIL fixed-regressions: index of x^3 over GF(8)"]),
+    (_fired, 3, ["FAIL fixed-regressions: theorem assertion failed: index identity fired",
+                 "  event: index identity fired"]),
+], ids=["failure", "identity-fired"])
+def test_run_suites_exit_paths(monkeypatch, index, code, lines):
+    monkeypatch.setattr(verify, "additive_index", index)
+    printed = []
+    assert verify.run_suites(["fixed-regressions"], report=printed.append) == code
+    assert printed == lines
+    # a direct call returns the failed result that `addix verify` printed
+    result = suite_fixed_regressions()
+    assert not result.passed
+    assert f"FAIL {result.name}: {result.detail}" == lines[0]
+    assert result.events == [line.removeprefix("  event: ") for line in lines[1:]]
