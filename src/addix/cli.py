@@ -25,7 +25,7 @@ from .errors import InvariantViolation, ParseError, PreconditionError
 from .field import Field, parse_field_spec
 from .linearized import LinearizedPoly, Subspace
 from .poly import parse_poly, poly_to_str
-from .verify import ALL_SUITES, run_suites
+from .verify import ALL_SUITES, _decomposable_sample, run_suites
 
 
 class _Arg(argparse.ArgumentParser):
@@ -182,7 +182,7 @@ def _cmd_translator(args):
 
 def _cmd_charsum(args):
     field = parse_field_spec(args.field)
-    if args.sweep:
+    if args.sweep is not None:
         return _charsum_sweep(field, args)
     poly = parse_poly(args.poly, field)
     chi = MultChar(field, args.char)
@@ -208,7 +208,6 @@ def _cmd_charsum(args):
 
 
 def _charsum_sweep(field: Field, args):
-    from .verify import _decomposable_sample  # sampling helper shared with verify
     rng = random.Random(args.seed)
     print("# addix-csv v1: poly_id,char,abs_sum,additive_bound,weil_bound,trivial_bound")
     for pid in range(args.sweep):
@@ -294,8 +293,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.verb == "charsum" and not args.sweep and args.poly is None:
+        if args.verb == "charsum" and args.sweep is None and args.poly is None:
             raise ParseError("charsum needs --poly unless --sweep is given")
+        if args.verb == "charsum" and args.sweep is not None and args.sweep < 0:
+            raise ParseError(f"--sweep must be >= 0, got {args.sweep}")
         return args.run(args)
     except ParseError as exc:
         print(json.dumps({"error": {"type": "parse", "message": str(exc)}}))

@@ -5,8 +5,8 @@ modulus of degree n over F_p.  An element is its integer code
 sum(c_i * p**i) over the coefficient vector (c_0, ..., c_{n-1}) of its
 residue class; code 0 is the additive identity and code 1 the multiplicative
 identity.  Field.add/neg/mul/inv/pow are the one arithmetic on codes,
-through tables built lazily once per field beside a canonical primitive
-element g: exp/log serve mul, pow and inv, and the Zech logarithm Z,
+through tables built when the field is constructed, beside a canonical
+primitive element g: exp/log serve mul, pow and inv, and the Zech logarithm Z,
 defined by 1 + g^m = g^Z[m], turns addition into g^a + g^b = g^(a + Z[b - a])
 with one rule for every p.  The fused kernels on code vectors are part of
 that one arithmetic: Horner scans planned from (exponent, code) terms, so
@@ -26,18 +26,19 @@ Polynomials, subspaces and internal results hold codes; Elt is the API
 boundary, built only where a caller reads elements, and its operators
 delegate here.  owns and code are the one same-field rule: owns refuses an
 operand over another field, by identity first and equality after, and code
-unwraps an element of this field.  There is no element cache: a field builds
-zero, one and its primitive element, and from_code a fresh Elt.  The _fp_*
-helpers on plain coefficient lists are the one F_p[x] arithmetic: they
-validate and select the modulus, find the primitive element and give the n
-columns g * x^i of the map a -> g * a, from which the tables are read.
+unwraps an element of this field.  A constructed Field is immutable and holds
+every table, so no arithmetic builds or guards state.  There is no element
+cache: a field builds zero, one and its primitive element, and from_code a
+fresh Elt.  The _fp_* helpers on plain coefficient lists are the one F_p[x]
+arithmetic: they validate and select the modulus, find the primitive element
+and give the n columns g * x^i of the map a -> g * a, from which the tables
+are read.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-import threading
 
 from .errors import ParseError, PreconditionError
 
@@ -283,8 +284,8 @@ class Elt:
 class Field:
     """GF(p^n) realized as F_p[x]/(modulus), with canonical element codes."""
 
-    __slots__ = ("p", "n", "q", "modulus", "primitive",
-                 "_exp", "_log", "_zech", "_lock", "_zero", "_one")
+    __slots__ = ("p", "n", "q", "modulus", "zero", "one", "primitive",
+                 "_exp", "_log", "_zech")
 
     def __init__(self, p: int, n: int, modulus=None):
         if not isinstance(p, int) or not is_prime(p):
@@ -311,13 +312,10 @@ class Field:
                 raise PreconditionError("supplied modulus is reducible")
             self.modulus = mod
 
-        self._exp = None
-        self._log = None
-        self._zech = None
-        self._lock = threading.Lock()
-        self._zero = Elt(self, 0)
-        self._one = Elt(self, 1)
+        self.zero = Elt(self, 0)
+        self.one = Elt(self, 1)
         self.primitive = Elt(self, self._scan_primitive())
+        self._exp, self._log, self._zech = self._tables()
 
     @staticmethod
     def _scan_modulus(p, n, q):
@@ -338,46 +336,40 @@ class Field:
                 return code
         raise PreconditionError("no primitive element found")  # unreachable
 
-    def _ensure_tables(self):
-        """Build exp, log and Zech tables on first use.  a -> g * a is
-        F_p-linear on digit vectors, so its table T is the F_p-span of the
-        columns g * x^i in span_codes' layout, each block one column added
-        by _digit_shift tables of the low h and high n - h digits; exp is
-        the walk from 1 by T and log its inverse.  _exp is assigned last:
-        readers test it without the lock."""
-        if self._exp is not None:
-            return
-        with self._lock:
-            if self._exp is not None:
-                return
-            q, p, n = self.q, self.p, self.n
-            mod = list(self.modulus)
-            g = _fp_trim(list(self.primitive.coeffs))
-            h = n // 2
-            split = p ** h
-            table = [0]
-            for i in range(n):
-                column = _fp_mod(_fp_mul([0] * i + [1], g, p), mod, p)  # g * x^i
-                column = sum(c * p ** j for j, c in enumerate(column))
-                low = _digit_shift(column % split, p, h)
-                high = [split * c for c in _digit_shift(column // split, p, n - h)]
-                size = len(table)
-                for _ in range(p - 1):
-                    table += [low[a % split] + high[a // split] for a in table[-size:]]
-            exp = [0] * (q - 1)
-            log = [0] * q
-            log[0] = -1
-            code = 1
-            for m in range(q - 1):
-                exp[m] = code
-                log[code] = m
-                code = table[code]
-            del table
-            # 1 + g^m adds 1 to the constant digit; log[0] = -1 marks 1 + g^m = 0
-            zech = [log[c - c % p + (c + 1) % p] for c in exp]
-            self._log = log
-            self._zech = zech
-            self._exp = exp
+    def _tables(self):
+        """(exp, log, Zech) tables.  a -> g * a is F_p-linear on digit
+        vectors, so its table T is the F_p-span of the columns g * x^i in
+        span_codes' layout, each block one column added by _digit_shift
+        tables of the low h and high n - h digits; exp is the walk from 1 by
+        T and log its inverse.  T, and so the tables, hold the int objects
+        of ints, one per value: q int objects in all, not 2q."""
+        q, p, n = self.q, self.p, self.n
+        mod = list(self.modulus)
+        g = _fp_trim(list(self.primitive.coeffs))
+        h = n // 2
+        split = p ** h
+        ints = list(range(q))
+        table = [0]
+        for i in range(n):
+            column = _fp_mod(_fp_mul([0] * i + [1], g, p), mod, p)  # g * x^i
+            column = sum(c * p ** j for j, c in enumerate(column))
+            low = _digit_shift(column % split, p, h)
+            high = [split * c for c in _digit_shift(column // split, p, n - h)]
+            size = len(table)
+            for _ in range(p - 1):
+                table += [ints[low[a % split] + high[a // split]] for a in table[-size:]]
+        exp = [0] * (q - 1)
+        log = [0] * q
+        log[0] = -1
+        code = 1
+        for m in itertools.islice(ints, q - 1):
+            exp[m] = code
+            log[code] = m
+            code = table[code]
+        del table, ints
+        # 1 + g^m adds 1 to the constant digit; log[0] = -1 marks 1 + g^m = 0
+        zech = [log[c - c % p + (c + 1) % p] for c in exp]
+        return exp, log, zech
 
     # -- arithmetic on codes
 
@@ -391,8 +383,6 @@ class Field:
     def mul(self, a: int, b: int) -> int:
         if not a or not b:
             return 0
-        if self._exp is None:
-            self._ensure_tables()
         log = self._log
         return self._exp[(log[a] + log[b]) % (self.q - 1)]
 
@@ -404,8 +394,6 @@ class Field:
             if e < 0:
                 raise ZeroDivisionError("inverse of zero")
             return 0 if e else 1
-        if self._exp is None:
-            self._ensure_tables()
         return self._exp[self._log[a] * e % (self.q - 1)]
 
     # -- fused kernels on code vectors
@@ -417,11 +405,6 @@ class Field:
     # negative difference from the end of the table, which is Z at b - a
     # mod q - 1.
 
-    def _logs(self):
-        if self._exp is None:
-            self._ensure_tables()
-        return self._exp, self._log, self._zech, self.q - 1
-
     def horner_plan(self, terms) -> tuple:
         """Log-domain Horner plan of sum(c x^e) over terms, (e, c) pairs
         ascending by exponent: (value at 0, low, log of the leading
@@ -432,7 +415,7 @@ class Field:
         degree.  steps is a list: as tuples of every length they would
         outlive their polynomials in the interpreter's per-length tuple free
         lists, raising peak memory."""
-        log = self._logs()[1]
+        log = self._log
         terms = [(e, c) for e, c in terms if c][::-1] or [(0, 0)]
         steps = [(high - e, log[c]) for (high, _), (e, c) in zip(terms, terms[1:])]
         low, last = terms[-1]
@@ -443,7 +426,7 @@ class Field:
         accumulator is a log: acc * x^gap is la + gap * lx and acc + c is
         la + Z[lc - la].  A generator, so a scan that decides early stops
         early."""
-        exp, log, zech, m = self._logs()
+        exp, log, zech, m = self._exp, self._log, self._zech, self.q - 1
         at_zero, low, lead, steps = plan
         for x in points:
             if not x:
@@ -483,7 +466,7 @@ class Field:
         coefficient of the shorter one."""
         if not a or not b:
             return []
-        log = self._logs()[1]
+        log = self._log
         if len(a) > len(b):
             a, b = b, a
         acc = [-1] * (len(a) + len(b) - 1)
@@ -501,7 +484,7 @@ class Field:
         db = len(b) - 1
         if len(a) <= db:
             return [], list(a)
-        exp, log, _, m = self._logs()
+        exp, log, m = self._exp, self._log, self.q - 1
         rem = [log[c] for c in a]
         lead, minus = log[b[-1]], log[self.p - 1]
         terms = [(j, log[c]) for j, c in enumerate(b[:-1]) if c]
@@ -525,7 +508,7 @@ class Field:
         shorter of the two."""
         if self.p == 2:
             return [x ^ y for x, y in zip(xs, ys)]
-        exp, log, zech, m = self._logs()
+        exp, log, zech, m = self._exp, self._log, self._zech, self.q - 1
         out = []
         append = out.append
         for x, y in zip(xs, ys):
@@ -562,7 +545,7 @@ class Field:
         XOR at p = 2; at odd p one sum of logs for -d * row, one Zech lookup."""
         if self.p == 2:
             return code ^ row
-        exp, log, zech, m = self._logs()
+        exp, log, zech, m = self._exp, self._log, self._zech, self.q - 1
         lr = (log[row] + log[self.p - d]) % m  # -d * row
         if not code:
             return exp[lr]
@@ -584,14 +567,6 @@ class Field:
         """Prime-subfield scalar k mod p."""
         return self.from_code(k % self.p)
 
-    @property
-    def zero(self) -> Elt:
-        return self._zero
-
-    @property
-    def one(self) -> Elt:
-        return self._one
-
     def elements(self) -> tuple[Elt, ...]:
         """All q elements in ascending code order, index 0 zero, built afresh
         on each call: a scan of codes reads range(q) instead."""
@@ -599,7 +574,7 @@ class Field:
 
     def dlogs(self, codes) -> list[int]:
         """dlog of each nonzero code in codes, in order, building no Elt."""
-        log = self._logs()[1]
+        log = self._log
         return [log[c] for c in codes if c]
 
     def dlog(self, a: Elt) -> int:
@@ -607,8 +582,6 @@ class Field:
         code = self.code(a)
         if code == 0:
             raise PreconditionError("discrete log of zero is undefined")
-        if self._exp is None:
-            self._ensure_tables()
         return self._log[code]
 
     # -- the same-field rule

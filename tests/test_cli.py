@@ -169,6 +169,20 @@ def test_charsum_verb_and_sweep(capsys):
     assert all(len(line.split(",")) == 6 for line in lines[1:])
 
 
+def test_charsum_sweep_of_zero_polynomials(capsys):
+    # --sweep 0 is a sweep of no polynomials, with or without --poly
+    for extra in ((), ("--poly", "x^3")):
+        code, out = run(capsys, "charsum", "--field", "2^4", "--sweep", "0", *extra)
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("# addix-csv v1:")
+
+
+def test_charsum_negative_sweep_refused(capsys):
+    code, out = run(capsys, "charsum", "--field", "2^4", "--sweep", "-2")
+    assert code == 1 and json.loads(out)["error"]["type"] == "parse"
+
+
 def test_exit_codes(capsys):
     code, out = run(capsys, "index", "--field", "nope", "--poly", "x")
     assert code == 1 and json.loads(out)["error"]["type"] == "parse"

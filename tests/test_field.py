@@ -107,6 +107,16 @@ def test_supplied_modulus_checked():
         Field(2, 21)            # over the cap
 
 
+def test_refusals_build_no_table(monkeypatch):
+    def build(self):
+        raise AssertionError("tables built for a refused field")
+
+    monkeypatch.setattr(Field, "_tables", build)
+    for args in ((2, 2, [1, 0, 1]), (4, 2), (2, 21)):
+        with pytest.raises(PreconditionError):
+            Field(*args)
+
+
 def test_size_cap_env(monkeypatch):
     monkeypatch.setenv("ADDIX_MAX_Q", "100")
     with pytest.raises(PreconditionError):
@@ -251,7 +261,6 @@ def test_tables_match_schoolbook_arithmetic(p, n):
 
     smallest = next(c for c in range(1, q) if order(digit_vector(c, p, n)) == q - 1)
     assert field.primitive.code == smallest
-    field._ensure_tables()
     g = digit_vector(smallest, p, n)
     acc = one
     for m in range(q - 1):
@@ -294,8 +303,16 @@ def test_tables_equal_the_product_loop(spec):
     """The tables read off the map a -> g * a are, entry for entry, those of
     one coefficient-list product per power of g."""
     field = parse_field_spec(spec)
-    field._ensure_tables()
     assert (field._exp, field._log, field._zech) == ref_tables(field)
+
+
+@pytest.mark.parametrize("spec", ["2^10", "3^7"])
+def test_tables_share_one_int_object_per_value(spec):
+    # exp, log and Zech hold q int objects in all, not one set each for
+    # codes and exponents
+    field = parse_field_spec(spec)
+    entries = field._exp + field._log + field._zech
+    assert len({id(v) for v in entries}) == len(set(entries))
 
 
 @pytest.mark.parametrize("spec", OTHER_MODULI)
@@ -387,8 +404,8 @@ def test_field_equality_and_element_hashing():
     assert len({a.from_code(1), b.from_code(1), a.from_code(2)}) == 2
 
 
-def test_lazy_tables_race_free():
-    # the tables must build once even under concurrent first use by + and *
+def test_concurrent_arithmetic_on_one_field():
+    # threads doing + and * on one shared field get the single-threaded results
     field = Field(2, 8)
     results = []
 

@@ -307,7 +307,6 @@ def test_tables_of_a_drawn_modulus(field, data):
     the sum taken on digit vectors."""
     modulus = data.draw(st.sampled_from(irreducible_moduli(field.p, field.n)))
     drawn = Field(field.p, field.n, modulus)
-    drawn._ensure_tables()
     exp, log, zech = ref_tables(drawn)
     assert (drawn._exp, drawn._log, drawn._zech) == (exp, log, zech)
     one = drawn.one
