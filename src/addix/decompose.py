@@ -9,10 +9,12 @@ index down cuts the subspace so far to its kernel there, on which the bands
 above make it linear.  The walk returns V alone, all that additive_kernel
 reads; maximal_decomposition builds S from it once, and decompose_with reads
 that decomposition.  The bands come from poly.shift_bands on demand, as
-terms planned straight into Field.horner at the subspace's rows, until the
-subspace is {0}.  outer and linear_part are read off the digits of P - P(0)
-in base S.  gcd_degree is read off the cached kernel V of S and image
-linear_part(V) by rank-nullity.
+terms planned straight into Field.horner's value scan (an XOR of term
+values at p = 2, Horner on logs at odd p) at the subspace's rows, dim U
+times the band's nonzero terms in steps, until the subspace is {0}.  outer
+and linear_part are read off the digits of P - P(0) in base S.  gcd_degree
+is read off the cached kernel V of S and image linear_part(V) by
+rank-nullity.
 Also carries the classical multiplicative index for bound comparisons.  Inputs
 of degree >= q are folded modulo x^q - x (reduce_mod_xq_minus_x) before kernel
 computations, so the identity reported is for the reduced polynomial.
@@ -110,7 +112,7 @@ def _maximal_kernel(poly: Poly) -> Subspace:
     makes F_i F_p-linear on any subspace U where every band above it
     vanishes.  So, from U = the field and the top index down, each band
     cuts U to its restricted kernel, read by F_p-linear algebra from its
-    values at U's rows by one Horner plan of its terms, and the last U is V.
+    values at U's rows by one scan plan of its terms, and the last U is V.
     Bands are pulled from shift_bands as the walk reaches them, none after
     U = {0}, and an empty one is skipped.  A band has no constant term, so
     one of top power 1 proves V = {0} at once.  A constant residue (no band)

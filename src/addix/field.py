@@ -9,8 +9,9 @@ through tables built when the field is constructed, beside a canonical
 primitive element g: exp/log serve mul, pow and inv, and the Zech logarithm Z,
 defined by 1 + g^m = g^Z[m], turns addition into g^a + g^b = g^(a + Z[b - a])
 with one rule for every p.  The fused kernels on code vectors are part of
-that one arithmetic: Horner scans planned from (exponent, code) terms, so
-dense and linearized polynomials share them (horner_plan, horner), and one
+that one arithmetic: value scans planned from (exponent, code) terms, so
+dense and linearized polynomials share them (horner_plan, horner), an XOR
+of term values at p = 2 and Horner on logs at odd p, and one
 multiply-add row shared by long division and the schoolbook product
 (divmod_codes, mul_codes) run whole loops on discrete logs with the same
 tables, and dlogs reads codes' discrete logs off them, so no module but this
@@ -403,30 +404,50 @@ class Field:
     # and a sum is one Zech lookup, g^a + g^b = g^(a + Z[b - a]), so no step
     # calls add or mul.  Logs are reduced mod q - 1; Z[b - a] reads a
     # negative difference from the end of the table, which is Z at b - a
-    # mod q - 1.
+    # mod q - 1.  The one exception is horner at p = 2, whose sum is a code:
+    # the XOR of term values read off exp.
 
     def horner_plan(self, terms) -> tuple:
-        """Log-domain Horner plan of sum(c x^e) over terms, (e, c) pairs
-        ascending by exponent: (value at 0, low, log of the leading
-        coefficient, steps).  steps holds one (gap, log c) pair per lower
-        nonzero term c x^e, descending, gap being the distance in exponent
-        from the term before; low is the lowest exponent with a nonzero
-        coefficient.  A polynomial's cost is then its nonzero terms, not its
-        degree.  steps is a list: as tuples of every length they would
-        outlive their polynomials in the interpreter's per-length tuple free
-        lists, raising peak memory."""
+        """Scan plan of sum(c x^e) over terms, (e, c) pairs ascending by
+        exponent, holding one pair per nonzero term, so a polynomial's cost
+        is its nonzero terms, not its degree.  At p = 2: (value at 0, terms),
+        terms holding (e, log c) for each nonzero c x^e with e > 0.
+        At odd p, a log-domain Horner plan: (value at 0, low, log of the
+        leading coefficient, steps), steps holding one (gap, log c) pair per
+        lower nonzero term c x^e, descending, gap being the distance in
+        exponent from the term before, and low the lowest exponent with a
+        nonzero coefficient.  The pairs are held in a list: as tuples of
+        every length they would outlive their polynomials in the
+        interpreter's per-length tuple free lists, raising peak memory."""
         log = self._log
-        terms = [(e, c) for e, c in terms if c][::-1] or [(0, 0)]
+        terms = [(e, c) for e, c in terms if c]
+        if self.p == 2:
+            at_zero = terms.pop(0)[1] if terms and not terms[0][0] else 0
+            return at_zero, [(e, log[c]) for e, c in terms]
+        terms = terms[::-1] or [(0, 0)]
         steps = [(high - e, log[c]) for (high, _), (e, c) in zip(terms, terms[1:])]
         low, last = terms[-1]
         return (last if low == 0 else 0), low, log[terms[0][1]], steps
 
     def horner(self, plan, points):
-        """Codes of the planned polynomial at each code in points.  The
-        accumulator is a log: acc * x^gap is la + gap * lx and acc + c is
-        la + Z[lc - la].  A generator, so a scan that decides early stops
-        early."""
+        """Codes of the planned polynomial at each code in points, q points
+        costing q * (nonzero terms) steps.  At p = 2 a sum of codes is their
+        XOR, so a nonzero x gets the value at 0 XOR exp[lc + e * log x] (mod
+        q - 1) over the terms, each step one table read with no Zech lookup
+        and no zero test.  At odd p the accumulator is a log: acc * x^gap is
+        la + gap * lx and acc + c is la + Z[lc - la].  A generator, so a
+        scan that decides early stops early."""
         exp, log, zech, m = self._exp, self._log, self._zech, self.q - 1
+        if self.p == 2:
+            at_zero, steps = plan
+            for x in points:
+                v = at_zero
+                if x:
+                    lx = log[x]
+                    for e, lc in steps:
+                        v ^= exp[(lc + e * lx) % m]
+                yield v
+            return
         at_zero, low, lead, steps = plan
         for x in points:
             if not x:

@@ -3,7 +3,7 @@
 A linearized polynomial sum(a_i x^{p^i}) induces an F_p-linear map on the
 field.  It holds the codes of its p-power coefficient vector on the core it
 shares with Poly; lin_coeffs is a read-only Elt view.  Its values come
-from that core's one Horner scan, planned from its terms (p^i, a_i).  Every
+from that core's one value scan, planned from its terms (p^i, a_i).  Every
 F_p-subspace has a monic linearized vanishing polynomial dividing x^q - x,
 and conversely the kernel of such a polynomial is a subspace, read by
 restricted_kernel for any map F_p-linear on a subspace; both directions

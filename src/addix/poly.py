@@ -5,12 +5,14 @@ trailing zeros; the zero polynomial is the empty vector and reports degree
 -1.  Inner loops run on codes, the hot ones (evaluation, division and
 products) as fused kernels of Field; Elt is the API boundary (constructors
 take Elt sequences, coeffs is a read-only Elt view).  Field.horner is the one
-Horner kernel: values_at plans a vector of either kind once from its nonzero
-terms, and the bands F_i of P0(x+y) - P0(x) - P0(y) = sum_i F_i(y) x^i come
-on demand from the top index (shift_bands) as the terms they are planned
-from; shift_expand is their dense view.  Also Euclidean division and monic
-gcd, composition (shift_arg composes with x + offset), the CLI's text
-grammar and _newton, the one interpolation loop of both kinds, on codes.
+value scan: values_at plans a vector of either kind once from its nonzero
+terms, and a point costs one step a term, an XOR of term values at p = 2
+and a Horner step on logs at odd p.  The bands F_i of
+P0(x+y) - P0(x) - P0(y) = sum_i F_i(y) x^i come on demand from the top
+index (shift_bands) as the terms they are planned from; shift_expand is
+their dense view.  Also Euclidean division and monic gcd, composition
+(shift_arg composes with x + offset), the CLI's text grammar and _newton,
+the one interpolation loop of both kinds, on codes.
 """
 
 from __future__ import annotations
@@ -106,9 +108,11 @@ class CodeVector:
 
     def values_at(self, points):
         """Codes of self at each code in points, by Field.horner over the
-        nonzero (exponent, code) terms that each kind lists in _terms, so
-        cost follows the terms, not the degree.  The plan is built once per
-        vector.  Lazy: a scan that decides early stops early."""
+        nonzero (exponent, code) terms that each kind lists in _terms: at
+        p = 2 the XOR of the term values, at odd p Horner on logs.  A point
+        costs one step per nonzero term, so q points cost q * (nonzero
+        terms), not q * degree.  The plan is built once per vector.  Lazy: a
+        scan that decides early stops early."""
         try:
             plan = self._plan
         except AttributeError:

@@ -1,16 +1,19 @@
 """The code-level polynomial core against an Elt schoolbook reference.
 
 Poly and LinearizedPoly hold element codes and run their loops through the
-field's code arithmetic: Horner scans, division and products through the
-fused log-domain kernels of Field, sums of code vectors and spans
-through its addition kernels, the rest through Field.add/mul.  The
-reference below works on Elt objects instead, with textbook algorithms.  Its
-addition adds digit vectors mod p and its multiplication is Elt * (exp/log,
-checked against schoolbook F_p[x] in test_field), so it shares neither the
+field's code arithmetic: value scans (an XOR of term values at p = 2,
+Horner on logs at odd p), division and products through the fused kernels
+of Field, sums of code vectors and spans through its addition kernels, the
+rest through Field.add/mul.  The reference below works on Elt objects
+instead, with textbook algorithms.  Its addition adds digit vectors mod p
+and its multiplication is Elt * (exp/log, checked against schoolbook
+F_p[x] in test_field), so it shares neither the
 Zech table nor any polynomial loop with the code it checks.  The kernels
 are checked against it on inputs chosen to reach their edge cases: the
 point 0, polynomials with few terms or none, and sums that cancel to zero
-mid-loop.  The shift-expansion bands are checked against the
+mid-loop; the p = 2 scan, an XOR of term values, on exponents that are
+multiples of q - 1 or past q, the zero polynomial, a lone constant and
+term values that cancel by XOR.  The shift-expansion bands are checked against the
 dense formula over every pair (i, t), and their cost against the count of
 pairs that Lucas's theorem leaves nonzero, and the cached Lucas terms
 against math.comb.  The verified kernel fold is checked against the
@@ -361,11 +364,11 @@ def test_eval_at_every_point_matches_reference(field):
 
 
 def test_values_cost_by_nonzero_terms(monkeypatch):
-    """x^2049 + x = x(x + 1)^2048 over GF(2^12) is planned as one Horner
-    step, from x^2049 down to x, and a trailing factor x (low = 1).  A full
-    scan pulls each point once, and Poly.eval at one point pulls that point
-    alone on the same plan; Horner over every coefficient would take 2,049
-    steps a point."""
+    """x^2049 + x = x(x + 1)^2048 over GF(2^12) is planned as its two
+    nonzero terms alone: the value at 0, then one (e, log c) pair per term,
+    log 1 being 0, and none for the 2,047 zero coefficients between them.
+    A full scan pulls each of the q points once, and Poly.eval at one point
+    pulls that point alone on the same plan."""
     field = Field(2, 12)
     codes = [0] * 2050
     codes[2049] = codes[1] = 1
@@ -391,10 +394,54 @@ def test_values_cost_by_nonzero_terms(monkeypatch):
     value = poly.eval(field.from_code(5))
     monkeypatch.undo()
     assert zeros == [0, 1]
-    ((_, low, _, steps),) = plans
-    assert steps == [(2048, 0)] and low == 1
+    assert plans == [(0, [(1, 0), (2049, 0)])]
     assert scanned == field.q
     assert pulled[scanned:] == [5] and value.code == list(poly.values())[5]
+
+
+XOR_FIELDS = [Field(2, 1), Field(2, 3), Field(2, 8), Field(2, 10)]
+
+
+def xor_scan_inputs(rng, field):
+    """Sparse {exponent: code} inputs for the p = 2 scan, named: exponents
+    that are multiples of q - 1 (x^(q-1) is 1 at every nonzero x and 0 at
+    0), exponents of q and up, the zero polynomial, a lone constant, and
+    two whose term values cancel by XOR at every nonzero x, one of them
+    against the constant."""
+    q, m = field.q, field.q - 1
+    c = lambda: rng.randrange(1, q)  # noqa: E731
+    yield "multiples of q - 1", {0: c(), m: c(), 2 * m: c(), 3 * m + 1: c()}
+    yield "past q", {1: c(), q: c(), q + 1: c(), 2 * q + 3: 1}
+    yield "zero", {}
+    yield "constant", {0: c()}
+    a = c()
+    yield "cancel", {1: a, q: a}  # a x + a x^q = 0 at every x
+    yield "cancel constant", {0: a, m: a}  # a + a x^(q-1) = 0 at every x but 0
+
+
+@pytest.mark.parametrize("field", XOR_FIELDS, ids=[repr(f) for f in XOR_FIELDS])
+def test_xor_scan_matches_reference(field):
+    """The p = 2 scan, planned from sparse terms and from a Poly's dense
+    codes, against the Elt Horner reference at every point of the small
+    fields and, to keep the dense reference short, at 0, 1 and 40 drawn
+    points of GF(2^10), where it walks past 2,000 coefficients; x = 0
+    yields the constant term."""
+    rng = random.Random(field.q + 2)
+    q = field.q
+    points = list(range(q)) if q <= 256 else [0, 1] + rng.sample(range(2, q), 40)
+    for name, terms in xor_scan_inputs(rng, field):
+        codes = [0] * (max(terms, default=-1) + 1)
+        for e, c in terms.items():
+            codes[e] = c
+        ac = [field.from_code(c) for c in codes]
+        expected = [ref_eval(field, ac, field.from_code(x)).code for x in points]
+        plan = field.horner_plan(sorted(terms.items()))
+        assert list(field.horner(plan, points)) == expected, name
+        poly = Poly.from_codes(field, codes)
+        assert list(poly.values_at(points)) == expected, name
+        assert poly.eval(field.zero).code == terms.get(0, 0), name
+        if name.startswith("cancel"):
+            assert not any(expected[1:]), name
 
 
 def kernel_inputs(rng, field):
@@ -567,7 +614,7 @@ def test_compose_quotient_matches_dense_euclid(field):
 
 @pytest.mark.parametrize("field", FIELDS, ids=IDS)
 def test_linearized_eval_matches_reference(field):
-    """LinearizedPoly is evaluated by the Horner plan of its p-power terms:
+    """LinearizedPoly is evaluated by the scan plan of its p-power terms:
     eval, values_at and the value table agree with the p-power loop at
     every point, for the zero map, the identity, a map without an x term
     (whose plan starts at x^p), the single top term and random maps."""

@@ -20,13 +20,13 @@ permutation, a x^e + b with e prime to q - 1 or a translation
 outer(S(x)) + x with S o outer zero on the field, scaled and shifted on
 both sides, has an inverse_pp that round-trips in both orders at every
 point and keeps its additive index.  The fused code kernels of Field are
-checked against Elt schoolbook references on drawn inputs: Horner on
-sparse terms with gaps of any size and no constant term, as every band
-has, against the sum of c * x^e, and the product, division, pairwise sum,
-span and row kernel against their digit-vector and Elt counterparts.  The
-brute kernel oracle, which tests its identity row by row on the value
-table, keeps exactly the y at which the polynomial identity holds once
-expanded by shift_arg, on inputs of degree >= q and p-affine ones too.
+checked against Elt schoolbook references on drawn inputs: the value
+scan on sparse terms with gaps of any size, with a constant term or none
+(every band has none), against the sum of c * x^e, and the product,
+division, pairwise sum, span and row kernel against their digit-vector and
+Elt counterparts.  The brute kernel oracle, which tests its identity row by
+row on the value table, keeps exactly the y at which the polynomial
+identity holds once expanded by shift_arg, on inputs of degree >= q and p-affine ones too.
 Every report of a character sweep over a drawn input is char_sum's oracle
 sum within the profile's stated FFT margin and at most the additive bound
 plus that margin, and the spectrum from the cached transform plan equals,
@@ -228,9 +228,12 @@ def test_inverse_round_trips(field, data):
 
 @st.composite
 def sparse_terms(draw, field):
-    """Ascending (exponent, code) terms from exponent 1 up, as a band's are,
-    with gaps from 1 to past q, so that steps wrap the multiplicative group."""
+    """Ascending (exponent, code) terms: maybe a constant term, then from
+    exponent 1 up, as a band's are, with gaps from 1 to past q, so that
+    steps wrap the multiplicative group."""
     e, terms = 0, []
+    if draw(st.booleans()):
+        terms.append((0, draw(st.integers(0, field.q - 1))))
     for gap in draw(st.lists(st.integers(1, 3 * field.q), max_size=6)):
         e += gap
         terms.append((e, draw(st.integers(0, field.q - 1))))
